@@ -275,7 +275,6 @@ class SessionStats:
     mean_seconds: float
     candidate_draws: int
     singular_redraws: int
-    regenerations: int
     cipher_blocks: tuple[CipherBlock, ...]
     plain_blocks: tuple[PlainBlock, ...]
 
@@ -305,7 +304,6 @@ def session_statistics(rs, params: FieldParams, n: int) -> SessionStats:
     agreements = 0
     roundtrips = 0
     redraws = 0
-    regens = 0
     cipher_blocks = []
     plain_blocks = []
     t0 = time.perf_counter()
@@ -321,7 +319,6 @@ def session_statistics(rs, params: FieldParams, n: int) -> SessionStats:
             cipher_blocks.append(message.blocks[0])
             plain_blocks.append(encode_block(plaintext, params))
         redraws += result.singular_redraws
-        regens += result.regenerations
     elapsed = time.perf_counter() - t0
     # six nonsingular matrices are accepted per session: P, Q, R, S, a1, b3
     return SessionStats(
@@ -331,7 +328,6 @@ def session_statistics(rs, params: FieldParams, n: int) -> SessionStats:
         mean_seconds=elapsed / n,
         candidate_draws=6 * n + redraws,
         singular_redraws=redraws,
-        regenerations=regens,
         cipher_blocks=tuple(cipher_blocks),
         plain_blocks=tuple(plain_blocks),
     )

@@ -42,6 +42,7 @@ from .errors import (
 )
 from .field_matrix import DiagonalSpec, FieldParams, Matrix, SplitMix64
 from .protocol import (
+    ROLE_LAYOUT,
     AlicePrivate,
     BobPrivate,
     PublicSetup,
@@ -217,16 +218,10 @@ def read_setup_file(path: str) -> PublicSetup:
 
 def write_private_file(path: str, priv: AlicePrivate | BobPrivate) -> None:
     s = priv.setup
-    if isinstance(priv, AlicePrivate):
-        role = Role.ALICE
-        specs = [priv.d_a2, priv.d_a3, priv.d_x1, priv.d_x2]
-        own = [priv.a1, priv.a2, priv.a3, priv.x1, priv.x2]
-    else:
-        role = Role.BOB
-        specs = [priv.d_b1, priv.d_b2, priv.d_y1, priv.d_y2]
-        own = [priv.b1, priv.b2, priv.b3, priv.y1, priv.y2]
-    matrices = [s.P, s.Q, s.R, s.S] + own
-    _atomic_write(path, _pack_record(REC_PRIVATE, s.params, role, matrices, specs=specs))
+    layout = ROLE_LAYOUT[priv.role]
+    matrices = [s.P, s.Q, s.R, s.S] + layout.matrices(priv)
+    data = _pack_record(REC_PRIVATE, s.params, priv.role, matrices, specs=layout.specs(priv))
+    _atomic_write(path, data)
 
 
 def read_private_file(path: str) -> AlicePrivate | BobPrivate:
@@ -237,10 +232,7 @@ def read_private_file(path: str) -> AlicePrivate | BobPrivate:
         raise FileFormatError(f"{path}: private record needs 9 matrices and 4 eigenvalue lists")
     try:
         setup = PublicSetup(rec.params, *rec.matrices[:4])
-        m = rec.matrices
-        if rec.role is Role.ALICE:
-            return AlicePrivate(setup, *rec.specs, m[4], m[5], m[6], m[7], m[8])
-        return BobPrivate(setup, *rec.specs, m[4], m[5], m[6], m[7], m[8])
+        return ROLE_LAYOUT[rec.role].private(setup, *rec.specs, *rec.matrices[4:])
     except ValueError as exc:
         raise FileFormatError(f"{path}: inconsistent private material: {exc}") from exc
 
@@ -371,17 +363,14 @@ def cmd_setup(args) -> int:
 def cmd_keygen(args) -> int:
     setup = read_setup_file(args.infile)
     rs = SplitMix64(_seed_from_args(args))
-    if args.role == "alice":
-        priv = alice_keygen(rs, setup)
-    else:
-        priv = bob_keygen(rs, setup)
+    priv = alice_keygen(rs, setup) if args.role == "alice" else bob_keygen(rs, setup)
     write_private_file(args.out, priv)
     return 0
 
 
 def cmd_token(args) -> int:
     priv = read_private_file(args.key)
-    token = alice_token(priv) if isinstance(priv, AlicePrivate) else bob_token(priv)
+    token = alice_token(priv) if priv.role is Role.ALICE else bob_token(priv)
     write_token_file(args.out, token)
     return 0
 
@@ -393,10 +382,7 @@ def cmd_shared(args) -> int:
         raise ParamsMismatchError(
             f"{args.peer}: token parameters {token.params} differ from private key"
         )
-    if isinstance(priv, AlicePrivate):
-        key = alice_shared(priv, token)
-    else:
-        key = bob_shared(priv, token)
+    key = alice_shared(priv, token) if priv.role is Role.ALICE else bob_shared(priv, token)
     write_session_key_file(args.out, key)
     return 0
 
@@ -436,7 +422,6 @@ def cmd_stats(args) -> int:
         ("candidate_draws", str(st.candidate_draws)),
         ("singular_redraws", str(st.singular_redraws)),
         ("redraw_rate", f"{st.redraw_rate:.5f}"),
-        ("regenerations", str(st.regenerations)),
     ]
     if st.cipher_blocks:
         matrices = [b.c for b in st.cipher_blocks]

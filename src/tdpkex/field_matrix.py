@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularMatrixError, ParamsMismatchError
+from .errors import FactorizationError, ParamsMismatchError, SingularMatrixError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -27,33 +27,17 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-class SplitMix64:
-    """Deterministic byte stream backed by the SplitMix64 generator.
+class _BufferedSource:
+    """Byte stream served from a buffer; subclasses say how to refill it."""
 
-    Each step adds the 64-bit golden-ratio constant to the state and applies
-    the standard xor-shift/multiply output mix; every output word is emitted
-    as 8 little-endian bytes.  The same seed therefore produces the identical
-    byte stream on every platform, which is what makes seeded protocol runs
-    bit-reproducible.
-    """
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-        self._buf = bytearray()
-
-    def next_u64(self) -> int:
-        """Advance the state and return the next 64-bit output word."""
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+    def __init__(self, data: Sequence[int] = b""):
+        self._buf = bytearray(data)
 
     def read(self, n: int) -> bytes:
         """Return the next ``n`` bytes of the stream."""
         buf = self._buf
         while len(buf) < n:
-            buf += self.next_u64().to_bytes(8, "little")
+            self._refill()
         out = bytes(buf[:n])
         del buf[:n]
         return out
@@ -66,37 +50,70 @@ class SplitMix64:
         return self.read(1)[0]
 
 
-class StubSource:
+class SplitMix64(_BufferedSource):
+    """Deterministic byte stream backed by the SplitMix64 generator.
+
+    Each step adds the 64-bit golden-ratio constant to the state and applies
+    the standard xor-shift/multiply output mix; every output word is emitted
+    as 8 little-endian bytes.  The same seed therefore produces the identical
+    byte stream on every platform, which is what makes seeded protocol runs
+    bit-reproducible.
+    """
+
+    def __init__(self, seed: int):
+        super().__init__()
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        """Advance the state and return the next 64-bit output word."""
+        self._state = (self._state + _GAMMA) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+        return z ^ (z >> 31)
+
+    def _refill(self) -> None:
+        self._buf += self.next_u64().to_bytes(8, "little")
+
+
+class StubSource(_BufferedSource):
     """Fixed byte sequence posing as a random source; for tests and worked examples."""
 
-    def __init__(self, data: Sequence[int]):
-        self._buf = bytearray(data)
+    def _refill(self) -> None:
+        raise RuntimeError("stub source exhausted")
 
-    def read(self, n: int) -> bytes:
-        if len(self._buf) < n:
-            raise RuntimeError("stub source exhausted")
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
 
-    def unread(self, data: bytes) -> None:
-        self._buf[:0] = data
+def trial_division_factorization(n: int, max_trials: int = 10_000_000) -> list[tuple[int, int]]:
+    """Factor n into (prime, exponent) pairs by trial division, smallest prime first.
 
-    def next_byte(self) -> int:
-        return self.read(1)[0]
+    Covers desk-scale inputs like p^d - 1 below 2^64 whose second-largest
+    prime factor is small; raises FactorizationError when the divisor budget
+    runs out before the cofactor is resolved.
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    out = []
+    c = n
+    trials = 0
+    f = 2
+    while f * f <= c:
+        trials += 1
+        if trials > max_trials:
+            raise FactorizationError(f"budget exhausted factoring {n}; stuck at cofactor {c}")
+        if c % f == 0:
+            e = 0
+            while c % f == 0:
+                c //= f
+                e += 1
+            out.append((f, e))
+        f += 1 if f == 2 else 2
+    if c > 1:
+        out.append((c, 1))
+    return out
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and trial_division_factorization(n) == [(n, 1)]
 
 
 @dataclass(frozen=True)

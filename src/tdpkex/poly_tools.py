@@ -12,8 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotUnitOrderError, FactorizationError
-from .field_matrix import FieldParams, Matrix, mat_det, mat_pow, uniform_array
+from .errors import NotUnitOrderError
+from .field_matrix import (
+    FieldParams,
+    Matrix,
+    mat_det,
+    mat_pow,
+    trial_division_factorization,
+    uniform_array,
+)
 
 
 @dataclass(frozen=True)
@@ -52,20 +59,10 @@ class MonicPoly:
 
 def moebius(n: int) -> int:
     """Moebius function: 0 on squareful n, else (-1)^(number of prime factors)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    result = 1
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            n //= f
-            if n % f == 0:
-                return 0
-            result = -result
-        f += 1
-    if n > 1:
-        result = -result
-    return result
+    factors = trial_division_factorization(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return (-1) ** len(factors)
 
 
 def matrix_space_size(params: FieldParams) -> int:
@@ -186,20 +183,6 @@ def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def is_irreducible(f: MonicPoly) -> bool:
     """Deterministic irreducibility test over F_p.
 
@@ -219,7 +202,7 @@ def is_irreducible(f: MonicPoly) -> bool:
         frob[k] = h
     if _poly_sub(frob[n], x, p) != [0]:
         return False
-    for t in _prime_factors(n):
+    for t, _ in trial_division_factorization(n):
         if _poly_gcd(_poly_sub(frob[n // t], x, p), full, p) != [1]:
             return False
     return True
@@ -287,35 +270,6 @@ def char_poly(m: Matrix) -> MonicPoly:
         v = np.convolve(v, t)[:i + 2] % p
     coeffs = tuple(int(c) for c in v[1:][::-1])
     return MonicPoly(p, coeffs)
-
-
-def trial_division_factorization(n: int, max_trials: int = 10_000_000) -> list[tuple[int, int]]:
-    """Factor n into (prime, exponent) pairs by trial division.
-
-    Covers desk-scale inputs like p^d - 1 below 2^64 whose second-largest
-    prime factor is small; raises FactorizationError when the divisor budget
-    runs out before the cofactor is resolved.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    out = []
-    c = n
-    trials = 0
-    f = 2
-    while f * f <= c:
-        trials += 1
-        if trials > max_trials:
-            raise FactorizationError(f"budget exhausted factoring {n}; stuck at cofactor {c}")
-        if c % f == 0:
-            e = 0
-            while c % f == 0:
-                c //= f
-                e += 1
-            out.append((f, e))
-        f += 1 if f == 2 else 2
-    if c > 1:
-        out.append((c, 1))
-    return out
 
 
 def element_order(m: Matrix, factorization: list[tuple[int, int]] | None = None) -> int:

@@ -14,7 +14,9 @@ a1 and b3 are free draws from the whole group.  Alice publishes
 (u, v, w) = (a1 x1, x1^-1 a2 x2, x2^-1 a3); Bob publishes
 (p, q, r) = (b1 y1, y1^-1 b2 y2, y2^-1 b3).  Both sides then collapse the
 other's token with their own commuting factors to the same product
-a1 b1 a2 b2 a3 b3, which is the session key.
+a1 b1 a2 b2 a3 b3, which is the session key.  Keygen, token and key
+derivation are one algorithm for both parties; ROLE_LAYOUT says which of a
+party's factors plays which part.
 
 All protocol objects are immutable; sessions on distinct random sources may
 run concurrently.
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .commuting import commuting_from_basis
 from .errors import ParamsMismatchError, SingularMatrixError
@@ -77,10 +80,29 @@ class PublicSetup:
 
 
 @dataclass(frozen=True)
-class AlicePrivate:
+class _Private:
+    """Shared checks of a party's secret material; the layout comes from ROLE_LAYOUT."""
+
+    role: ClassVar[Role]
+    setup: PublicSetup
+
+    def __post_init__(self):
+        layout = ROLE_LAYOUT[self.role]
+        for name, basis_name in layout.families:
+            basis = getattr(self.setup, basis_name)
+            spec = getattr(self, "d_" + name)
+            # derived == basis^-1 diag basis, tested inversion-free
+            if mat_mul(basis, getattr(self, name)) != mat_mul(Matrix.diagonal(spec), basis):
+                raise ValueError("derived matrix does not match its basis and eigenvalues")
+        if mat_det(getattr(self, layout.free)) == 0:
+            raise SingularMatrixError(f"{layout.free} is singular")
+
+
+@dataclass(frozen=True)
+class AlicePrivate(_Private):
     """Alice's secret material: four eigenvalue lists, one free matrix, derived factors."""
 
-    setup: PublicSetup
+    role = Role.ALICE
     d_a2: DiagonalSpec
     d_a3: DiagonalSpec
     d_x1: DiagonalSpec
@@ -91,27 +113,12 @@ class AlicePrivate:
     x1: Matrix
     x2: Matrix
 
-    def __post_init__(self):
-        s = self.setup
-        checks = (
-            (self.a2, s.P, self.d_a2),
-            (self.a3, s.Q, self.d_a3),
-            (self.x1, s.R, self.d_x1),
-            (self.x2, s.S, self.d_x2),
-        )
-        for derived, basis, spec in checks:
-            # derived == basis^-1 diag basis, tested inversion-free
-            if mat_mul(basis, derived) != mat_mul(Matrix.diagonal(spec), basis):
-                raise ValueError("derived matrix does not match its basis and eigenvalues")
-        if mat_det(self.a1) == 0:
-            raise SingularMatrixError("a1 is singular")
-
 
 @dataclass(frozen=True)
-class BobPrivate:
+class BobPrivate(_Private):
     """Bob's secret material; mirror image of Alice's with bases swapped."""
 
-    setup: PublicSetup
+    role = Role.BOB
     d_b1: DiagonalSpec
     d_b2: DiagonalSpec
     d_y1: DiagonalSpec
@@ -122,19 +129,48 @@ class BobPrivate:
     y1: Matrix
     y2: Matrix
 
-    def __post_init__(self):
-        s = self.setup
-        checks = (
-            (self.b1, s.R, self.d_b1),
-            (self.b2, s.S, self.d_b2),
-            (self.y1, s.P, self.d_y1),
-            (self.y2, s.Q, self.d_y2),
-        )
-        for derived, basis, spec in checks:
-            if mat_mul(basis, derived) != mat_mul(Matrix.diagonal(spec), basis):
-                raise ValueError("derived matrix does not match its basis and eigenvalues")
-        if mat_det(self.b3) == 0:
-            raise SingularMatrixError("b3 is singular")
+
+@dataclass(frozen=True)
+class RoleLayout:
+    """Where one party's factors come from and how its private record is ordered.
+
+    ``families`` pairs each basis-derived factor with the basis that conjugates
+    its eigenvalue list ``d_<factor>``, in record order.  ``key`` holds the
+    three factors (f1, f2, f3) that enter the session key, ``hide`` the two
+    (h1, h2) that mask them in the token (f1 h1, h1^-1 f2 h2, h2^-1 f3), and
+    ``free`` names the factor drawn from the whole group.  The record stores
+    the eigenvalue lists in ``families`` order, then ``key`` and ``hide``.
+    """
+
+    private: type
+    families: tuple[tuple[str, str], ...]
+    key: tuple[str, str, str]
+    hide: tuple[str, str]
+    free: str
+
+    def specs(self, priv: _Private) -> list[DiagonalSpec]:
+        return [getattr(priv, "d_" + name) for name, _ in self.families]
+
+    def matrices(self, priv: _Private) -> list[Matrix]:
+        return [getattr(priv, name) for name in self.key + self.hide]
+
+
+ROLE_LAYOUT = {
+    Role.ALICE: RoleLayout(
+        AlicePrivate,
+        families=(("a2", "P"), ("a3", "Q"), ("x1", "R"), ("x2", "S")),
+        key=("a1", "a2", "a3"),
+        hide=("x1", "x2"),
+        free="a1",
+    ),
+    Role.BOB: RoleLayout(
+        BobPrivate,
+        families=(("b1", "R"), ("b2", "S"), ("y1", "P"), ("y2", "Q")),
+        key=("b1", "b2", "b3"),
+        hide=("y1", "y2"),
+        free="b3",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -183,102 +219,66 @@ def _gen_setup_counted(rs, params: FieldParams) -> tuple[PublicSetup, int]:
     return PublicSetup(params, *bases), redraws
 
 
+def _keygen(rs, setup: PublicSetup, role: Role) -> tuple[_Private, int]:
+    """Draw the four eigenvalue lists in record order, then the free factor."""
+    layout = ROLE_LAYOUT[role]
+    params = setup.params
+    specs = [random_diagonal(rs, params) for _ in layout.families]
+    free, redraws = random_nonsingular(rs, params)
+    factors = {layout.free: free}
+    for (name, basis_name), spec in zip(layout.families, specs):
+        factors[name] = commuting_from_basis(getattr(setup, basis_name), spec)
+    return layout.private(setup, *specs, **factors), redraws
+
+
+def _token(priv: _Private) -> PublicToken:
+    f1, f2, f3, h1, h2 = ROLE_LAYOUT[priv.role].matrices(priv)
+    t1 = mat_mul(f1, h1)
+    t2 = _product(mat_inverse(h1), f2, h2)
+    t3 = mat_mul(mat_inverse(h2), f3)
+    return PublicToken(priv.role, t1, t2, t3)
+
+
+def _shared(priv: _Private, token: PublicToken) -> SessionKey:
+    if token.role is priv.role:
+        raise ValueError(f"{priv.role.value} needs the peer's token, not a {token.role.value} token")
+    if token.params != priv.setup.params:
+        raise ParamsMismatchError("token parameters differ from private key")
+    own = [getattr(priv, name) for name in ROLE_LAYOUT[priv.role].key]
+    peer = [token.t1, token.t2, token.t3]
+    # K = a1 b1 a2 b2 a3 b3: Alice's factors always sit on the left of Bob's
+    left, right = (own, peer) if priv.role is Role.ALICE else (peer, own)
+    return SessionKey(_product(*(m for pair in zip(left, right) for m in pair)))
+
+
 def alice_keygen(rs, setup: PublicSetup) -> AlicePrivate:
     """Draw Alice's eigenvalue lists and free factor, derive a2, a3, x1, x2."""
-    priv, _, _ = _alice_keygen_counted(rs, setup)
-    return priv
-
-
-def _alice_keygen_counted(rs, setup: PublicSetup) -> tuple[AlicePrivate, int, int]:
-    params = setup.params
-    regenerations = 0
-    redraws = 0
-    while True:
-        d_a2 = random_diagonal(rs, params)
-        d_a3 = random_diagonal(rs, params)
-        d_x1 = random_diagonal(rs, params)
-        d_x2 = random_diagonal(rs, params)
-        x1 = commuting_from_basis(setup.R, d_x1)
-        x2 = commuting_from_basis(setup.S, d_x2)
-        if mat_det(mat_mul(x1, x2)) == 0:  # cannot happen; mirrors the regenerate-on-singular policy
-            regenerations += 1
-            continue
-        a1, rej = random_nonsingular(rs, params)
-        redraws += rej
-        a2 = commuting_from_basis(setup.P, d_a2)
-        a3 = commuting_from_basis(setup.Q, d_a3)
-        if mat_det(_product(a1, a2, a3)) == 0:
-            regenerations += 1
-            continue
-        priv = AlicePrivate(setup, d_a2, d_a3, d_x1, d_x2, a1, a2, a3, x1, x2)
-        return priv, redraws, regenerations
+    return _keygen(rs, setup, Role.ALICE)[0]
 
 
 def bob_keygen(rs, setup: PublicSetup) -> BobPrivate:
     """Draw Bob's eigenvalue lists and free factor, derive b1, b2, y1, y2."""
-    priv, _, _ = _bob_keygen_counted(rs, setup)
-    return priv
-
-
-def _bob_keygen_counted(rs, setup: PublicSetup) -> tuple[BobPrivate, int, int]:
-    params = setup.params
-    regenerations = 0
-    redraws = 0
-    while True:
-        d_b1 = random_diagonal(rs, params)
-        d_b2 = random_diagonal(rs, params)
-        d_y1 = random_diagonal(rs, params)
-        d_y2 = random_diagonal(rs, params)
-        y1 = commuting_from_basis(setup.P, d_y1)
-        y2 = commuting_from_basis(setup.Q, d_y2)
-        if mat_det(mat_mul(y1, y2)) == 0:
-            regenerations += 1
-            continue
-        b1 = commuting_from_basis(setup.R, d_b1)
-        b2 = commuting_from_basis(setup.S, d_b2)
-        b3, rej = random_nonsingular(rs, params)
-        redraws += rej
-        if mat_det(_product(b1, b2, b3)) == 0:
-            regenerations += 1
-            continue
-        priv = BobPrivate(setup, d_b1, d_b2, d_y1, d_y2, b1, b2, b3, y1, y2)
-        return priv, redraws, regenerations
+    return _keygen(rs, setup, Role.BOB)[0]
 
 
 def alice_token(priv: AlicePrivate) -> PublicToken:
     """u = a1 x1, v = x1^-1 a2 x2, w = x2^-1 a3."""
-    u = mat_mul(priv.a1, priv.x1)
-    v = _product(mat_inverse(priv.x1), priv.a2, priv.x2)
-    w = mat_mul(mat_inverse(priv.x2), priv.a3)
-    return PublicToken(Role.ALICE, u, v, w)
+    return _token(priv)
 
 
 def bob_token(priv: BobPrivate) -> PublicToken:
     """p = b1 y1, q = y1^-1 b2 y2, r = y2^-1 b3."""
-    p = mat_mul(priv.b1, priv.y1)
-    q = _product(mat_inverse(priv.y1), priv.b2, priv.y2)
-    r = mat_mul(mat_inverse(priv.y2), priv.b3)
-    return PublicToken(Role.BOB, p, q, r)
+    return _token(priv)
 
 
 def alice_shared(priv: AlicePrivate, token: PublicToken) -> SessionKey:
     """K = a1 p a2 q a3 r, which telescopes to a1 b1 a2 b2 a3 b3."""
-    if token.role is not Role.BOB:
-        raise ValueError("alice_shared needs the peer (Bob) token")
-    if token.params != priv.setup.params:
-        raise ParamsMismatchError("token parameters differ from private key")
-    k = _product(priv.a1, token.t1, priv.a2, token.t2, priv.a3, token.t3)
-    return SessionKey(k)
+    return _shared(priv, token)
 
 
 def bob_shared(priv: BobPrivate, token: PublicToken) -> SessionKey:
     """K = u b1 v b2 w b3, which telescopes to a1 b1 a2 b2 a3 b3."""
-    if token.role is not Role.ALICE:
-        raise ValueError("bob_shared needs the peer (Alice) token")
-    if token.params != priv.setup.params:
-        raise ParamsMismatchError("token parameters differ from private key")
-    k = _product(token.t1, priv.b1, token.t2, priv.b2, token.t3, priv.b3)
-    return SessionKey(k)
+    return _shared(priv, token)
 
 
 @dataclass(frozen=True)
@@ -357,7 +357,6 @@ class SessionResult:
     alice_key: SessionKey
     bob_key: SessionKey
     singular_redraws: int
-    regenerations: int
 
     @property
     def agreed(self) -> bool:
@@ -367,8 +366,8 @@ class SessionResult:
 def run_session(rs, params: FieldParams) -> SessionResult:
     """Run setup, both keygens, token exchange and both key derivations."""
     setup, redraws = _gen_setup_counted(rs, params)
-    alice, r_a, g_a = _alice_keygen_counted(rs, setup)
-    bob, r_b, g_b = _bob_keygen_counted(rs, setup)
+    alice, r_a = _keygen(rs, setup, Role.ALICE)
+    bob, r_b = _keygen(rs, setup, Role.BOB)
     tok_a = alice_token(alice)
     tok_b = bob_token(bob)
     k_a = alice_shared(alice, tok_b)
@@ -382,5 +381,4 @@ def run_session(rs, params: FieldParams) -> SessionResult:
         alice_key=k_a,
         bob_key=k_b,
         singular_redraws=redraws + r_a + r_b,
-        regenerations=g_a + g_b,
     )

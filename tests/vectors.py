@@ -7,6 +7,11 @@ printed ciphertext equals key^-1 * msg * key entry-for-entry.
 
 SPLITMIX64_SEED0ise the first output words of the reference SplitMix64
 stream for seed 0, as published with the original generator.
+
+CLI_PIPELINE_SHA256 holds the SHA-256 of every file the acceptance-9
+command pipeline writes (setup seed 41, keygen seeds 42/43, 777-byte
+plaintext from SplitMix64(12345)).  They pin the seeded byte stream and
+the record layouts; they must not move unless a change says why.
 """
 
 GOLDEN_P = 251
@@ -70,3 +75,16 @@ GOLDEN_RECOVERED = [
 
 # first three output words of the reference SplitMix64 stream, seed 0
 SPLITMIX64_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+# SHA-256 of each file the acceptance-9 pipeline writes
+CLI_PIPELINE_SHA256 = {
+    "setup.tdp": "96eadf631d8a69c6fef842f7f5eafb7817a3fd99336abe1920634c20bd8d0edf",
+    "alice.key": "e872badd3db525f6704e09125773b8e0dcda0df4504f4da0270325175a1d6a93",
+    "bob.key": "4d1a8251ee536f2a1f2bc5bbcd613ddf0a4ddfbec23c728453447bf9a3aa3897",
+    "alice.tok": "ee17b8c2859a1446a68f734b87bf3e2e5a22f0e5a454a6de95443b3c446df3a6",
+    "bob.tok": "48c6ba02d8cef0571673186880d0b2005f8934c05f235eb696c62048fa0b5dfd",
+    "alice.sk": "55e5f95d08bf9f7ea16fadd5a0cffac47f0dac8c24ca4e3102427d8b8ffcbc65",
+    "bob.sk": "55e5f95d08bf9f7ea16fadd5a0cffac47f0dac8c24ca4e3102427d8b8ffcbc65",
+    "msg.tdp": "1aa6ceefdbbb46eae634de4347fcc7edfd4c0a731a0d7eb3697f9f2b92e69104",
+    "rec.bin": "4a19debe12b56bff3f657b0544839706c0306380deaca66553c9c2a69d5ae7d0",
+}

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlockTooLongError, ParamsMismatchError, ValueOutOfRangeError
-from .field_matrix import FieldParams, Matrix, conjugate, mat_inverse
+from .field_matrix import FieldParams, Matrix, conjugate, mat_inverse, mat_mul
 from .protocol import SessionKey
 
 
@@ -117,7 +117,7 @@ def decrypt_block(key: SessionKey, block: CipherBlock) -> PlainBlock:
     """m = k c k^-1."""
     if key.k.params != block.c.params:
         raise ParamsMismatchError("key and block parameters differ")
-    return PlainBlock(conjugate(block.c, mat_inverse(key.k)))
+    return PlainBlock(mat_mul(mat_mul(key.k, block.c), mat_inverse(key.k)))
 
 
 def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:

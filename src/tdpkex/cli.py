@@ -38,6 +38,7 @@ from .errors import (
     FileFormatError,
     ParamsMismatchError,
     SearchSpaceTooLargeError,
+    TooFewSamplesError,
     ValueOutOfRangeError,
 )
 from .field_matrix import DiagonalSpec, FieldParams, Matrix, SplitMix64
@@ -433,7 +434,7 @@ def cmd_stats(args) -> int:
                 ("p_value", f"{rep.p_value:.4f}"),
                 ("uniformity", "PASS" if rep.passed else "FAIL"),
             ]
-        except Exception as exc:  # too few samples for tiny runs
+        except TooFewSamplesError as exc:  # tiny runs
             pairs.append(("uniformity", f"SKIPPED ({exc})"))
         leak_all = all(
             analysis.similarity_leak_check(m, c).all_equal

@@ -2,9 +2,10 @@
 
 Everything downstream (key agreement, cipher, attack harness) is built on the
 types and operations here: immutable matrices with entries reduced mod p, a
-deterministic byte-stream RNG, and Gauss-Jordan elimination for inverses and
-determinants.  All arithmetic is integer-exact; there is no floating point
-anywhere in this module.  Field elements are plain Python ints in [0, p-1].
+deterministic byte-stream RNG, and one Gauss-Jordan row reduction
+(``_row_reduce``) behind both determinants and inverses.  All arithmetic is
+integer-exact; there is no floating point anywhere in this module.  Field
+elements are plain Python ints in [0, p-1].
 
 Matrices, params and specs are immutable values, safe to share across
 threads; the operations are pure.  A random source instance is stateful and
@@ -298,11 +299,15 @@ def mat_trace(a: Matrix) -> int:
     return int(a.a.trace()) % a.params.p
 
 
-def mat_det(a: Matrix) -> int:
-    """Determinant mod p by triangularizing elimination, tracking row swaps."""
-    p = a.params.p
-    d = a.params.d
-    m = a.a.copy()
+def _row_reduce(m: np.ndarray, p: int) -> int:
+    """Gauss-Jordan reduce the d x k block m (k >= d) in place; return det(m[:, :d]) mod p.
+
+    Each column takes the first nonzero entry at or below the diagonal as its
+    pivot; a row swap flips the determinant's sign.  Returns 0 at the first
+    column with no pivot, leaving m part-reduced.  Otherwise m[:, :d] ends as
+    the identity, so on [a | I] the right half becomes a^-1.
+    """
+    d = m.shape[0]
     det = 1
     for c in range(d):
         piv = -1
@@ -317,16 +322,22 @@ def mat_det(a: Matrix) -> int:
             det = p - det
         pivval = int(m[c, c])
         det = det * pivval % p
-        if c + 1 < d:
-            inv = pow(pivval, -1, p)
-            factors = m[c + 1:, c] * inv % p
-            m[c + 1:, c:] -= factors[:, None] * m[c, c:]
-            m[c + 1:, c:] %= p
+        m[c] *= pow(pivval, -1, p)
+        m[c] %= p
+        col = m[:, c].copy()
+        col[c] = 0
+        m -= col[:, None] * m[c]
+        m %= p
     return det
 
 
+def mat_det(a: Matrix) -> int:
+    """Determinant mod p by row reduction, tracking row swaps."""
+    return _row_reduce(a.a.copy(), a.params.p)
+
+
 def mat_inverse(a: Matrix) -> Matrix:
-    """Inverse over F_p by Gauss-Jordan elimination.
+    """Inverse over F_p by row-reducing [a | I].
 
     Raises:
         SingularMatrixError: no pivot available in some column (det = 0);
@@ -335,23 +346,8 @@ def mat_inverse(a: Matrix) -> Matrix:
     p = a.params.p
     d = a.params.d
     m = np.concatenate([a.a, np.eye(d, dtype=np.int64)], axis=1)
-    for c in range(d):
-        piv = -1
-        for r in range(c, d):
-            if m[r, c]:
-                piv = r
-                break
-        if piv < 0:
-            raise SingularMatrixError(f"matrix has no inverse mod {p}")
-        if piv != c:
-            m[[c, piv]] = m[[piv, c]]
-        inv = pow(int(m[c, c]), -1, p)
-        m[c] *= inv
-        m[c] %= p
-        col = m[:, c].copy()
-        col[c] = 0
-        m -= col[:, None] * m[c]
-        m %= p
+    if _row_reduce(m, p) == 0:
+        raise SingularMatrixError(f"matrix has no inverse mod {p}")
     return Matrix(a.params, m[:, d:])
 
 

@@ -2,8 +2,10 @@
 
 Commutative matrix subgroups can be generated from the companion matrix of an
 irreducible polynomial; this module provides that construction path plus the
-exact cardinality formulas used to size groups and key spaces.  All counts are
-arbitrary-precision integers, never floats.
+exact cardinality formulas used to size groups and key spaces.  There is no
+separate polynomial arithmetic: irreducibility is tested with matrix powers
+and determinants of the companion matrix, on the field_matrix kernels.  All
+counts are arbitrary-precision integers, never floats.
 """
 
 from __future__ import annotations
@@ -111,99 +113,31 @@ def ntot_count(d: int, p: int) -> int:
     return p ** d - 2
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _poly_trim(out)
-
-
-def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
-    # a, b reduced mod f; f monic, coefficients low-to-high with f[-1] == 1
-    n = len(f) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for k in range(len(prod) - 1, n - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for i in range(n):
-                prod[k - n + i] = (prod[k - n + i] - c * f[i]) % p
-    if len(prod) < n:
-        prod += [0] * (n - len(prod))
-    return _poly_trim(prod[:n])
-
-
-def _poly_powmod(base: list[int], e: int, f: list[int], p: int) -> list[int]:
-    result = [1]
-    b = list(base)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, b, f, p)
-        b = _poly_mulmod(b, b, f, p)
-        e >>= 1
-    return result
-
-
-def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    r = _poly_trim(list(a))
-    db = len(b) - 1
-    if db == 0:
-        return [0]
-    inv = pow(b[-1], -1, p)
-    while len(r) - 1 >= db and r != [0]:
-        c = r[-1] * inv % p
-        shift = len(r) - 1 - db
-        if c:
-            for i in range(db + 1):
-                r[shift + i] = (r[shift + i] - c * b[i]) % p
-        r.pop()
-        r = _poly_trim(r)
-    return r
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b != [0]:
-        a, b = b, _poly_rem(a, b, p)
-    if a != [0]:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
 def is_irreducible(f: MonicPoly) -> bool:
-    """Deterministic irreducibility test over F_p.
+    """Deterministic irreducibility test over F_p (Rabin), on the companion matrix.
 
     f of degree n is irreducible iff x^(p^n) == x mod f and, for every prime
-    t dividing n, gcd(x^(p^(n/t)) - x, f) = 1.
+    t dividing n, gcd(x^(p^(n/t)) - x, f) = 1.  Both conditions are checked on
+    the companion matrix C of f instead of on polynomials mod f: f is C's
+    minimal polynomial, so g(C) = 0 iff f divides g, and g(C) is invertible
+    iff gcd(g, f) = 1.  The test is therefore C^(p^n) == C and
+    det(C^(p^(n/t)) - C) != 0 for every prime t | n.  p must be a prime
+    accepted by FieldParams.
     """
     p, n = f.p, f.degree
     if n == 1:
         return True
-    full = list(f.coeffs) + [1]
-    x = [0, 1]
-    # frob[k] = x^(p^k) mod f, advanced one Frobenius power at a time
+    comp = companion_matrix(f)
+    # frob[k] = C^(p^k), advanced one Frobenius power at a time
     frob = {}
-    h = x
+    h = comp
     for k in range(1, n + 1):
-        h = _poly_powmod(h, p, full, p)
+        h = mat_pow(h, p)
         frob[k] = h
-    if _poly_sub(frob[n], x, p) != [0]:
+    if frob[n] != comp:
         return False
     for t, _ in trial_division_factorization(n):
-        if _poly_gcd(_poly_sub(frob[n // t], x, p), full, p) != [1]:
+        if mat_det(Matrix(comp.params, frob[n // t].a - comp.a)) == 0:
             return False
     return True
 

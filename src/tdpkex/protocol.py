@@ -71,6 +71,7 @@ class PublicSetup:
     S: Matrix
 
     def __post_init__(self):
+        _require_protocol_params(self.params)
         for name in ("P", "Q", "R", "S"):
             m = getattr(self, name)
             if m.params != self.params:
@@ -209,7 +210,6 @@ def gen_setup(rs, params: FieldParams) -> PublicSetup:
 
 
 def _gen_setup_counted(rs, params: FieldParams) -> tuple[PublicSetup, int]:
-    _require_protocol_params(params)
     redraws = 0
     bases = []
     for _ in range(4):

@@ -5,6 +5,7 @@ import pytest
 
 from tdpkex import (
     FieldParams,
+    Matrix,
     SplitMix64,
     alice_keygen,
     alice_token,
@@ -14,6 +15,8 @@ from tdpkex import (
     run_session,
 )
 from tdpkex.cli import (
+    REC_SETUP,
+    _pack_record,
     main,
     read_ciphertext_file,
     read_private_file,
@@ -235,6 +238,17 @@ def test_exit_3_wrong_record_type(tmp_path):
     assert code == 3
 
 
+def test_exit_3_setup_with_p2(tmp_path):
+    # well-formed record with invertible bases, but p = 2 leaves no secret eigenvalues
+    p2 = FieldParams(p=2, d=2)
+    ident = Matrix.identity(p2)
+    shear = Matrix.from_rows(p2, [[1, 1], [0, 1]])
+    setup = tmp_path / "p2.tdp"
+    setup.write_bytes(_pack_record(REC_SETUP, p2, None, [ident, shear, ident, shear]))
+    assert main(["keygen", "--in", str(setup), "--role", "alice",
+                 "--seed", "1", "--out", str(tmp_path / "a.key")]) == 3
+
+
 def test_exit_4_params_mismatch(tmp_path):
     files = _pipeline(tmp_path, "run1")
     d7 = tmp_path / "p7"
@@ -310,6 +324,12 @@ def test_stats_single_session(capsys):
     assert main(["stats", "--sessions", "1", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "1/1" in out
+
+
+def test_stats_skips_uniformity_on_too_few_samples(capsys):
+    assert main(["stats", "--sessions", "1", "--seed", "1", "--format", "kv"]) == 0
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert out["uniformity"] == "SKIPPED (64 entries < required 2510)"
 
 
 def test_attack_command_text(capsys):

@@ -106,11 +106,13 @@ def test_det_hand_values():
     assert mat_det(Matrix.identity(P251)) == 1
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_det_and_inverse_exhaustive_2x2(p):
-    params = FieldParams(p=p, d=2)
-    for entries in itertools.product(range(p), repeat=4):
-        rows = [[entries[0], entries[1]], [entries[2], entries[3]]]
+@pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (2, 3)])
+def test_det_and_inverse_exhaustive(p, d):
+    # the 512 F_2 3x3 matrices take up to two row swaps and hit pivotless
+    # columns at every depth
+    params = FieldParams(p=p, d=d)
+    for entries in itertools.product(range(p), repeat=d * d):
+        rows = [list(entries[i * d:(i + 1) * d]) for i in range(d)]
         m = Matrix.from_rows(params, rows)
         expected_det = det_cofactor(rows, p)
         assert mat_det(m) == expected_det

@@ -108,7 +108,7 @@ def test_is_irreducible_known_cases():
     assert is_irreducible(MonicPoly(7, (3,)))            # degree 1 always
 
 
-@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 6), (5, 2)])
 def test_is_irreducible_matches_division_oracle(p, d):
     import itertools
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlockTooLongError, ParamsMismatchError, ValueOutOfRangeError
-from .field_matrix import FieldParams, Matrix, conjugate, mat_inverse, mat_mul
+from .field_matrix import FieldParams, Matrix, mat_mul
 from .protocol import SessionKey
 
 
@@ -61,6 +61,9 @@ class CipherMessage:
 
     def __post_init__(self):
         bpb = bytes_per_block(self.params)
+        if self.plaintext_length and not bpb:
+            p, d = self.params.p, self.params.d
+            raise ValueError(f"p={p}, d={d} cannot carry even one byte per block")
         expected = (self.plaintext_length + bpb - 1) // bpb if self.plaintext_length else 0
         if len(self.blocks) != expected:
             raise ValueError(
@@ -110,14 +113,14 @@ def encrypt_block(key: SessionKey, block: PlainBlock) -> CipherBlock:
     """c = k^-1 m k."""
     if key.k.params != block.m.params:
         raise ParamsMismatchError("key and block parameters differ")
-    return CipherBlock(conjugate(block.m, key.k))
+    return CipherBlock(mat_mul(mat_mul(key.k_inv, block.m), key.k))
 
 
 def decrypt_block(key: SessionKey, block: CipherBlock) -> PlainBlock:
     """m = k c k^-1."""
     if key.k.params != block.c.params:
         raise ParamsMismatchError("key and block parameters differ")
-    return PlainBlock(mat_mul(mat_mul(key.k, block.c), mat_inverse(key.k)))
+    return PlainBlock(mat_mul(mat_mul(key.k, block.c), key.k_inv))
 
 
 def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:

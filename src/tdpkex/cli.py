@@ -8,15 +8,17 @@ File layout (little-endian multi-byte integers):
                   5 ciphertext
     5       2     prime (u16)
     7       1     dimension
-    8       1     role: 0 none, 1 alice, 2 bob
+    8       1     role: 1 alice, 2 bob on types 2 and 3; 0 on the others
     9       4     matrix count (u32)
     13      ...   type 2 only: eigenvalue lists (count byte, then d bytes each)
                   type 5 only: plaintext length (u64)
     ...     n*d*d matrices, row-major, one byte per entry (requires p <= 251)
 
 Entries must be < p and the file length is fully determined by the header;
-anything else is rejected.  Files are written to a temp name and renamed, so
-a crashed run never leaves a partial file.
+anything else is rejected, as is material its constructor refuses (singular
+bases, keys or token matrices, inconsistent private factors).  Files are
+written to a temp name and renamed, so a crashed run never leaves a partial
+file.
 
 Exit codes: 0 success, 2 bad flags or parameters, 3 file-format violation,
 4 parameter mismatch between files, 5 decryption range failure (wrong key).
@@ -25,6 +27,7 @@ Exit codes: 0 success, 2 bad flags or parameters, 3 file-format violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -32,16 +35,17 @@ import tempfile
 import numpy as np
 
 from . import analysis, poly_tools
-from .cipher import CipherBlock, CipherMessage, bytes_per_block, decrypt_message, encrypt_message
+from .cipher import CipherBlock, CipherMessage, decrypt_message, encrypt_message
 from .errors import (
     FactorizationError,
     FileFormatError,
     ParamsMismatchError,
     SearchSpaceTooLargeError,
+    SingularMatrixError,
     TooFewSamplesError,
     ValueOutOfRangeError,
 )
-from .field_matrix import DiagonalSpec, FieldParams, Matrix, SplitMix64
+from .field_matrix import DiagonalSpec, FieldParams, Matrix, SplitMix64, mat_det
 from .protocol import (
     ROLE_LAYOUT,
     AlicePrivate,
@@ -66,8 +70,18 @@ REC_TOKEN = 3
 REC_SESSION_KEY = 4
 REC_CIPHERTEXT = 5
 
-_ROLE_TO_CODE = {None: 0, Role.ALICE: 1, Role.BOB: 2}
-_CODE_TO_ROLE = {0: None, 1: Role.ALICE, 2: Role.BOB}
+_ROLES = (None, Role.ALICE, Role.BOB)  # indexed by the role byte
+
+# record type -> (name, matrix count, role byte names a party).  A ciphertext's
+# count follows from its plaintext length, so the table fixes none.  The role
+# byte is required on private and token records and must be 0 on the others.
+_KINDS = {
+    REC_SETUP: ("setup", 4, False),
+    REC_PRIVATE: ("private key", 9, True),
+    REC_TOKEN: ("token", 3, True),
+    REC_SESSION_KEY: ("session key", 1, False),
+    REC_CIPHERTEXT: ("ciphertext", None, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +119,7 @@ def _pack_record(
     out.append(record_type)
     out += params.p.to_bytes(2, "little")
     out.append(params.d)
-    out.append(_ROLE_TO_CODE[role])
+    out.append(_ROLES.index(role))
     out += len(matrices).to_bytes(4, "little")
     if record_type == REC_PRIVATE:
         out.append(len(specs))
@@ -118,177 +132,121 @@ def _pack_record(
     return bytes(out)
 
 
-class _Record:
-    def __init__(self, record_type, params, role, matrices, specs, plaintext_length):
-        self.record_type = record_type
-        self.params = params
-        self.role = role
-        self.matrices = matrices
-        self.specs = specs
-        self.plaintext_length = plaintext_length
+def _write(path: str, record_type: int, params: FieldParams, role: Role | None,
+           matrices: list[Matrix], **sections) -> None:
+    _atomic_write(path, _pack_record(record_type, params, role, matrices, **sections))
 
 
-def _parse_record(data: bytes, path: str) -> _Record:
+def _read(path: str, expect_type: int, build):
+    """Read a record of type expect_type; return build(params, role, matrices, section).
+
+    section is the private record's four eigenvalue lists (bytes) or the
+    ciphertext's plaintext length, else None.  Every format violation, and any
+    ValueError that build raises on inconsistent material, is a FileFormatError
+    naming path.
+    """
     def fail(reason: str):
         raise FileFormatError(f"{path}: {reason}")
 
-    if len(data) < 13:
-        fail("truncated header")
-    if data[:4] != MAGIC:
-        fail("bad magic")
-    record_type = data[4]
-    if record_type not in (REC_SETUP, REC_PRIVATE, REC_TOKEN, REC_SESSION_KEY, REC_CIPHERTEXT):
-        fail(f"unknown record type {record_type}")
-    p = int.from_bytes(data[5:7], "little")
-    d = data[7]
-    try:
-        params = FieldParams(p=p, d=d)
-    except ValueError as exc:
-        fail(str(exc))
-    if p > 251:
-        fail("prime too large for one-byte entries")
-    role_code = data[8]
-    if role_code not in _CODE_TO_ROLE:
-        fail(f"unknown role code {role_code}")
-    role = _CODE_TO_ROLE[role_code]
-    count = int.from_bytes(data[9:13], "little")
-    pos = 13
-    specs = None
-    plaintext_length = None
-    if record_type == REC_PRIVATE:
-        if len(data) < pos + 1:
-            fail("truncated eigenvalue section")
-        n_specs = data[pos]
-        pos += 1
-        specs = []
-        for _ in range(n_specs):
-            chunk = data[pos:pos + d]
-            if len(chunk) < d:
-                fail("truncated eigenvalue list")
-            if any(v == 0 or v >= p for v in chunk):
-                fail("eigenvalue outside [1, p-1]")
-            specs.append(DiagonalSpec(params, tuple(chunk)))
-            pos += d
-    if record_type == REC_CIPHERTEXT:
-        if len(data) < pos + 8:
-            fail("truncated length field")
-        plaintext_length = int.from_bytes(data[pos:pos + 8], "little")
-        pos += 8
-    expected_len = pos + count * d * d
-    if len(data) != expected_len:
-        fail(f"length {len(data)} does not match header (expected {expected_len})")
-    matrices = []
-    for i in range(count):
-        chunk = np.frombuffer(data[pos:pos + d * d], dtype=np.uint8).astype(np.int64)
-        pos += d * d
-        if (chunk >= p).any():
-            fail(f"matrix {i} has an entry >= p")
-        matrices.append(Matrix(params, chunk.reshape(d, d)))
-    return _Record(record_type, params, role, matrices, specs, plaintext_length)
-
-
-def _read_record(path: str, expect_type: int) -> _Record:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    rec = _parse_record(data, path)
-    names = {1: "setup", 2: "private key", 3: "token", 4: "session key", 5: "ciphertext"}
-    if rec.record_type != expect_type:
-        raise FileFormatError(
-            f"{path}: is a {names[rec.record_type]} record, expected {names[expect_type]}"
-        )
-    return rec
+    if len(data) < 13:
+        fail("truncated header")
+    if data[:4] != MAGIC:
+        fail("bad magic")
+    record_type, d, role_code = data[4], data[7], data[8]
+    count = int.from_bytes(data[9:13], "little")
+    if record_type not in _KINDS:
+        fail(f"unknown record type {record_type}")
+    name, fixed_count, has_role = _KINDS[record_type]
+    if record_type != expect_type:
+        fail(f"is a {name} record, expected {_KINDS[expect_type][0]}")
+    try:
+        params = FieldParams(p=int.from_bytes(data[5:7], "little"), d=d)
+        _check_file_params(params)
+    except ValueError as exc:
+        fail(str(exc))
+    if role_code >= len(_ROLES) or bool(role_code) != has_role:
+        fail(f"role byte {role_code} is invalid in a {name} record")
+    if fixed_count is not None and count != fixed_count:
+        fail(f"{name} record needs {fixed_count} matrices, found {count}")
+    pos, section = 13, None
+    if record_type == REC_PRIVATE:
+        if data[13:14] != b"\x04":
+            fail("private key record needs 4 eigenvalue lists")
+        section = [data[14 + i * d:14 + (i + 1) * d] for i in range(4)]
+        pos = 14 + 4 * d
+    elif record_type == REC_CIPHERTEXT:
+        section = int.from_bytes(data[13:21], "little")
+        pos = 21
+    if len(data) != pos + count * d * d:
+        fail(f"length {len(data)} does not match header (expected {pos + count * d * d})")
+    entries = np.frombuffer(data, np.uint8, offset=pos).astype(np.int64).reshape(count, d, d)
+    bad = np.flatnonzero((entries >= params.p).any(axis=(1, 2)))
+    if bad.size:
+        fail(f"matrix {bad[0]} has an entry >= p")
+    try:
+        return build(params, _ROLES[role_code], [Matrix(params, m) for m in entries], section)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: inconsistent {name} material: {exc}") from exc
 
 
 def write_setup_file(path: str, setup: PublicSetup) -> None:
-    data = _pack_record(REC_SETUP, setup.params, None, [setup.P, setup.Q, setup.R, setup.S])
-    _atomic_write(path, data)
+    _write(path, REC_SETUP, setup.params, None, [setup.P, setup.Q, setup.R, setup.S])
 
 
 def read_setup_file(path: str) -> PublicSetup:
-    rec = _read_record(path, REC_SETUP)
-    if len(rec.matrices) != 4:
-        raise FileFormatError(f"{path}: setup needs 4 matrices, found {len(rec.matrices)}")
-    try:
-        return PublicSetup(rec.params, *rec.matrices)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    return _read(path, REC_SETUP, lambda params, role, ms, _: PublicSetup(params, *ms))
 
 
 def write_private_file(path: str, priv: AlicePrivate | BobPrivate) -> None:
-    s = priv.setup
-    layout = ROLE_LAYOUT[priv.role]
+    s, layout = priv.setup, ROLE_LAYOUT[priv.role]
     matrices = [s.P, s.Q, s.R, s.S] + layout.matrices(priv)
-    data = _pack_record(REC_PRIVATE, s.params, priv.role, matrices, specs=layout.specs(priv))
-    _atomic_write(path, data)
+    _write(path, REC_PRIVATE, s.params, priv.role, matrices, specs=layout.specs(priv))
 
 
 def read_private_file(path: str) -> AlicePrivate | BobPrivate:
-    rec = _read_record(path, REC_PRIVATE)
-    if rec.role is None:
-        raise FileFormatError(f"{path}: private record carries no role")
-    if len(rec.matrices) != 9 or len(rec.specs) != 4:
-        raise FileFormatError(f"{path}: private record needs 9 matrices and 4 eigenvalue lists")
-    try:
-        setup = PublicSetup(rec.params, *rec.matrices[:4])
-        return ROLE_LAYOUT[rec.role].private(setup, *rec.specs, *rec.matrices[4:])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: inconsistent private material: {exc}") from exc
+    def build(params, role, ms, lists):
+        specs = [DiagonalSpec(params, values) for values in lists]
+        return ROLE_LAYOUT[role].private(PublicSetup(params, *ms[:4]), *specs, *ms[4:])
+
+    return _read(path, REC_PRIVATE, build)
 
 
 def write_token_file(path: str, token: PublicToken) -> None:
-    data = _pack_record(
-        REC_TOKEN, token.params, token.role, [token.t1, token.t2, token.t3]
-    )
-    _atomic_write(path, data)
+    _write(path, REC_TOKEN, token.params, token.role, [token.t1, token.t2, token.t3])
 
 
 def read_token_file(path: str) -> PublicToken:
-    rec = _read_record(path, REC_TOKEN)
-    if rec.role is None:
-        raise FileFormatError(f"{path}: token record carries no role")
-    if len(rec.matrices) != 3:
-        raise FileFormatError(f"{path}: token needs 3 matrices, found {len(rec.matrices)}")
-    return PublicToken(rec.role, *rec.matrices)
+    def build(params, role, ms, _):
+        # every token matrix is a product of invertible factors
+        if any(mat_det(m) == 0 for m in ms):
+            raise SingularMatrixError("token has a singular matrix")
+        return PublicToken(role, *ms)
+
+    return _read(path, REC_TOKEN, build)
 
 
 def write_session_key_file(path: str, key: SessionKey) -> None:
-    _atomic_write(path, _pack_record(REC_SESSION_KEY, key.k.params, None, [key.k]))
+    _write(path, REC_SESSION_KEY, key.k.params, None, [key.k])
 
 
 def read_session_key_file(path: str) -> SessionKey:
-    rec = _read_record(path, REC_SESSION_KEY)
-    if len(rec.matrices) != 1:
-        raise FileFormatError(f"{path}: session key needs 1 matrix, found {len(rec.matrices)}")
-    try:
-        return SessionKey(rec.matrices[0])
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    return _read(path, REC_SESSION_KEY, lambda params, role, ms, _: SessionKey(*ms))
 
 
 def write_ciphertext_file(path: str, message: CipherMessage) -> None:
-    data = _pack_record(
-        REC_CIPHERTEXT,
-        message.params,
-        None,
-        [b.c for b in message.blocks],
-        plaintext_length=message.plaintext_length,
-    )
-    _atomic_write(path, data)
+    matrices = [b.c for b in message.blocks]
+    _write(path, REC_CIPHERTEXT, message.params, None, matrices,
+           plaintext_length=message.plaintext_length)
 
 
 def read_ciphertext_file(path: str) -> CipherMessage:
-    rec = _read_record(path, REC_CIPHERTEXT)
-    bpb = bytes_per_block(rec.params)
-    expected = (rec.plaintext_length + bpb - 1) // bpb if rec.plaintext_length else 0
-    if len(rec.matrices) != expected:
-        raise FileFormatError(
-            f"{path}: {len(rec.matrices)} blocks inconsistent with length {rec.plaintext_length}"
-        )
-    blocks = tuple(CipherBlock(m) for m in rec.matrices)
-    return CipherMessage(rec.params, rec.plaintext_length, blocks)
+    return _read(path, REC_CIPHERTEXT, lambda params, role, ms, length: CipherMessage(
+        params, length, tuple(CipherBlock(m) for m in ms)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +473,7 @@ def _add_common_params(sub, prime_default=251, dim_default=8):
     sub.add_argument("--dim", type=int, default=dim_default)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tdpkex",

@@ -25,7 +25,7 @@ run concurrently.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .commuting import commuting_from_basis
@@ -194,13 +194,21 @@ class PublicToken:
 
 @dataclass(frozen=True)
 class SessionKey:
-    """The agreed key matrix; invertible because all six factors are."""
+    """The agreed key matrix; invertible because all six factors are.
+
+    k_inv is computed once here, so the cipher conjugates every block with no
+    further elimination.
+    """
 
     k: Matrix
+    k_inv: Matrix = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if mat_det(self.k) == 0:
-            raise SingularMatrixError("session key is singular")
+        try:
+            k_inv = mat_inverse(self.k)
+        except SingularMatrixError:
+            raise SingularMatrixError("session key is singular") from None
+        object.__setattr__(self, "k_inv", k_inv)
 
 
 def gen_setup(rs, params: FieldParams) -> PublicSetup:

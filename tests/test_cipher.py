@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from tdpkex import (
     BlockTooLongError,
+    CipherBlock,
     CipherMessage,
     FieldParams,
     Matrix,
@@ -21,6 +22,7 @@ from tdpkex import (
     mat_trace,
     run_session,
 )
+from tdpkex import field_matrix
 
 import vectors
 
@@ -193,6 +195,24 @@ def test_cipher_message_count_validated():
     good = encrypt_message(key, bytes(100))
     with pytest.raises(ValueError):
         CipherMessage(P251, 100, good.blocks[:1])
+    p3 = FieldParams(p=3, d=2)  # 3^4 < 256: no whole byte fits a block
+    with pytest.raises(ValueError, match="cannot carry"):
+        CipherMessage(p3, 1, (CipherBlock(Matrix.zero(p3)),))
+
+
+def test_session_key_inverted_once(monkeypatch):
+    reductions = []
+    row_reduce = field_matrix._row_reduce
+    monkeypatch.setattr(
+        field_matrix, "_row_reduce", lambda m, p: reductions.append(p) or row_reduce(m, p)
+    )
+    key = _golden_key()
+    assert len(reductions) == 1
+    data = SplitMix64(12).read(10 * bytes_per_block(P251))
+    message = encrypt_message(key, data)
+    assert len(message.blocks) == 10
+    assert decrypt_message(key, message) == data
+    assert len(reductions) == 1
 
 
 def test_wrong_key_mostly_fails_range_check():

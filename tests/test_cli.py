@@ -2,10 +2,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdpkex import (
     FieldParams,
+    FileFormatError,
     Matrix,
+    Role,
     SplitMix64,
     alice_keygen,
     alice_token,
@@ -16,6 +20,7 @@ from tdpkex import (
 )
 from tdpkex.cli import (
     REC_SETUP,
+    REC_TOKEN,
     _pack_record,
     main,
     read_ciphertext_file,
@@ -145,6 +150,62 @@ def test_private_file_detects_tampered_matrix(tmp_path):
         read_private_file(path)
 
 
+_READERS = (read_setup_file, read_private_file, read_token_file,
+            read_session_key_file, read_ciphertext_file)
+
+
+@pytest.fixture(scope="module")
+def valid_records(tmp_path_factory):
+    """A temporary directory and one well-formed record of each kind, as bytes."""
+    directory = tmp_path_factory.mktemp("records")
+    rs = SplitMix64(16)
+    setup = gen_setup(rs, P251)
+    alice = alice_keygen(rs, setup)
+    key = run_session(rs, P251).alice_key
+    writes = [
+        (write_setup_file, setup),
+        (write_private_file, alice),
+        (write_token_file, alice_token(alice)),
+        (write_session_key_file, key),
+        (write_ciphertext_file, encrypt_message(key, rs.read(100))),
+    ]
+    records = []
+    for write, obj in writes:
+        write(directory / "record.tdp", obj)
+        records.append((directory / "record.tdp").read_bytes())
+    return directory, records
+
+
+@given(kind=st.integers(0, 4),
+       overwrites=st.lists(st.tuples(st.integers(0, 700), st.integers(0, 255)), max_size=4),
+       splice=st.none() | st.tuples(st.integers(0, 700), st.none() | st.integers(0, 255)),
+       record_type=st.none() | st.integers(0, 6))
+@settings(max_examples=200, deadline=None)
+def test_readers_raise_only_file_format_error(valid_records, kind, overwrites, splice,
+                                              record_type):
+    """Overwritten bytes, one deleted (byte None) or inserted byte and a forced type byte
+    leave every reader returning an object or raising FileFormatError."""
+    directory, records = valid_records
+    raw = bytearray(records[kind])
+    for pos, byte in overwrites:
+        raw[pos % len(raw)] = byte
+    if splice is not None:
+        pos, byte = splice
+        if byte is None:
+            del raw[pos % len(raw)]
+        else:
+            raw.insert(pos % (len(raw) + 1), byte)
+    if record_type is not None:
+        raw[4] = record_type
+    path = directory / "mutated.tdp"
+    path.write_bytes(bytes(raw))
+    for read in _READERS:
+        try:
+            read(path)
+        except FileFormatError:
+            pass
+
+
 # ---------------------------------------------------------------------------
 # pipeline end to end
 # ---------------------------------------------------------------------------
@@ -247,6 +308,27 @@ def test_exit_3_setup_with_p2(tmp_path):
     setup.write_bytes(_pack_record(REC_SETUP, p2, None, [ident, shear, ident, shear]))
     assert main(["keygen", "--in", str(setup), "--role", "alice",
                  "--seed", "1", "--out", str(tmp_path / "a.key")]) == 3
+
+
+def test_exit_3_role_byte_on_setup(tmp_path):
+    setup = tmp_path / "setup.tdp"
+    write_setup_file(setup, gen_setup(SplitMix64(14), P251))
+    raw = bytearray(setup.read_bytes())
+    raw[8] = 1  # setup records carry no role
+    setup.write_bytes(bytes(raw))
+    assert main(["keygen", "--in", str(setup), "--role", "alice",
+                 "--seed", "1", "--out", str(tmp_path / "a.key")]) == 3
+
+
+def test_exit_3_singular_token(tmp_path, capsys):
+    rs = SplitMix64(15)
+    key = tmp_path / "a.key"
+    write_private_file(key, alice_keygen(rs, gen_setup(rs, P251)))
+    token = tmp_path / "b.tok"
+    token.write_bytes(_pack_record(REC_TOKEN, P251, Role.BOB, [Matrix.zero(P251)] * 3))
+    assert main(["shared", "--key", str(key), "--peer", str(token),
+                 "--out", str(tmp_path / "a.sk")]) == 3
+    assert "singular" in capsys.readouterr().err
 
 
 def test_exit_4_params_mismatch(tmp_path):

@@ -30,7 +30,7 @@ from .errors import (
     SearchSpaceTooLargeError,
     TooFewSamplesError,
 )
-from .field_matrix import FieldParams, Matrix, mat_det, mat_inverse, mat_mul, mat_trace
+from .field_matrix import FieldParams, Matrix, mat_inverse, mat_mul, mat_trace
 from .poly_tools import char_poly
 from .protocol import PublicSetup, PublicToken, Role, SessionKey, run_session
 
@@ -94,19 +94,14 @@ class PseudoKey:
     candidates_tested: int
 
 
-def _family_tables(basis: Matrix, p: int, d: int):
-    """All (member, member^-1) pairs of a diagonal family, as raw arrays."""
-    binv = mat_inverse(basis).a
-    b = basis.a
+def _family_tables(setup: PublicSetup, basis_name: str):
+    """All (member, member^-1) pairs of the family on one setup basis, as raw arrays."""
+    p = setup.params.p
     inv_table = [0] + [pow(v, -1, p) for v in range(1, p)]
-    members = []
-    for diag in itertools.product(range(1, p), repeat=d):
-        dv = np.array(diag, dtype=np.int64)
-        di = np.array([inv_table[v] for v in diag], dtype=np.int64)
-        member = (binv * dv % p) @ b % p
-        member_inv = (binv * di % p) @ b % p
-        members.append((member, member_inv))
-    return members
+    return [
+        (setup.member(basis_name, diag).a, setup.member(basis_name, [inv_table[v] for v in diag]).a)
+        for diag in itertools.product(range(1, p), repeat=setup.params.d)
+    ]
 
 
 def brute_force_pseudo_key(
@@ -140,10 +135,10 @@ def brute_force_pseudo_key(
 
     u, v, w = alice_token.t1.a, alice_token.t2.a, alice_token.t3.a
     pm, qm, rm = bob_token.t1, bob_token.t2, bob_token.t3
-    p_mat, p_inv = setup.P.a, mat_inverse(setup.P).a
-    q_mat, q_inv = setup.Q.a, mat_inverse(setup.Q).a
-    r_family = _family_tables(setup.R, p, d)
-    s_family = _family_tables(setup.S, p, d)
+    p_mat, p_inv = setup.P.a, setup.basis_inv["P"].a
+    q_mat, q_inv = setup.Q.a, setup.basis_inv["Q"].a
+    r_family = _family_tables(setup, "R")
+    s_family = _family_tables(setup, "S")
     off_diag = ~np.eye(d, dtype=bool)
 
     tested = 0
@@ -258,10 +253,12 @@ def similarity_leak_check(plain: PlainBlock, cipher: CipherBlock) -> SimilarityR
     m, c = plain.m, cipher.c
     if m.params != c.params:
         raise ValueError("blocks have mixed parameters")
+    cp_m, cp_c = char_poly(m), char_poly(c)
     return SimilarityReport(
         trace_equal=mat_trace(m) == mat_trace(c),
-        det_equal=mat_det(m) == mat_det(c),
-        charpoly_equal=char_poly(m) == char_poly(c),
+        # det(m) = (-1)^d cp_m(0), and both blocks share d
+        det_equal=cp_m.coeffs[0] == cp_c.coeffs[0],
+        charpoly_equal=cp_m == cp_c,
     )
 
 

@@ -21,6 +21,7 @@ big-endian base-p digits.  Capacity is the largest B with 256^B <= p^(d*d)
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +31,10 @@ from .field_matrix import FieldParams, Matrix, mat_mul
 from .protocol import SessionKey
 
 
+@functools.cache
 def bytes_per_block(params: FieldParams) -> int:
-    """Largest byte count B with 256^B <= p^(d*d); computed with exact integers."""
-    capacity = params.p ** (params.d * params.d)
-    b = 0
-    value = 256
-    while value <= capacity:
-        b += 1
-        value <<= 8
-    return b
+    """Largest byte count B with 256^B <= p^(d*d); exact integers, computed once per params."""
+    return ((params.p ** (params.d * params.d)).bit_length() - 1) // 8
 
 
 @dataclass(frozen=True)
@@ -127,12 +123,9 @@ def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:
     """Split into capacity-sized chunks, encode and encrypt each independently."""
     params = key.k.params
     bpb = bytes_per_block(params)
-    if bpb == 0 and plaintext:
-        raise ValueError(f"p={params.p}, d={params.d} cannot carry even one byte per block")
-    blocks = []
-    for off in range(0, len(plaintext), bpb):
-        chunk = plaintext[off:off + bpb]
-        blocks.append(encrypt_block(key, encode_block(chunk, params)))
+    # at zero capacity CipherMessage refuses a nonempty plaintext and takes an empty one
+    offsets = range(0, len(plaintext), bpb) if bpb else ()
+    blocks = [encrypt_block(key, encode_block(plaintext[off:off + bpb], params)) for off in offsets]
     return CipherMessage(params, len(plaintext), tuple(blocks))
 
 

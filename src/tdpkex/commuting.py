@@ -9,21 +9,35 @@ key-agreement layer uses for its commutative subgroups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
 
 from .field_matrix import (
     DiagonalSpec,
     Matrix,
-    conjugate,
+    mat_inverse,
     mat_mul,
     _check_same_params,
 )
+
+
+def family_member(basis: Matrix, basis_inv: Matrix, eigenvalues: Sequence[int]) -> Matrix:
+    """basis^-1 diag(eigenvalues) basis from a known basis^-1: one matmul, no elimination.
+
+    Scaling the columns of basis^-1 by the eigenvalues is the product with
+    the diagonal.  The member's inverse is this call on the eigenvalues'
+    inverses mod p.
+    """
+    scaled = basis_inv.a * np.asarray(eigenvalues, dtype=np.int64) % basis.params.p
+    return Matrix(basis.params, scaled @ basis.a)
 
 
 def commuting_from_basis(basis: Matrix, spec: DiagonalSpec) -> Matrix:
     """basis^-1 diag(spec) basis; invertible, eigenvalues are exactly spec."""
     if basis.params != spec.params:
         raise ValueError("basis and spec parameters differ")
-    return conjugate(Matrix.diagonal(spec), basis)
+    return family_member(basis, mat_inverse(basis), spec.eigenvalues)
 
 
 def verify_commuting_pair(a: Matrix, b: Matrix) -> bool:

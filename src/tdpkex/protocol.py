@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
-from .commuting import commuting_from_basis
+from .commuting import family_member
 from .errors import ParamsMismatchError, SingularMatrixError
 from .field_matrix import (
     DiagonalSpec,
@@ -62,22 +62,35 @@ def _product(*ms: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class PublicSetup:
-    """The four public eigenvector bases; all invertible, all same params."""
+    """The four public eigenvector bases; all invertible, all same params.
+
+    basis_inv maps each basis name to its inverse, computed once here, so
+    every family member and member inverse is one matmul (see ``member``).
+    """
 
     params: FieldParams
     P: Matrix
     Q: Matrix
     R: Matrix
     S: Matrix
+    basis_inv: dict[str, Matrix] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _require_protocol_params(self.params)
+        inverses = {}
         for name in ("P", "Q", "R", "S"):
             m = getattr(self, name)
             if m.params != self.params:
                 raise ParamsMismatchError(f"basis {name} has foreign parameters")
-            if mat_det(m) == 0:
-                raise SingularMatrixError(f"basis {name} is singular")
+            try:
+                inverses[name] = mat_inverse(m)
+            except SingularMatrixError:
+                raise SingularMatrixError(f"basis {name} is singular") from None
+        object.__setattr__(self, "basis_inv", inverses)
+
+    def member(self, basis_name: str, eigenvalues: Sequence[int]) -> Matrix:
+        """basis^-1 diag(eigenvalues) basis for the named basis, with no elimination."""
+        return family_member(getattr(self, basis_name), self.basis_inv[basis_name], eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -154,6 +167,15 @@ class RoleLayout:
 
     def matrices(self, priv: _Private) -> list[Matrix]:
         return [getattr(priv, name) for name in self.key + self.hide]
+
+    def hide_inverses(self, priv: _Private) -> list[Matrix]:
+        """h1^-1, h2^-1 from the inverted eigenvalues; exact because _Private checked each h."""
+        p, basis = priv.setup.params.p, dict(self.families)
+        out = []
+        for h in self.hide:
+            inverted = [pow(v, -1, p) for v in getattr(priv, "d_" + h).eigenvalues]
+            out.append(priv.setup.member(basis[h], inverted))
+        return out
 
 
 ROLE_LAYOUT = {
@@ -235,15 +257,17 @@ def _keygen(rs, setup: PublicSetup, role: Role) -> tuple[_Private, int]:
     free, redraws = random_nonsingular(rs, params)
     factors = {layout.free: free}
     for (name, basis_name), spec in zip(layout.families, specs):
-        factors[name] = commuting_from_basis(getattr(setup, basis_name), spec)
+        factors[name] = setup.member(basis_name, spec.eigenvalues)
     return layout.private(setup, *specs, **factors), redraws
 
 
 def _token(priv: _Private) -> PublicToken:
-    f1, f2, f3, h1, h2 = ROLE_LAYOUT[priv.role].matrices(priv)
+    layout = ROLE_LAYOUT[priv.role]
+    f1, f2, f3, h1, h2 = layout.matrices(priv)
+    h1_inv, h2_inv = layout.hide_inverses(priv)
     t1 = mat_mul(f1, h1)
-    t2 = _product(mat_inverse(h1), f2, h2)
-    t3 = mat_mul(mat_inverse(h2), f3)
+    t2 = _product(h1_inv, f2, h2)
+    t3 = mat_mul(h2_inv, f3)
     return PublicToken(priv.role, t1, t2, t3)
 
 

@@ -10,6 +10,7 @@ from tdpkex import (
     FieldParams,
     Matrix,
 )
+from tdpkex import field_matrix
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -22,6 +23,17 @@ def p251():
 @pytest.fixture
 def p5d2():
     return FieldParams(p=5, d=2)
+
+
+@pytest.fixture
+def row_reductions(monkeypatch):
+    """A list that gains one entry per Gauss-Jordan elimination (determinant or inverse)."""
+    calls = []
+    row_reduce = field_matrix._row_reduce
+    monkeypatch.setattr(
+        field_matrix, "_row_reduce", lambda m, p: calls.append(p) or row_reduce(m, p)
+    )
+    return calls
 
 
 def identity_privates(setup):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tdpkex import (
+    CipherBlock,
     FieldParams,
     Matrix,
     PlainBlock,
@@ -14,8 +15,10 @@ from tdpkex import (
     alice_token,
     bob_token,
     brute_force_pseudo_key,
+    char_poly,
     encrypt_block,
     keyspace_size,
+    mat_det,
     mat_inverse,
     mat_mul,
     pseudo_key_reproduces,
@@ -193,6 +196,35 @@ def test_leak_check_false_for_unrelated_matrices():
         if not (report.trace_equal or report.det_equal or report.charpoly_equal):
             all_false += 1
     assert all_false >= 90  # scalar collisions happen with probability ~1/p each
+
+
+@pytest.mark.parametrize("params", [P5, P251], ids=["p5d2", "p251d8"])
+def test_leak_check_determinant_from_char_poly(params):
+    p, d = params.p, params.d
+    rs = SplitMix64(9)
+    prev = random_matrix(rs, params)
+    singular = 0
+    for i in range(200):
+        a = random_matrix(rs, params).a.copy()
+        if i % 4 == 0:
+            a[-1] = a[0] * (i % p) % p  # force a dependent row
+        m = Matrix(params, a)
+        det = mat_det(m)
+        singular += det == 0
+        assert det == (-1) ** d * char_poly(m).coeffs[0] % p
+        report = similarity_leak_check(PlainBlock(m), CipherBlock(prev))
+        assert report.det_equal == (det == mat_det(prev))
+        prev = m
+    assert singular >= 50
+
+
+def test_leak_check_does_no_elimination(row_reductions):
+    key = run_session(SplitMix64(0), P251).alice_key
+    plain = PlainBlock(random_matrix(SplitMix64(1), P251))
+    cipher = encrypt_block(key, plain)
+    row_reductions.clear()
+    assert similarity_leak_check(plain, cipher).all_equal
+    assert row_reductions == []
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from tdpkex import (
     validate_session,
 )
 
+from tdpkex.protocol import ROLE_LAYOUT
+
 from conftest import identity_privates
 
 P251 = FieldParams()
@@ -73,8 +75,10 @@ def test_setup_rejects_p2():
 def test_setup_rejects_singular_basis():
     singular = Matrix.from_rows(P5, [[1, 1], [1, 1]])
     ident = Matrix.identity(P5)
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="basis P is singular"):
         PublicSetup(P5, singular, ident, ident, ident)
+    with pytest.raises(SingularMatrixError, match="basis S is singular"):
+        PublicSetup(P5, ident, ident, ident, singular)
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +296,34 @@ def test_validation_rejects_foreign_setup():
 def test_session_counters():
     result = run_session(SplitMix64(28), P251)
     assert result.singular_redraws >= 0
+
+
+# ---------------------------------------------------------------------------
+# eliminations: each basis is inverted once, family members need none
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("params", [P5, P251], ids=["p5d2", "p251d8"])
+def test_cached_inverses_match_mat_inverse(params):
+    result = run_session(SplitMix64(40), params)
+    setup = result.setup
+    for name in ("P", "Q", "R", "S"):
+        assert setup.basis_inv[name] == mat_inverse(getattr(setup, name))
+    for priv in (result.alice, result.bob):
+        layout = ROLE_LAYOUT[priv.role]
+        assert layout.hide_inverses(priv) == [mat_inverse(getattr(priv, h)) for h in layout.hide]
+
+
+@pytest.mark.parametrize("params, seed", [(P5, 24), (P251, 33)], ids=["p5d2", "p251d8"])
+def test_session_eliminations(params, seed, row_reductions):
+    # 4 setup draws + 4 basis inverses + 2 free draws + 2 free-factor checks + 2 session keys
+    result = run_session(SplitMix64(seed), params)
+    assert result.singular_redraws > 0
+    assert len(row_reductions) == 14 + result.singular_redraws
+
+
+def test_tokens_do_no_elimination(row_reductions):
+    result = run_session(SplitMix64(41), P251)
+    row_reductions.clear()
+    assert alice_token(result.alice) == result.alice_pub
+    assert bob_token(result.bob) == result.bob_pub
+    assert row_reductions == []

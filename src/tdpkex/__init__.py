@@ -55,7 +55,7 @@ from .poly_tools import (
     singular_count,
     trial_division_factorization,
 )
-from .commuting import CommutingFamily, commuting_from_basis, verify_commuting_pair
+from .commuting import commuting_from_basis
 from .protocol import (
     AlicePrivate,
     BobPrivate,

@@ -20,8 +20,9 @@ bases, keys or token matrices, inconsistent private factors).  Files are
 written to a temp name and renamed, so a crashed run never leaves a partial
 file.
 
-Exit codes: 0 success, 2 bad flags or parameters, 3 file-format violation,
-4 parameter mismatch between files, 5 decryption range failure (wrong key).
+Exit codes: 0 success, 2 bad flags or parameters or an unusable --in/--out
+path, 3 file-format violation, 4 parameter mismatch between files, 5
+decryption range failure (wrong key).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .errors import (
     FactorizationError,
     FileFormatError,
     ParamsMismatchError,
-    SearchSpaceTooLargeError,
     SingularMatrixError,
     TooFewSamplesError,
     ValueOutOfRangeError,
@@ -348,11 +348,8 @@ def cmd_shared(args) -> int:
 
 def cmd_encrypt(args) -> int:
     key = read_session_key_file(args.key)
-    try:
-        with open(args.infile, "rb") as fh:
-            plaintext = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read {args.infile}: {exc}") from exc
+    with open(args.infile, "rb") as fh:
+        plaintext = fh.read()
     write_ciphertext_file(args.out, encrypt_message(key, plaintext))
     return 0
 
@@ -559,7 +556,7 @@ def main(argv=None) -> int:
     except ValueOutOfRangeError as exc:
         print(f"error: decryption failed: {exc}", file=sys.stderr)
         return 5
-    except (ValueError, SearchSpaceTooLargeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,18 +8,11 @@ key-agreement layer uses for its commutative subgroups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .field_matrix import (
-    DiagonalSpec,
-    Matrix,
-    mat_inverse,
-    mat_mul,
-    _check_same_params,
-)
+from .field_matrix import DiagonalSpec, Matrix, mat_inverse
 
 
 def family_member(basis: Matrix, basis_inv: Matrix, eigenvalues: Sequence[int]) -> Matrix:
@@ -38,33 +31,3 @@ def commuting_from_basis(basis: Matrix, spec: DiagonalSpec) -> Matrix:
     if basis.params != spec.params:
         raise ValueError("basis and spec parameters differ")
     return family_member(basis, mat_inverse(basis), spec.eigenvalues)
-
-
-def verify_commuting_pair(a: Matrix, b: Matrix) -> bool:
-    """True iff a*b == b*a."""
-    _check_same_params(a, b)
-    return mat_mul(a, b) == mat_mul(b, a)
-
-
-@dataclass(frozen=True)
-class CommutingFamily:
-    """A similarity basis plus the members derived from it so far."""
-
-    basis: Matrix
-    members: tuple[tuple[DiagonalSpec, Matrix], ...] = field(default_factory=tuple)
-
-    @classmethod
-    def from_specs(cls, basis: Matrix, specs: list[DiagonalSpec]) -> "CommutingFamily":
-        members = tuple((s, commuting_from_basis(basis, s)) for s in specs)
-        return cls(basis, members)
-
-    def matrices(self) -> list[Matrix]:
-        return [m for _, m in self.members]
-
-    def pairwise_commuting(self) -> bool:
-        ms = self.matrices()
-        return all(
-            verify_commuting_pair(ms[i], ms[j])
-            for i in range(len(ms))
-            for j in range(i + 1, len(ms))
-        )

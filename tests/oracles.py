@@ -5,6 +5,7 @@ library's own elimination / Frobenius / Berkowitz code paths.
 """
 
 import itertools
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -131,3 +132,20 @@ def charpoly_by_interpolation(arr, p):
     coeffs = [int(v) for v in aug[:, n]]
     assert coeffs[d] == 1
     return coeffs[:d]
+
+
+def chi2_sf_even_decimal(x, dof):
+    """Chi-square upper tail for even dof: exp(-x/2) * sum_{i<dof/2} (x/2)^i / i!.
+
+    Summed term by term in 60-digit decimal, whose exponent range holds every
+    term and the exponential without scaling.
+    """
+    assert dof % 2 == 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        half = Decimal(x) / 2
+        term, total = Decimal(1), Decimal(0)
+        for i in range(dof // 2):
+            total += term
+            term = term * half / (i + 1)
+        return float((-half).exp() * total)

@@ -1,12 +1,21 @@
 import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+
+import tdpkex
 
 from tdpkex import (
     CipherBlock,
     FieldParams,
     Matrix,
+    ParamsMismatchError,
     PlainBlock,
     SearchSpaceTooLargeError,
     SplitMix64,
@@ -30,7 +39,10 @@ from tdpkex import (
     uniformity_stats,
 )
 
+from tdpkex.analysis import _chi2_sf
+
 from conftest import identity_privates
+from oracles import chi2_sf_even_decimal
 
 P251 = FieldParams()
 P5 = FieldParams(p=5, d=2)
@@ -149,6 +161,59 @@ def test_too_few_samples_rejected():
         uniformity_stats([Matrix.zero(P251)] * 5)
     with pytest.raises(TooFewSamplesError):
         uniformity_stats([])
+
+
+def test_uniformity_rejects_mixed_parameters():
+    mixed = [Matrix.zero(P5)] * 20 + [Matrix.zero(FieldParams(p=7, d=2))] * 20
+    with pytest.raises(ParamsMismatchError):
+        uniformity_stats(mixed)
+
+
+def _matrices_from_entries(params, entries):
+    size = params.d * params.d
+    return [
+        Matrix(params, np.array(entries[i:i + size], dtype=np.int64).reshape(params.d, params.d))
+        for i in range(0, len(entries), size)
+    ]
+
+
+def test_uniformity_p_value_at_p2_and_p3():
+    # p=2, one dof: 25 ones and 15 zeros give chi-square 2.5, whose tail is
+    # P(|Z| > sqrt(2.5)) for a standard normal Z
+    report = uniformity_stats(_matrices_from_entries(FieldParams(p=2, d=2), [1] * 25 + [0] * 15))
+    assert (report.dof, report.chi_square) == (1, 2.5)
+    assert report.p_value == pytest.approx(2 * (1 - NormalDist().cdf(math.sqrt(2.5))), rel=1e-12)
+    # p=3, two dof: counts (16, 12, 8) give chi-square 8/3, whose tail is exp(-4/3)
+    report = uniformity_stats(_matrices_from_entries(P3, [0] * 16 + [1] * 12 + [2] * 8))
+    assert report.dof == 2
+    assert report.chi_square == pytest.approx(8 / 3)
+    assert report.p_value == pytest.approx(math.exp(-4 / 3), rel=1e-12)
+
+
+@pytest.mark.parametrize("dof, xs", [
+    (2, (1e-9, 0.5, 2, 5, 30, 200, 1300)),
+    (4, (1e-9, 0.01, 0.5, 4, 10, 40, 200, 1300)),
+    (250, (1e-3, 150, 220, 250, 280, 350, 600, 1500, 2000)),
+], ids=["dof2", "dof4", "dof250"])
+def test_chi2_tail_matches_decimal_series(dof, xs):
+    # lower tail, body and upper tail down to about 1e-280
+    for x in xs:
+        assert _chi2_sf(x, dof) == pytest.approx(chi2_sf_even_decimal(x, dof), rel=1e-9)
+    assert _chi2_sf(0.0, dof) == 1.0
+
+
+def test_chi2_tail_dof1_published_quantiles():
+    assert _chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, rel=1e-12)
+    assert _chi2_sf(10.827566170662733, 1) == pytest.approx(0.001, rel=1e-12)
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, tdpkex; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(tdpkex.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_ciphertext_entries_pass_smoke():

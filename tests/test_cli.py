@@ -287,6 +287,24 @@ def test_exit_2_prime_too_large_for_files(tmp_path):
                  "--seed", "1", "--out", str(tmp_path / "s.tdp")]) == 2
 
 
+def test_exit_2_out_in_missing_directory(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    assert main(["setup", "--seed", "1", "--out", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.parent.exists()
+
+
+def test_exit_2_missing_encrypt_input(tmp_path, capsys):
+    key = tmp_path / "k.sk"
+    write_session_key_file(key, run_session(SplitMix64(500), P251).alice_key)
+    out = tmp_path / "c.tdp"
+    code = main(["encrypt", "--key", str(key), "--in", str(tmp_path / "absent.bin"),
+                 "--out", str(out)])
+    assert code == 2
+    assert "absent.bin" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_3_bad_magic(tmp_path):
     bad = tmp_path / "bad.tdp"
     bad.write_bytes(b"NOPE" + bytes(20))

@@ -1,7 +1,8 @@
+import itertools
+
 import pytest
 
 from tdpkex import (
-    CommutingFamily,
     DiagonalSpec,
     FieldParams,
     Matrix,
@@ -13,7 +14,6 @@ from tdpkex import (
     mat_mul,
     random_diagonal,
     random_nonsingular,
-    verify_commuting_pair,
 )
 
 P5 = FieldParams(p=5, d=2)
@@ -60,7 +60,7 @@ def test_known_commuting_pair_products():
     # both orderings multiply to the same scalar matrix
     assert mat_mul(a, b) == Matrix.from_rows(P5, [[3, 0], [0, 3]])
     assert mat_mul(b, a) == Matrix.from_rows(P5, [[3, 0], [0, 3]])
-    assert verify_commuting_pair(a, b)
+    assert commutator(a, b).is_identity()
 
 
 def test_shared_basis_members_always_commute():
@@ -77,7 +77,7 @@ def test_independent_random_matrices_do_not_commute():
     for _ in range(100):
         a, _ = random_nonsingular(rs, P251)
         b, _ = random_nonsingular(rs, P251)
-        assert not verify_commuting_pair(a, b)
+        assert mat_mul(a, b) != mat_mul(b, a)
 
 
 def test_all_ones_spec_gives_identity():
@@ -90,6 +90,7 @@ def test_family_is_pairwise_commuting():
     rs = SplitMix64(5)
     basis, _ = random_nonsingular(rs, P251)
     specs = [random_diagonal(rs, P251) for _ in range(4)]
-    family = CommutingFamily.from_specs(basis, specs)
-    assert family.pairwise_commuting()
-    assert all(mat_det(m) != 0 for m in family.matrices())
+    members = [commuting_from_basis(basis, s) for s in specs]
+    for a, b in itertools.combinations(members, 2):
+        assert mat_mul(a, b) == mat_mul(b, a)
+    assert all(mat_det(m) != 0 for m in members)

@@ -17,6 +17,13 @@ Byte payloads are packed by exact radix conversion: a block of raw bytes is
 read as a big-endian base-256 integer and re-expressed in exactly d*d
 big-endian base-p digits.  Capacity is the largest B with 256^B <= p^(d*d)
 (63 bytes for p=251, d=8, about 1.6% expansion).
+
+A message is converted and conjugated as one (n, d, d) int64 stack: a few
+Python divmods cut each block integer into int64 limbs of k base-p digits
+(7 at p=251), one vectorised pass splits all limbs into digits, two stacked
+matmuls conjugate every block, and decoding rebuilds the limbs with one
+matmul against the powers of p.  The single-block functions are the n = 1
+case of the same helpers.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlockTooLongError, ParamsMismatchError, ValueOutOfRangeError
-from .field_matrix import FieldParams, Matrix, mat_mul
+from .field_matrix import FieldParams, Matrix
 from .protocol import SessionKey
 
 
@@ -77,12 +84,7 @@ def encode_block(data: bytes, params: FieldParams) -> PlainBlock:
     bpb = bytes_per_block(params)
     if len(data) > bpb:
         raise BlockTooLongError(f"{len(data)} bytes exceeds block capacity {bpb}")
-    p, d = params.p, params.d
-    value = int.from_bytes(data.rjust(bpb, b"\x00"), "big")
-    digits = np.empty(d * d, dtype=np.int64)
-    for i in range(d * d - 1, -1, -1):
-        value, digits[i] = divmod(value, p)
-    return PlainBlock(Matrix(params, digits.reshape(d, d)))
+    return PlainBlock(Matrix(params, _encode([int.from_bytes(data, "big")], params)[0]))
 
 
 def decode_block(block: PlainBlock, length: int) -> bytes:
@@ -96,48 +98,118 @@ def decode_block(block: PlainBlock, length: int) -> bytes:
     bpb = bytes_per_block(params)
     if length > bpb:
         raise ValueOutOfRangeError(f"length {length} exceeds block capacity {bpb}")
-    p = params.p
-    value = 0
-    for digit in block.m.a.reshape(-1):
-        value = value * p + int(digit)
-    if value >= 1 << (8 * bpb):
-        raise ValueOutOfRangeError("block does not decode to a padded byte block")
-    return value.to_bytes(bpb, "big")[bpb - length:]
+    return _decode(block.m.a[None], params, length)
 
 
 def encrypt_block(key: SessionKey, block: PlainBlock) -> CipherBlock:
     """c = k^-1 m k."""
     if key.k.params != block.m.params:
         raise ParamsMismatchError("key and block parameters differ")
-    return CipherBlock(mat_mul(mat_mul(key.k_inv, block.m), key.k))
+    c = _conjugate(key.k_inv, np.array([block.m.a]), key.k)[0]
+    return CipherBlock(Matrix(block.m.params, c))
 
 
 def decrypt_block(key: SessionKey, block: CipherBlock) -> PlainBlock:
     """m = k c k^-1."""
     if key.k.params != block.c.params:
         raise ParamsMismatchError("key and block parameters differ")
-    return PlainBlock(mat_mul(mat_mul(key.k, block.c), key.k_inv))
+    m = _conjugate(key.k, np.array([block.c.a]), key.k_inv)[0]
+    return PlainBlock(Matrix(block.c.params, m))
 
 
 def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:
-    """Split into capacity-sized chunks, encode and encrypt each independently."""
+    """Split into capacity-sized chunks, encode and encrypt them as one stack."""
     params = key.k.params
     bpb = bytes_per_block(params)
     # at zero capacity CipherMessage refuses a nonempty plaintext and takes an empty one
     offsets = range(0, len(plaintext), bpb) if bpb else ()
-    blocks = [encrypt_block(key, encode_block(plaintext[off:off + bpb], params)) for off in offsets]
-    return CipherMessage(params, len(plaintext), tuple(blocks))
+    stack = _encode([int.from_bytes(plaintext[off:off + bpb], "big") for off in offsets], params)
+    blocks = tuple(CipherBlock(Matrix(params, c)) for c in _conjugate(key.k_inv, stack, key.k))
+    return CipherMessage(params, len(plaintext), blocks)
 
 
 def decrypt_message(key: SessionKey, message: CipherMessage) -> bytes:
-    """Decrypt and decode every block, trim to the recorded plaintext length."""
-    if key.k.params != message.params:
+    """Decrypt and decode every block as one stack, trim to the recorded plaintext length."""
+    params = message.params
+    if key.k.params != params:
         raise ParamsMismatchError("key and message parameters differ")
-    bpb = bytes_per_block(message.params)
-    out = bytearray()
-    remaining = message.plaintext_length
-    for block in message.blocks:
-        take = min(bpb, remaining)
-        out += decode_block(decrypt_block(key, block), take)
-        remaining -= take
-    return bytes(out)
+    if any(block.c.params != params for block in message.blocks):
+        raise ParamsMismatchError("key and block parameters differ")
+    d = params.d
+    stack = np.array([block.c.a for block in message.blocks], dtype=np.int64).reshape(-1, d, d)
+    return _decode(_conjugate(key.k, stack, key.k_inv), params, message.plaintext_length)
+
+
+@functools.cache
+def _limb_layout(params: FieldParams) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Where each of a block's d*d digits sits in its int64 limbs, least significant limb first.
+
+    Returns (limb, weight, base, gather): row-major digit j is
+    limbs[limb[j]] // weight[j] % p, base = p^k is the limb radix, and
+    digits @ gather rebuilds the limbs.  k is the largest with p^k < 2^62
+    (7 at p = 251, 3 at p = 65521), so every limb fits int64.
+    """
+    p, size = params.p, params.d * params.d
+    k = 1
+    while p ** (k + 1) < 1 << 62:
+        k += 1
+    significance = np.arange(size - 1, -1, -1, dtype=np.int64)  # digits are big-endian
+    limb = significance // k
+    weight = p ** (significance % k)
+    gather = np.zeros((size, limb[0] + 1), dtype=np.int64)
+    gather[np.arange(size), limb] = weight
+    for table in (limb, weight, gather):
+        table.flags.writeable = False
+    return limb, weight, p ** k, gather
+
+
+def _encode(values: list[int], params: FieldParams) -> np.ndarray:
+    """The (n, d, d) digit stack of n block integers, each below p^(d*d).
+
+    A few Python divmods cut each integer into int64 limbs; one vectorised
+    pass splits every limb of the stack into its base-p digits.
+    """
+    p, d, n = params.p, params.d, len(values)
+    limb, weight, base, gather = _limb_layout(params)
+    count = gather.shape[1]
+    limbs = []
+    for value in values:
+        for _ in range(count):
+            value, low = divmod(value, base)
+            limbs.append(low)
+    digits = np.array(limbs, dtype=np.int64).reshape(n, count)[:, limb]
+    digits //= weight
+    digits %= p
+    return digits.reshape(n, d, d)
+
+
+def _decode(stack: np.ndarray, params: FieldParams, length: int) -> bytes:
+    """The bytes of a digit stack: every block padded, the last cut to what ``length`` leaves.
+
+    Raises ValueOutOfRangeError for a block whose integer is 256^bpb or more.
+    """
+    n = len(stack)
+    _, _, base, gather = _limb_layout(params)
+    bpb = bytes_per_block(params)
+    limit = 1 << (8 * bpb)
+    parts = []
+    for limbs in (stack.reshape(n, len(gather)) @ gather).tolist():
+        value = 0
+        for low in reversed(limbs):
+            value = value * base + low
+        if value >= limit:
+            raise ValueOutOfRangeError("block does not decode to a padded byte block")
+        parts.append(value.to_bytes(bpb, "big"))
+    if parts:
+        parts[-1] = parts[-1][n * bpb - length:]
+    return b"".join(parts)
+
+
+def _conjugate(left: Matrix, stack: np.ndarray, right: Matrix) -> np.ndarray:
+    """left m right mod p for every m of an (n, d, d) stack, written over the stack."""
+    p = left.params.p
+    product = np.matmul(left.a, stack)
+    product %= p
+    np.matmul(product, right.a, out=stack)
+    stack %= p
+    return stack

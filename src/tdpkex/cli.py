@@ -94,15 +94,20 @@ def _check_file_params(params: FieldParams) -> None:
 
 
 def _atomic_write(path: str, data: bytes) -> None:
+    """Write through a temp file in path's directory and a rename; an OSError names path."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tdp-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tdp-")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # the temp name in exc means nothing to the user who gave path
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _pack_record(
@@ -127,8 +132,7 @@ def _pack_record(
             out += bytes(spec.eigenvalues)
     if record_type == REC_CIPHERTEXT:
         out += plaintext_length.to_bytes(8, "little")
-    for m in matrices:
-        out += m.a.astype(np.uint8).tobytes()
+    out += np.array([m.a for m in matrices], dtype=np.uint8).tobytes()
     return bytes(out)
 
 

@@ -149,3 +149,38 @@ def chi2_sf_even_decimal(x, dof):
             total += term
             term = term * half / (i + 1)
         return float((-half).exp() * total)
+
+
+def radix_digits(value, p, d):
+    """The (d, d) row-major big-endian base-p digits of value, one divmod per digit."""
+    digits = np.empty(d * d, dtype=np.int64)
+    for i in range(d * d - 1, -1, -1):
+        value, digits[i] = divmod(value, p)
+    return digits.reshape(d, d)
+
+
+def radix_value(m, p):
+    """The integer whose big-endian base-p digits are m's entries, read row-major one by one."""
+    value = 0
+    for digit in m.reshape(-1):
+        value = value * p + int(digit)
+    return value
+
+
+def encrypt_message_per_block(k, k_inv, plaintext, p, d, bpb):
+    """Cipher blocks k^-1 m k of every zero-padded bpb-byte chunk, one block at a time."""
+    chunks = [plaintext[i:i + bpb] for i in range(0, len(plaintext), bpb)] if bpb else []
+    return [(k_inv @ radix_digits(int.from_bytes(c, "big"), p, d) % p) @ k % p for c in chunks]
+
+
+def decrypt_message_per_block(k, k_inv, blocks, p, bpb, length):
+    """The plaintext of cipher blocks, one block at a time; None when a block is out of range."""
+    out, remaining = b"", length
+    for c in blocks:
+        value = radix_value((k @ c % p) @ k_inv % p, p)
+        if value >= 1 << (8 * bpb):
+            return None
+        take = min(bpb, remaining)
+        out += value.to_bytes(bpb, "big")[bpb - take:]
+        remaining -= take
+    return out

@@ -1,3 +1,6 @@
+import sys
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from tdpkex import (
     CipherMessage,
     FieldParams,
     Matrix,
+    ParamsMismatchError,
     PlainBlock,
     SessionKey,
     SplitMix64,
@@ -20,9 +24,12 @@ from tdpkex import (
     encrypt_block,
     encrypt_message,
     mat_trace,
+    random_nonsingular,
     run_session,
 )
+from tdpkex import field_matrix
 
+import oracles
 import vectors
 
 P251 = FieldParams()
@@ -227,6 +234,89 @@ def test_session_key_inverted_once(row_reductions):
     assert len(message.blocks) == 10
     assert decrypt_message(key, message) == data
     assert len(row_reductions) == 1
+
+
+def test_bulk_message_is_one_stack(row_reductions, monkeypatch):
+    # no elimination and no per-block mat_mul, wherever the package binds the name
+    key = _golden_key()
+    row_reductions.clear()
+    products = []
+    mat_mul = field_matrix.mat_mul
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tdpkex" and getattr(module, "mat_mul", None) is mat_mul:
+            monkeypatch.setattr(module, "mat_mul", lambda a, b: products.append(1) or mat_mul(a, b))
+    data = SplitMix64(13).read(1000 * bytes_per_block(P251))
+    message = encrypt_message(key, data)
+    assert len(message.blocks) == 1000
+    assert decrypt_message(key, message) == data
+    assert row_reductions == []
+    assert products == []
+
+
+@pytest.mark.parametrize("p, d", [(251, 8), (251, 2), (5, 2), (7, 3), (3, 3), (65521, 4), (3, 2)])
+def test_stacked_path_matches_per_block_oracle(p, d):
+    params = FieldParams(p=p, d=d)
+    key = SessionKey(random_nonsingular(SplitMix64(p + d), params)[0])
+    k = key.k.a
+    k_inv = np.array(oracles.inverse_adjugate(k.tolist(), p), dtype=np.int64)
+    bpb = bytes_per_block(params)
+    # (3, 2) has zero capacity: only the empty message exists there
+    lengths = sorted({0, 1, bpb - 1, bpb, bpb + 1, 5 * bpb + 3}) if bpb else [0]
+    for length in lengths:
+        plaintext = SplitMix64(length).read(length)
+        expected = oracles.encrypt_message_per_block(k, k_inv, plaintext, p, d, bpb)
+        message = encrypt_message(key, plaintext)
+        assert [b.c.a.tolist() for b in message.blocks] == [c.tolist() for c in expected]
+        assert decrypt_message(key, message) == plaintext
+        assert oracles.decrypt_message_per_block(k, k_inv, expected, p, bpb, length) == plaintext
+        for i, block in enumerate(message.blocks):
+            chunk = plaintext[i * bpb:(i + 1) * bpb]
+            plain = encode_block(chunk, params)
+            digits = oracles.radix_digits(int.from_bytes(chunk, "big"), p, d)
+            assert plain.m.a.tolist() == digits.tolist()
+            assert encrypt_block(key, plain) == block
+            assert decode_block(decrypt_block(key, block), len(chunk)) == chunk
+
+
+@pytest.mark.parametrize("p, d", [(251, 8), (7, 3)])
+def test_range_check_on_a_middle_block(p, d):
+    params = FieldParams(p=p, d=d)
+    key = SessionKey(random_nonsingular(SplitMix64(40), params)[0])
+    bpb = bytes_per_block(params)
+    plaintext = SplitMix64(41).read(5 * bpb)
+    message = encrypt_message(key, plaintext)
+
+    def with_block_2(value):
+        c = (key.k_inv.a @ oracles.radix_digits(value, p, d) % p) @ key.k.a % p
+        blocks = message.blocks[:2] + (CipherBlock(Matrix(params, c)),) + message.blocks[3:]
+        return CipherMessage(params, len(plaintext), blocks)
+
+    def per_block(message):
+        blocks = [b.c.a for b in message.blocks]
+        k, k_inv = key.k.a, key.k_inv.a
+        return oracles.decrypt_message_per_block(k, k_inv, blocks, p, bpb, len(plaintext))
+
+    corrupt = with_block_2(1 << (8 * bpb))
+    with pytest.raises(ValueOutOfRangeError):
+        decrypt_message(key, corrupt)
+    assert per_block(corrupt) is None
+    largest = with_block_2((1 << (8 * bpb)) - 1)
+    expected = plaintext[:2 * bpb] + b"\xff" * bpb + plaintext[3 * bpb:]
+    assert decrypt_message(key, largest) == per_block(largest) == expected
+
+
+def test_params_mismatch_refused():
+    key = _golden_key()
+    p7 = FieldParams(p=7, d=8)
+    with pytest.raises(ParamsMismatchError):
+        encrypt_block(key, PlainBlock(Matrix.zero(p7)))
+    with pytest.raises(ParamsMismatchError):
+        decrypt_block(key, CipherBlock(Matrix.zero(p7)))
+    with pytest.raises(ParamsMismatchError, match="message"):
+        decrypt_message(key, encrypt_message(SessionKey(Matrix.identity(p7)), bytes(10)))
+    foreign_block = CipherMessage(P251, 10, (CipherBlock(Matrix.zero(p7)),))
+    with pytest.raises(ParamsMismatchError, match="block"):
+        decrypt_message(key, foreign_block)
 
 
 def test_wrong_key_mostly_fails_range_check():

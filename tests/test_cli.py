@@ -294,6 +294,20 @@ def test_exit_2_out_in_missing_directory(tmp_path, capsys):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("case", ["missing-directory", "out-is-a-directory"])
+def test_exit_2_unusable_out_names_the_given_path(tmp_path, capsys, case):
+    if case == "missing-directory":
+        target = tmp_path / "nope" / "s.tdp"
+    else:
+        target = tmp_path / "s.tdp"
+        target.mkdir()
+    assert main(["setup", "--seed", "1", "--out", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err
+    assert ".tdp-" not in err
+    assert not list(tmp_path.glob("**/.tdp-*"))
+
+
 def test_exit_2_missing_encrypt_input(tmp_path, capsys):
     key = tmp_path / "k.sk"
     write_session_key_file(key, run_session(SplitMix64(500), P251).alice_key)
@@ -371,6 +385,7 @@ def test_exit_5_wrong_key_decrypt(tmp_path):
     code = main(["decrypt", "--key", str(wrong), "--in", str(files["cipher"]),
                  "--out", str(tmp_path / "out.bin")])
     assert code == 5
+    assert not (tmp_path / "out.bin").exists()
 
 
 def test_no_partial_file_on_error(tmp_path):

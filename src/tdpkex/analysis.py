@@ -227,21 +227,28 @@ def _chi2_sf(x: float, dof: int) -> float:
     return min(1.0, math.exp(top - half) * math.fsum(math.exp(t - top) for t in logs))
 
 
+_POOL_CHUNK = 4096
+
+
 def uniformity_stats(matrices: Sequence[Matrix], significance: float = 0.001) -> StatsReport:
     """Chi-square test of pooled matrix entries against uniform on [0, p-1].
 
     Entries of one matrix are identically distributed under the null, so
     pooling across positions and matrices is sound.  Requires at least 10*p
-    pooled entries, all over one (p, d).
+    pooled entries, all over one (p, d).  Entries are counted in chunks of
+    ``_POOL_CHUNK`` matrices, so the pooling holds no copy of the whole input.
     """
     if not matrices:
         raise TooFewSamplesError("no matrices supplied")
-    p = _check_same_params(*matrices).p
-    entries = np.concatenate([m.a.reshape(-1) for m in matrices])
-    n = entries.size
+    params = _check_same_params(*matrices)
+    p = params.p
+    n = len(matrices) * params.d * params.d
     if n < 10 * p:
         raise TooFewSamplesError(f"{n} entries < required {10 * p}")
-    freq = np.bincount(entries, minlength=p).astype(np.int64)
+    freq = np.zeros(p, dtype=np.int64)
+    for start in range(0, len(matrices), _POOL_CHUNK):
+        chunk = np.stack([m.a for m in matrices[start:start + _POOL_CHUNK]])
+        freq += np.bincount(chunk.reshape(-1), minlength=p)
     expected = n / p
     stat = float(((freq - expected) ** 2 / expected).sum())
     dof = p - 1

@@ -45,7 +45,7 @@ from .errors import (
     TooFewSamplesError,
     ValueOutOfRangeError,
 )
-from .field_matrix import DiagonalSpec, FieldParams, Matrix, SplitMix64, mat_det
+from .field_matrix import DiagonalSpec, FieldParams, Matrix, SplitMix64, mat_det_many
 from .protocol import (
     ROLE_LAYOUT,
     AlicePrivate,
@@ -227,7 +227,7 @@ def write_token_file(path: str, token: PublicToken) -> None:
 def read_token_file(path: str) -> PublicToken:
     def build(params, role, ms, _):
         # every token matrix is a product of invertible factors
-        if any(mat_det(m) == 0 for m in ms):
+        if 0 in mat_det_many(ms):
             raise SingularMatrixError("token has a singular matrix")
         return PublicToken(role, *ms)
 

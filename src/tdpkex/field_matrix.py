@@ -3,9 +3,13 @@
 Everything downstream (key agreement, cipher, attack harness) is built on the
 types and operations here: immutable matrices with entries reduced mod p, a
 deterministic byte-stream RNG, and one Gauss-Jordan row reduction
-(``_row_reduce``) behind both determinants and inverses.  All arithmetic is
-integer-exact; there is no floating point anywhere in this module.  Field
-elements are plain Python ints in [0, p-1].
+(``_row_reduce``) behind every determinant and inverse.  The reduction works
+on an (n, d, k) stack, so n matrices cost one pass of numpy calls over the d
+columns: at d = 8 the cost is call overhead, not arithmetic.  ``mat_det`` and
+``mat_inverse`` are its n = 1 case; ``mat_det_many``, ``mat_inverse_many``
+and ``random_nonsingular_many`` hand it several matrices at once.  All
+arithmetic is integer-exact; there is no floating point anywhere in this
+module.  Field elements are plain Python ints in [0, p-1].
 
 Matrices, params and specs are immutable values, safe to share across
 threads; the operations are pure.  A random source instance is stateful and
@@ -15,6 +19,8 @@ independent).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -183,10 +189,6 @@ class Matrix:
     def zero(cls, params: FieldParams) -> "Matrix":
         return cls(params, np.zeros((params.d, params.d), dtype=np.int64))
 
-    @classmethod
-    def diagonal(cls, spec: DiagonalSpec) -> "Matrix":
-        return cls(spec.params, np.diag(np.array(spec.eigenvalues, dtype=np.int64)))
-
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.a, np.eye(self.params.d, dtype=np.int64)))
 
@@ -299,41 +301,87 @@ def mat_trace(a: Matrix) -> int:
     return int(a.a.trace()) % a.params.p
 
 
-def _row_reduce(m: np.ndarray, p: int) -> int:
-    """Gauss-Jordan reduce the d x k block m (k >= d) in place; return det(m[:, :d]) mod p.
+@functools.cache
+def _inverse_table(p: int) -> np.ndarray:
+    """Read-only inv[a] = a^-1 mod p for a in [1, p-1], inv[0] = 0; built once per prime.
 
-    Each column takes the first nonzero entry at or below the diagonal as its
-    pivot; a row swap flips the determinant's sign.  Returns 0 at the first
-    column with no pivot, leaving m part-reduced.  Otherwise m[:, :d] ends as
-    the identity, so on [a | I] the right half becomes a^-1.
+    a^-1 = a^(p-2) by Fermat, by square-and-multiply over the whole table at
+    once (a few ms at p = 65521, against about 60 ms for p - 1 ``pow`` calls).
     """
-    d = m.shape[0]
-    det = 1
+    base = np.arange(p, dtype=np.int64)
+    table = np.ones(p, dtype=np.int64)
+    e = p - 2
+    while e:
+        if e & 1:
+            table = table * base % p
+        base = base * base % p
+        e >>= 1
+    table[0] = 0
+    table.flags.writeable = False
+    return table
+
+
+def _row_reduce(m: np.ndarray, p: int) -> list[int]:
+    """Gauss-Jordan reduce each d x k block of the (n, d, k) stack m in place (k >= d).
+
+    Returns the n determinants det(m[i, :, :d]) mod p.  Each column takes the
+    diagonal entry as its pivot; only the matrices where it is zero search
+    below it for the first nonzero entry, and swap that row up negated, which
+    leaves the determinant unchanged, so it is the product of the pivots.  A
+    matrix with no pivot in some column has determinant 0 and ends with
+    garbage rows; the call returns at once when a column has no pivot in any
+    matrix of the stack.  Otherwise m[i, :, :d] ends as the identity, so on
+    [a | I] the right half becomes a^-1.
+    """
+    n, d = m.shape[:2]
+    inv = _inverse_table(p)
+    pivots = np.empty((d, n), dtype=np.int64)
     for c in range(d):
-        piv = -1
-        for r in range(c, d):
-            if m[r, c]:
-                piv = r
-                break
-        if piv < 0:
-            return 0
-        if piv != c:
-            m[[c, piv]] = m[[piv, c]]
-            det = p - det
-        pivval = int(m[c, c])
-        det = det * pivval % p
-        m[c] *= pow(pivval, -1, p)
-        m[c] %= p
-        col = m[:, c].copy()
-        col[c] = 0
-        m -= col[:, None] * m[c]
+        pivots[c] = m[:, c, c]
+        if np.count_nonzero(pivots[c]) < n:
+            zero = np.flatnonzero(pivots[c] == 0)
+            below = m[zero, c + 1:, c] != 0
+            found = below.any(axis=1)
+            if found.any():
+                swap, to = zero[found], c + 1 + below[found].argmax(axis=1)
+                m[swap, c], m[swap, to] = p - m[swap, to], m[swap, c]
+                pivots[c] = m[:, c, c]
+            elif len(zero) == n:
+                return [0] * n
+        # the scaled pivot row stays unreduced (< p^2), so the update stays
+        # under p^3 < 2^63 and one reduction ends the column
+        row = m[:, c] * inv[pivots[c]][:, None]
+        m -= m[:, :, c, None] * row[:, None]
+        m[:, c] = row
         m %= p
-    return det
+    return [math.prod(col) % p for col in pivots.T.tolist()]
+
+
+def _stack(ms: Sequence[Matrix]) -> tuple[FieldParams, np.ndarray]:
+    params = _check_same_params(*ms)
+    return params, np.stack([m.a for m in ms])
+
+
+def _invert(stack: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Inverses and determinants of an (n, d, d) stack; a singular one's inverse is garbage."""
+    n, d, _ = stack.shape
+    m = np.empty((n, d, 2 * d), dtype=np.int64)
+    m[:, :, :d] = stack
+    m[:, :, d:] = np.eye(d, dtype=np.int64)
+    return m[:, :, d:], _row_reduce(m, p)
 
 
 def mat_det(a: Matrix) -> int:
-    """Determinant mod p by row reduction, tracking row swaps."""
-    return _row_reduce(a.a.copy(), a.params.p)
+    """Determinant mod p: the one-matrix case of the stacked row reduction."""
+    return _row_reduce(a.a[None].copy(), a.params.p)[0]
+
+
+def mat_det_many(ms: Sequence[Matrix]) -> list[int]:
+    """Determinants of several same-params matrices with one stacked reduction."""
+    if not ms:
+        return []
+    params, stack = _stack(ms)
+    return _row_reduce(stack, params.p)
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -343,12 +391,19 @@ def mat_inverse(a: Matrix) -> Matrix:
         SingularMatrixError: no pivot available in some column (det = 0);
             callers drawing random material regenerate and retry.
     """
-    p = a.params.p
-    d = a.params.d
-    m = np.concatenate([a.a, np.eye(d, dtype=np.int64)], axis=1)
-    if _row_reduce(m, p) == 0:
-        raise SingularMatrixError(f"matrix has no inverse mod {p}")
-    return Matrix(a.params, m[:, d:])
+    inv, (det,) = _invert(a.a[None], a.params.p)
+    if det == 0:
+        raise SingularMatrixError(f"matrix has no inverse mod {a.params.p}")
+    return Matrix(a.params, inv[0])
+
+
+def mat_inverse_many(ms: Sequence[Matrix]) -> list[Matrix | None]:
+    """Inverses of several same-params matrices with one stacked reduction; None if singular."""
+    if not ms:
+        return []
+    params, stack = _stack(ms)
+    inv, det = _invert(stack, params.p)
+    return [Matrix(params, m) if dt else None for m, dt in zip(inv, det)]
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -370,6 +425,28 @@ def random_matrix(rs, params: FieldParams) -> Matrix:
     return Matrix(params, entries.reshape(params.d, params.d))
 
 
+def random_nonsingular_many(rs, params: FieldParams, n: int) -> tuple[list[Matrix], int]:
+    """n uniform draws from GL(d, F_p) by whole-matrix rejection, in stacked rounds.
+
+    Each round draws every still-missing matrix with one ``uniform_array``
+    call and tests them with one stacked determinant; singular draws are
+    discarded entirely, never patched.  The accepted matrices, the total
+    rejection count and the stream position equal those of n successive
+    ``random_nonsingular`` calls, since each matrix is d*d consecutive
+    uniform values and a rejected one is simply skipped.
+    """
+    d, p = params.d, params.p
+    out: list[Matrix] = []
+    rejections = 0
+    while len(out) < n:
+        want = n - len(out)
+        stack = uniform_array(rs, 0, p - 1, want * d * d).reshape(want, d, d)
+        dets = _row_reduce(stack.copy(), p)
+        out.extend(Matrix(params, m) for m, det in zip(stack, dets) if det)
+        rejections += dets.count(0)
+    return out, rejections
+
+
 def random_nonsingular(rs, params: FieldParams) -> tuple[Matrix, int]:
     """Uniform draw from GL(d, F_p) by whole-matrix rejection.
 
@@ -377,12 +454,8 @@ def random_nonsingular(rs, params: FieldParams) -> tuple[Matrix, int]:
     redraws; never patches individual entries.  Returns the accepted matrix
     and the number of rejected draws (observable for rate statistics).
     """
-    rejections = 0
-    while True:
-        m = random_matrix(rs, params)
-        if mat_det(m) != 0:
-            return m, rejections
-        rejections += 1
+    (m,), rejections = random_nonsingular_many(rs, params, 1)
+    return m, rejections
 
 
 def random_diagonal(rs, params: FieldParams) -> DiagonalSpec:

@@ -28,18 +28,21 @@ import enum
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
+import numpy as np
+
 from .commuting import family_member
 from .errors import ParamsMismatchError, SingularMatrixError
 from .field_matrix import (
     DiagonalSpec,
     FieldParams,
     Matrix,
-    commutator,
     mat_det,
     mat_inverse,
+    mat_inverse_many,
     mat_mul,
     random_diagonal,
     random_nonsingular,
+    random_nonsingular_many,
 )
 
 
@@ -64,8 +67,9 @@ def _product(*ms: Matrix) -> Matrix:
 class PublicSetup:
     """The four public eigenvector bases; all invertible, all same params.
 
-    basis_inv maps each basis name to its inverse, computed once here, so
-    every family member and member inverse is one matmul (see ``member``).
+    basis_inv maps each basis name to its inverse, computed here with one
+    stacked reduction, so every family member and member inverse is one
+    matmul (see ``member``).
     """
 
     params: FieldParams
@@ -77,15 +81,15 @@ class PublicSetup:
 
     def __post_init__(self):
         _require_protocol_params(self.params)
-        inverses = {}
-        for name in ("P", "Q", "R", "S"):
-            m = getattr(self, name)
+        names = ("P", "Q", "R", "S")
+        bases = [getattr(self, name) for name in names]
+        for name, m in zip(names, bases):
             if m.params != self.params:
                 raise ParamsMismatchError(f"basis {name} has foreign parameters")
-            try:
-                inverses[name] = mat_inverse(m)
-            except SingularMatrixError:
-                raise SingularMatrixError(f"basis {name} is singular") from None
+        inverses = dict(zip(names, mat_inverse_many(bases)))
+        for name, inv in inverses.items():
+            if inv is None:
+                raise SingularMatrixError(f"basis {name} is singular")
         object.__setattr__(self, "basis_inv", inverses)
 
     def member(self, basis_name: str, eigenvalues: Sequence[int]) -> Matrix:
@@ -102,12 +106,20 @@ class _Private:
 
     def __post_init__(self):
         layout = ROLE_LAYOUT[self.role]
-        for name, basis_name in layout.families:
-            basis = getattr(self.setup, basis_name)
-            spec = getattr(self, "d_" + name)
-            # derived == basis^-1 diag basis, tested inversion-free
-            if mat_mul(basis, getattr(self, name)) != mat_mul(Matrix.diagonal(spec), basis):
-                raise ValueError("derived matrix does not match its basis and eigenvalues")
+        params = self.setup.params
+        names = [name for name, _ in layout.families]
+        derived = [getattr(self, name) for name in names]
+        specs = [getattr(self, "d_" + name) for name in names]
+        for name, m, spec in zip(names, derived, specs):
+            if m.params != params or spec.params != params:
+                raise ParamsMismatchError(f"{name} has foreign parameters")
+        b = np.stack([getattr(self.setup, basis_name).a for _, basis_name in layout.families])
+        f = np.stack([m.a for m in derived])
+        eigenvalues = np.array([spec.eigenvalues for spec in specs])
+        # B F == diag(eigenvalues) B for all four families at once: F == B^-1 diag B,
+        # tested inversion-free
+        if not np.array_equal(b @ f % params.p, eigenvalues[:, :, None] * b % params.p):
+            raise ValueError("derived matrix does not match its basis and eigenvalues")
         if mat_det(getattr(self, layout.free)) == 0:
             raise SingularMatrixError(f"{layout.free} is singular")
 
@@ -240,12 +252,7 @@ def gen_setup(rs, params: FieldParams) -> PublicSetup:
 
 
 def _gen_setup_counted(rs, params: FieldParams) -> tuple[PublicSetup, int]:
-    redraws = 0
-    bases = []
-    for _ in range(4):
-        m, rej = random_nonsingular(rs, params)
-        redraws += rej
-        bases.append(m)
+    bases, redraws = random_nonsingular_many(rs, params, 4)
     return PublicSetup(params, *bases), redraws
 
 
@@ -366,14 +373,13 @@ def validate_session(setup: PublicSetup, alice: AlicePrivate, bob: BobPrivate) -
         "[x2,b1]": (alice.x2, bob.b1),
         "[a3,y1]": (alice.a3, bob.y1),
     }
-    required = {}
-    for name, (a, b) in required_pairs.items():
-        c = commutator(a, b)
-        required[name] = CheckResult(passed=c.is_identity(), commutator=c)
-    pitfalls = {}
-    for name, (a, b) in pitfall_pairs.items():
-        c = commutator(a, b)
-        pitfalls[name] = CheckResult(passed=not c.is_identity(), commutator=c)
+    pairs = {**required_pairs, **pitfall_pairs}
+    # commutator(a, b) = (b a)^-1 (a b), with all twelve (b a) inverted at once
+    # every factor is invertible (_Private checked it), so every product is
+    inverses = mat_inverse_many([mat_mul(b, a) for a, b in pairs.values()])
+    c = {name: mat_mul(inv, mat_mul(a, b)) for (name, (a, b)), inv in zip(pairs.items(), inverses)}
+    required = {name: CheckResult(c[name].is_identity(), c[name]) for name in required_pairs}
+    pitfalls = {name: CheckResult(not c[name].is_identity(), c[name]) for name in pitfall_pairs}
     return ValidationReport(required=required, pitfalls=pitfalls)
 
 

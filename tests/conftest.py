@@ -27,11 +27,15 @@ def p5d2():
 
 @pytest.fixture
 def row_reductions(monkeypatch):
-    """A list that gains one entry per Gauss-Jordan elimination (determinant or inverse)."""
+    """One entry per call of the stacked Gauss-Jordan kernel: the number of matrices it reduced.
+
+    ``len`` counts kernel calls, ``sum`` counts eliminated matrices
+    (determinants and inverses).
+    """
     calls = []
     row_reduce = field_matrix._row_reduce
     monkeypatch.setattr(
-        field_matrix, "_row_reduce", lambda m, p: calls.append(p) or row_reduce(m, p)
+        field_matrix, "_row_reduce", lambda m, p: calls.append(len(m)) or row_reduce(m, p)
     )
     return calls
 

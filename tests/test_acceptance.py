@@ -45,6 +45,7 @@ from tdpkex import (
     random_diagonal,
     random_matrix,
     random_nonsingular,
+    random_nonsingular_many,
     run_session,
     session_statistics,
     similarity_leak_check,
@@ -144,12 +145,15 @@ def test_criterion_6_toy_attack_twenty_seeds():
 
 
 def test_criterion_7_singularity_rate():
+    # stacked batches of 10^4 give the draws, and the count, of 10^5
+    # successive random_nonsingular calls
     rs = SplitMix64(7777)
     accepted = 100_000
     rejections = 0
-    for _ in range(accepted):
-        _, rej = random_nonsingular(rs, P251)
+    for _ in range(accepted // 10_000):
+        _, rej = random_nonsingular_many(rs, P251, 10_000)
         rejections += rej
+    assert rejections == 399
     fraction = rejections / (accepted + rejections)
     assert 0.003 <= fraction <= 0.005, f"singular fraction {fraction:.5f} outside 0.004 +/- 0.001"
     print(f"ACCEPTANCE 7: singular draw fraction {fraction * 100:.3f}% in 0.40% +/- 0.10%: PASS")
@@ -249,6 +253,14 @@ def test_criterion_9_cli_pipeline_bit_exact(tmp_path):
     for name in PIPELINE_FILES:
         assert (run1 / name).read_bytes() == (run2 / name).read_bytes(), name
     print("ACCEPTANCE 9: CLI pipeline lossless, session keys identical, reruns bit-exact: PASS")
+
+
+def test_criterion_9_cli_pipeline_kernel_calls(tmp_path, row_reductions):
+    # 50 matrices (draws, basis inverses, key, token and file checks) in 22
+    # stacked kernel calls: every read of a setup inverts its four bases at once
+    _cli_pipeline(tmp_path / "run", SplitMix64(12345).read(777))
+    assert sum(row_reductions) == 50
+    assert len(row_reductions) == 22
 
 
 def test_criterion_9_cli_pipeline_matches_recorded_digests(tmp_path):

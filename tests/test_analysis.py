@@ -156,6 +156,17 @@ def test_constant_matrices_fail():
     assert report.p_value < 1e-10
 
 
+def test_pooled_counts_span_chunks():
+    # 10,000 matrices take three pooling chunks; the counts are those of one
+    # bincount over every entry
+    rs = SplitMix64(6)
+    draws = uniform_array(rs, 0, 250, 10_000 * 64)
+    matrices = [Matrix(P251, draws[i * 64:(i + 1) * 64].reshape(8, 8)) for i in range(10_000)]
+    report = uniformity_stats(matrices)
+    assert report.samples == draws.size
+    assert report.frequencies.tolist() == np.bincount(draws, minlength=251).tolist()
+
+
 def test_too_few_samples_rejected():
     with pytest.raises(TooFewSamplesError):
         uniformity_stats([Matrix.zero(P251)] * 5)

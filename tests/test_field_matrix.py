@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from tdpkex import (
@@ -14,14 +15,18 @@ from tdpkex import (
     commutator,
     conjugate,
     mat_det,
+    mat_det_many,
     mat_inverse,
+    mat_inverse_many,
     mat_mul,
     mat_pow,
     mat_trace,
     random_diagonal,
     random_matrix,
     random_nonsingular,
+    random_nonsingular_many,
 )
+from tdpkex import field_matrix
 
 from oracles import det_cofactor, inverse_adjugate
 
@@ -109,8 +114,9 @@ def test_det_hand_values():
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (2, 3)])
 def test_det_and_inverse_exhaustive(p, d):
     # the 512 F_2 3x3 matrices take up to two row swaps and hit pivotless
-    # columns at every depth
+    # columns at every depth; the stacked calls mix all of them in one stack
     params = FieldParams(p=p, d=d)
+    matrices, dets, inverses = [], [], []
     for entries in itertools.product(range(p), repeat=d * d):
         rows = [list(entries[i * d:(i + 1) * d]) for i in range(d)]
         m = Matrix.from_rows(params, rows)
@@ -121,7 +127,54 @@ def test_det_and_inverse_exhaustive(p, d):
             with pytest.raises(SingularMatrixError):
                 mat_inverse(m)
         else:
-            assert mat_inverse(m) == Matrix.from_rows(params, expected_inv)
+            expected_inv = Matrix.from_rows(params, expected_inv)
+            assert mat_inverse(m) == expected_inv
+        matrices.append(m)
+        dets.append(expected_det)
+        inverses.append(expected_inv)
+    assert mat_det_many(matrices) == dets
+    assert mat_inverse_many(matrices) == inverses
+
+
+def test_stacked_det_and_inverse_at_largest_prime():
+    # entries up to 65520 test the p^3 < 2^63 bound; repeated and zeroed rows
+    # put singular matrices in the stack
+    params = FieldParams(p=65521, d=8)
+    rs = SplitMix64(31)
+    matrices = [random_matrix(rs, params) for _ in range(40)]
+    for i in (3, 17):
+        a = matrices[i].a.copy()
+        a[5] = a[2]
+        matrices[i] = Matrix(params, a)
+    a = matrices[29].a.copy()
+    a[:, 0] = 0
+    matrices[29] = Matrix(params, a)
+    dets = mat_det_many(matrices)
+    assert dets == [mat_det(m) for m in matrices]
+    assert [i for i, det in enumerate(dets) if det == 0] == [3, 17, 29]
+    inverses = mat_inverse_many(matrices)
+    for m, inv, det in zip(matrices, inverses, dets):
+        if det:
+            assert inv == mat_inverse(m)
+            assert mat_mul(m, inv).is_identity()
+        else:
+            assert inv is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 251, 65521])
+def test_pivot_inverse_table(p):
+    table = field_matrix._inverse_table(p)
+    assert table[0] == 0
+    assert (table[1:] * np.arange(1, p) % p == 1).all()
+
+
+def test_stacked_calls_check_params():
+    assert mat_det_many([]) == [] and mat_inverse_many([]) == []
+    mixed = [Matrix.identity(P5), Matrix.identity(FieldParams(p=7, d=2))]
+    with pytest.raises(ParamsMismatchError):
+        mat_det_many(mixed)
+    with pytest.raises(ParamsMismatchError):
+        mat_inverse_many(mixed)
 
 
 def test_inverse_hand_examples():
@@ -229,6 +282,25 @@ def test_random_nonsingular_never_returns_singular():
     for _ in range(300):
         m, _ = random_nonsingular(rs, P5)
         assert mat_det(m) != 0
+
+
+@pytest.mark.parametrize("p,d,n", [(251, 8, 30), (5, 2, 60), (3, 3, 60), (2, 3, 60)])
+def test_random_nonsingular_many_equals_sequential_draws(p, d, n):
+    # the small fields reject about half their draws, so the batch takes
+    # several redraw rounds
+    params = FieldParams(p=p, d=d)
+    seq_rs, batch_rs = SplitMix64(p * 100 + d), SplitMix64(p * 100 + d)
+    expected, expected_rejections = [], 0
+    for _ in range(n):
+        m, rej = random_nonsingular(seq_rs, params)
+        expected.append(m)
+        expected_rejections += rej
+    matrices, rejections = random_nonsingular_many(batch_rs, params, n)
+    assert matrices == expected
+    assert rejections == expected_rejections
+    assert batch_rs.read(16) == seq_rs.read(16)
+    if p < 251:
+        assert rejections > 0
 
 
 def test_random_diagonal_stub_passthrough():

@@ -3,6 +3,7 @@ import pytest
 
 from tdpkex import (
     AlicePrivate,
+    DiagonalSpec,
     FieldParams,
     Matrix,
     ParamsMismatchError,
@@ -16,6 +17,7 @@ from tdpkex import (
     bob_keygen,
     bob_shared,
     bob_token,
+    commutator,
     gen_setup,
     mat_det,
     mat_inverse,
@@ -79,6 +81,10 @@ def test_setup_rejects_singular_basis():
         PublicSetup(P5, singular, ident, ident, ident)
     with pytest.raises(SingularMatrixError, match="basis S is singular"):
         PublicSetup(P5, ident, ident, ident, singular)
+    with pytest.raises(SingularMatrixError, match="basis Q is singular"):
+        PublicSetup(P5, ident, singular, singular, ident)
+    with pytest.raises(ParamsMismatchError, match="basis R has foreign"):
+        PublicSetup(P5, ident, ident, Matrix.identity(FieldParams(p=7, d=2)), singular)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +127,21 @@ def test_private_constructor_rejects_inconsistent_material():
     rs = SplitMix64(13)
     setup = gen_setup(rs, P251)
     priv = alice_keygen(rs, setup)
+    fields = [priv.d_a2, priv.d_a3, priv.d_x1, priv.d_x2, priv.a1, priv.a2, priv.a3, priv.x1, priv.x2]
     wrong = Matrix.identity(P251)
     with pytest.raises(ValueError):
-        AlicePrivate(
-            setup, priv.d_a2, priv.d_a3, priv.d_x1, priv.d_x2,
-            priv.a1, wrong, priv.a3, priv.x1, priv.x2,
-        )
+        AlicePrivate(setup, *fields[:5], wrong, *fields[6:])
+    # the last family's factor swapped for another member of the same family
+    other = setup.member("S", [1] * (P251.d - 1) + [2])
+    with pytest.raises(ValueError, match="does not match"):
+        AlicePrivate(setup, *fields[:8], other)
+    foreign = FieldParams(p=7, d=8)
+    with pytest.raises(ParamsMismatchError):
+        AlicePrivate(setup, *fields[:7], Matrix.identity(foreign), priv.x2)
+    with pytest.raises(ParamsMismatchError):
+        AlicePrivate(setup, *fields[:3], DiagonalSpec(foreign, [1] * 8), *fields[4:])
+    with pytest.raises(SingularMatrixError, match="a1 is singular"):
+        AlicePrivate(setup, *fields[:4], Matrix.zero(P251), *fields[5:])
 
 
 def test_cross_family_commutation_by_construction():
@@ -286,6 +301,34 @@ def test_validation_identity_parties_flags_everything():
     assert all(not r.passed for r in report.pitfalls.values())
 
 
+def _validated_pair(name, alice, bob):
+    return [getattr(alice if f[0] in "ax" else bob, f) for f in name[1:-1].split(",")]
+
+
+def test_validation_commutators_match_commutator():
+    rs = SplitMix64(24)
+    base, _ = random_nonsingular(rs, P251)
+    degenerate = PublicSetup(P251, base, base, base, base)
+    healthy = run_session(SplitMix64(29), P251)
+    for setup, alice, bob in (
+        (healthy.setup, healthy.alice, healthy.bob),
+        (degenerate, alice_keygen(rs, degenerate), bob_keygen(rs, degenerate)),
+    ):
+        report = validate_session(setup, alice, bob)
+        for checks, must_commute in ((report.required, True), (report.pitfalls, False)):
+            for name, check in checks.items():
+                expected = commutator(*_validated_pair(name, alice, bob))
+                assert check.commutator == expected, name
+                assert check.passed == (expected.is_identity() == must_commute), name
+
+
+def test_validation_inverts_once(row_reductions):
+    result = run_session(SplitMix64(30), P251)
+    row_reductions.clear()
+    validate_session(result.setup, result.alice, result.bob)
+    assert row_reductions == [12]
+
+
 def test_validation_rejects_foreign_setup():
     r1 = run_session(SplitMix64(26), P5)
     r2 = run_session(SplitMix64(27), P5)
@@ -313,12 +356,20 @@ def test_cached_inverses_match_mat_inverse(params):
         assert layout.hide_inverses(priv) == [mat_inverse(getattr(priv, h)) for h in layout.hide]
 
 
-@pytest.mark.parametrize("params, seed", [(P5, 24), (P251, 33)], ids=["p5d2", "p251d8"])
-def test_session_eliminations(params, seed, row_reductions):
-    # 4 setup draws + 4 basis inverses + 2 free draws + 2 free-factor checks + 2 session keys
+# redraw rounds: at p=5 seed 24 the setup batch needs three more rounds for
+# its four singular draws and Alice's free factor one redraw; at p=251 seed
+# 33 one setup basis is redrawn in one more round
+@pytest.mark.parametrize(
+    "params, seed, redraw_rounds", [(P5, 24, 4), (P251, 33, 1)], ids=["p5d2", "p251d8"]
+)
+def test_session_eliminations(params, seed, redraw_rounds, row_reductions):
+    # matrices: 4 setup draws + 4 basis inverses + 2 free draws + 2 free-factor
+    # checks + 2 session keys; kernel calls: 1 setup draw + 1 basis inversion
+    # + 2 free draws + 2 free-factor checks + 2 session keys
     result = run_session(SplitMix64(seed), params)
     assert result.singular_redraws > 0
-    assert len(row_reductions) == 14 + result.singular_redraws
+    assert sum(row_reductions) == 14 + result.singular_redraws
+    assert len(row_reductions) == 8 + redraw_rounds
 
 
 def test_tokens_do_no_elimination(row_reductions):

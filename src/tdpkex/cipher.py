@@ -22,8 +22,12 @@ A message is converted and conjugated as one (n, d, d) int64 stack: a few
 Python divmods cut each block integer into int64 limbs of k base-p digits
 (7 at p=251), one vectorised pass splits all limbs into digits, two stacked
 matmuls conjugate every block, and decoding rebuilds the limbs with one
-matmul against the powers of p.  The single-block functions are the n = 1
-case of the same helpers.
+matmul against the powers of p.  encrypt_stack and decrypt_stack are the one
+encrypt and decrypt implementation: encrypt_message and decrypt_message wrap
+and unwrap their stacks as CipherBlocks, and the CLI hands the stack straight
+between them and the ciphertext file, building no per-block object.  The
+single-block functions are the n = 1 case of the same helpers.  check_framing
+holds the one rule tying a plaintext length to its block count.
 """
 
 from __future__ import annotations
@@ -38,10 +42,15 @@ from .field_matrix import FieldParams, Matrix
 from .protocol import SessionKey
 
 
-@functools.cache
 def bytes_per_block(params: FieldParams) -> int:
     """Largest byte count B with 256^B <= p^(d*d); exact integers, computed once per params."""
-    return ((params.p ** (params.d * params.d)).bit_length() - 1) // 8
+    return _capacity(params.p, params.d)
+
+
+@functools.cache
+def _capacity(p: int, d: int) -> int:
+    # keyed by ints: hashing a FieldParams runs Python code, and every message call looks this up
+    return ((p ** (d * d)).bit_length() - 1) // 8
 
 
 @dataclass(frozen=True)
@@ -63,15 +72,22 @@ class CipherMessage:
     blocks: tuple[CipherBlock, ...]
 
     def __post_init__(self):
-        bpb = bytes_per_block(self.params)
-        if self.plaintext_length and not bpb:
-            p, d = self.params.p, self.params.d
-            raise ValueError(f"p={p}, d={d} cannot carry even one byte per block")
-        expected = (self.plaintext_length + bpb - 1) // bpb if self.plaintext_length else 0
-        if len(self.blocks) != expected:
-            raise ValueError(
-                f"{len(self.blocks)} blocks inconsistent with length {self.plaintext_length}"
-            )
+        check_framing(self.params, self.plaintext_length, len(self.blocks))
+
+
+def check_framing(params: FieldParams, plaintext_length: int, count: int) -> None:
+    """Raise ValueError unless count blocks frame plaintext_length bytes at params.
+
+    A negative length is refused, and so is a nonzero one at parameters
+    whose blocks cannot carry one byte.
+    """
+    if plaintext_length < 0:
+        raise ValueError(f"plaintext length {plaintext_length} is negative")
+    bpb = bytes_per_block(params)
+    if plaintext_length and not bpb:
+        raise ValueError(f"p={params.p}, d={params.d} cannot carry even one byte per block")
+    if count != (-(-plaintext_length // bpb) if plaintext_length else 0):
+        raise ValueError(f"{count} blocks inconsistent with length {plaintext_length}")
 
 
 def encode_block(data: bytes, params: FieldParams) -> PlainBlock:
@@ -91,13 +107,16 @@ def decode_block(block: PlainBlock, length: int) -> bytes:
     """Inverse base conversion; returns the last ``length`` bytes of the block.
 
     Raises:
-        ValueOutOfRangeError: the matrix encodes an integer outside the
-            padded-byte range, which means corruption or a wrong key.
+        ValueOutOfRangeError: length exceeds the block capacity, or the
+            matrix encodes an integer outside the padded-byte range, which
+            means corruption or a wrong key.
+        ValueError: a negative length.
     """
     params = block.m.params
     bpb = bytes_per_block(params)
     if length > bpb:
         raise ValueOutOfRangeError(f"length {length} exceeds block capacity {bpb}")
+    check_framing(params, length, min(length, 1))  # refuses a negative length
     return _decode(block.m.a[None], params, length)
 
 
@@ -117,27 +136,52 @@ def decrypt_block(key: SessionKey, block: CipherBlock) -> PlainBlock:
     return PlainBlock(Matrix(block.c.params, m))
 
 
-def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:
-    """Split into capacity-sized chunks, encode and encrypt them as one stack."""
+def encrypt_stack(key: SessionKey, plaintext: bytes) -> np.ndarray:
+    """The (n, d, d) int64 ciphertext of plaintext, as capacity-sized chunks encrypted as one stack.
+
+    Raises ValueError for a nonempty plaintext at zero capacity.
+    """
     params = key.k.params
     bpb = bytes_per_block(params)
-    # at zero capacity CipherMessage refuses a nonempty plaintext and takes an empty one
     offsets = range(0, len(plaintext), bpb) if bpb else ()
+    check_framing(params, len(plaintext), len(offsets))
     stack = _encode([int.from_bytes(plaintext[off:off + bpb], "big") for off in offsets], params)
-    blocks = tuple(CipherBlock(Matrix(params, c)) for c in _conjugate(key.k_inv, stack, key.k))
+    return _conjugate(key.k_inv, stack, key.k)
+
+
+def decrypt_stack(
+    key: SessionKey, stack: np.ndarray | list[np.ndarray], plaintext_length: int
+) -> bytes:
+    """The plaintext of n ciphertext blocks with entries in [0, p) under key's params.
+
+    stack is an (n, d, d) array or a sequence of n d x d arrays; it is read,
+    not written.  Raises ValueError when n blocks do not frame
+    plaintext_length bytes, and ValueOutOfRangeError for a block that decodes
+    outside the padded-byte range (corruption or a wrong key).
+    """
+    params = key.k.params
+    check_framing(params, plaintext_length, len(stack))
+    d = params.d
+    plain = _conjugate(key.k, np.array(stack, dtype=np.int64).reshape(-1, d, d), key.k_inv)
+    return _decode(plain, params, plaintext_length)
+
+
+def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:
+    """encrypt_stack, with every block wrapped as a CipherBlock."""
+    params = key.k.params
+    blocks = tuple([CipherBlock(Matrix(params, c)) for c in encrypt_stack(key, plaintext)])
     return CipherMessage(params, len(plaintext), blocks)
 
 
 def decrypt_message(key: SessionKey, message: CipherMessage) -> bytes:
-    """Decrypt and decode every block as one stack, trim to the recorded plaintext length."""
+    """decrypt_stack of the message's blocks, after checking they share the key's params."""
     params = message.params
     if key.k.params != params:
         raise ParamsMismatchError("key and message parameters differ")
-    if any(block.c.params != params for block in message.blocks):
-        raise ParamsMismatchError("key and block parameters differ")
-    d = params.d
-    stack = np.array([block.c.a for block in message.blocks], dtype=np.int64).reshape(-1, d, d)
-    return _decode(_conjugate(key.k, stack, key.k_inv), params, message.plaintext_length)
+    for block in message.blocks:
+        if block.c.params != params:
+            raise ParamsMismatchError("key and block parameters differ")
+    return decrypt_stack(key, [block.c.a for block in message.blocks], message.plaintext_length)
 
 
 @functools.cache

@@ -36,7 +36,7 @@ import tempfile
 import numpy as np
 
 from . import analysis, poly_tools
-from .cipher import CipherBlock, CipherMessage, decrypt_message, encrypt_message
+from .cipher import CipherBlock, CipherMessage, check_framing, decrypt_stack, encrypt_stack
 from .errors import (
     FactorizationError,
     FileFormatError,
@@ -114,10 +114,11 @@ def _pack_record(
     record_type: int,
     params: FieldParams,
     role: Role | None,
-    matrices: list[Matrix],
+    stack: np.ndarray,
     specs: list[DiagonalSpec] | None = None,
     plaintext_length: int | None = None,
 ) -> bytes:
+    """The record bytes of an (n, d, d) stack of entries in [0, p)."""
     _check_file_params(params)
     out = bytearray()
     out += MAGIC
@@ -125,29 +126,40 @@ def _pack_record(
     out += params.p.to_bytes(2, "little")
     out.append(params.d)
     out.append(_ROLES.index(role))
-    out += len(matrices).to_bytes(4, "little")
+    out += len(stack).to_bytes(4, "little")
     if record_type == REC_PRIVATE:
         out.append(len(specs))
         for spec in specs:
             out += bytes(spec.eigenvalues)
     if record_type == REC_CIPHERTEXT:
         out += plaintext_length.to_bytes(8, "little")
-    out += np.array([m.a for m in matrices], dtype=np.uint8).tobytes()
+    out += stack.astype(np.uint8).tobytes()
     return bytes(out)
+
+
+def _stack(params: FieldParams, matrices) -> np.ndarray:
+    return np.array([m.a for m in matrices], dtype=np.int64).reshape(-1, params.d, params.d)
+
+
+def _matrices(params: FieldParams, stack: np.ndarray) -> list[Matrix]:
+    return [Matrix(params, m) for m in stack]
 
 
 def _write(path: str, record_type: int, params: FieldParams, role: Role | None,
            matrices: list[Matrix], **sections) -> None:
-    _atomic_write(path, _pack_record(record_type, params, role, matrices, **sections))
+    _atomic_write(path, _pack_record(record_type, params, role, _stack(params, matrices),
+                                     **sections))
 
 
 def _read(path: str, expect_type: int, build):
-    """Read a record of type expect_type; return build(params, role, matrices, section).
+    """Read a record of type expect_type; return build(params, role, stack, section).
 
-    section is the private record's four eigenvalue lists (bytes) or the
-    ciphertext's plaintext length, else None.  Every format violation, and any
-    ValueError that build raises on inconsistent material, is a FileFormatError
-    naming path.
+    stack is the (count, d, d) int64 array of the record's matrices, every
+    entry already checked to be < p; each builder wraps as Matrix only the
+    matrices it keeps.  section is the private record's four eigenvalue lists
+    (bytes) or the ciphertext's plaintext length, else None.  Every format
+    violation, and any ValueError that build raises on inconsistent material,
+    is a FileFormatError naming path.
     """
     def fail(reason: str):
         raise FileFormatError(f"{path}: {reason}")
@@ -193,7 +205,7 @@ def _read(path: str, expect_type: int, build):
     if bad.size:
         fail(f"matrix {bad[0]} has an entry >= p")
     try:
-        return build(params, _ROLES[role_code], [Matrix(params, m) for m in entries], section)
+        return build(params, _ROLES[role_code], entries, section)
     except ValueError as exc:
         raise FileFormatError(f"{path}: inconsistent {name} material: {exc}") from exc
 
@@ -203,7 +215,8 @@ def write_setup_file(path: str, setup: PublicSetup) -> None:
 
 
 def read_setup_file(path: str) -> PublicSetup:
-    return _read(path, REC_SETUP, lambda params, role, ms, _: PublicSetup(params, *ms))
+    return _read(path, REC_SETUP,
+                 lambda params, role, stack, _: PublicSetup(params, *_matrices(params, stack)))
 
 
 def write_private_file(path: str, priv: AlicePrivate | BobPrivate) -> None:
@@ -213,8 +226,9 @@ def write_private_file(path: str, priv: AlicePrivate | BobPrivate) -> None:
 
 
 def read_private_file(path: str) -> AlicePrivate | BobPrivate:
-    def build(params, role, ms, lists):
+    def build(params, role, stack, lists):
         specs = [DiagonalSpec(params, values) for values in lists]
+        ms = _matrices(params, stack)
         return ROLE_LAYOUT[role].private(PublicSetup(params, *ms[:4]), *specs, *ms[4:])
 
     return _read(path, REC_PRIVATE, build)
@@ -225,7 +239,8 @@ def write_token_file(path: str, token: PublicToken) -> None:
 
 
 def read_token_file(path: str) -> PublicToken:
-    def build(params, role, ms, _):
+    def build(params, role, stack, _):
+        ms = _matrices(params, stack)
         # every token matrix is a product of invertible factors
         if 0 in mat_det_many(ms):
             raise SingularMatrixError("token has a singular matrix")
@@ -239,18 +254,38 @@ def write_session_key_file(path: str, key: SessionKey) -> None:
 
 
 def read_session_key_file(path: str) -> SessionKey:
-    return _read(path, REC_SESSION_KEY, lambda params, role, ms, _: SessionKey(*ms))
+    return _read(path, REC_SESSION_KEY,
+                 lambda params, role, stack, _: SessionKey(Matrix(params, stack[0])))
+
+
+def _write_ciphertext(path: str, params: FieldParams, plaintext_length: int,
+                      stack: np.ndarray) -> None:
+    _atomic_write(path, _pack_record(REC_CIPHERTEXT, params, None, stack,
+                                     plaintext_length=plaintext_length))
+
+
+def _read_ciphertext(path: str) -> tuple[FieldParams, int, np.ndarray]:
+    """(params, plaintext length, (n, d, d) stack) of a ciphertext record.
+
+    Blocks that do not frame the length are a FileFormatError, as in
+    read_ciphertext_file, which wraps this stack as a CipherMessage.
+    """
+    def build(params, role, stack, length):
+        check_framing(params, length, len(stack))
+        return params, length, stack
+
+    return _read(path, REC_CIPHERTEXT, build)
 
 
 def write_ciphertext_file(path: str, message: CipherMessage) -> None:
-    matrices = [b.c for b in message.blocks]
-    _write(path, REC_CIPHERTEXT, message.params, None, matrices,
-           plaintext_length=message.plaintext_length)
+    params = message.params
+    _write_ciphertext(path, params, message.plaintext_length,
+                      _stack(params, [b.c for b in message.blocks]))
 
 
 def read_ciphertext_file(path: str) -> CipherMessage:
-    return _read(path, REC_CIPHERTEXT, lambda params, role, ms, length: CipherMessage(
-        params, length, tuple(CipherBlock(m) for m in ms)))
+    params, length, stack = _read_ciphertext(path)
+    return CipherMessage(params, length, tuple(CipherBlock(m) for m in _matrices(params, stack)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,17 +389,16 @@ def cmd_encrypt(args) -> int:
     key = read_session_key_file(args.key)
     with open(args.infile, "rb") as fh:
         plaintext = fh.read()
-    write_ciphertext_file(args.out, encrypt_message(key, plaintext))
+    _write_ciphertext(args.out, key.k.params, len(plaintext), encrypt_stack(key, plaintext))
     return 0
 
 
 def cmd_decrypt(args) -> int:
     key = read_session_key_file(args.key)
-    message = read_ciphertext_file(args.infile)
-    if message.params != key.k.params:
+    params, length, stack = _read_ciphertext(args.infile)
+    if params != key.k.params:
         raise ParamsMismatchError(f"{args.infile}: ciphertext parameters differ from key")
-    plaintext = decrypt_message(key, message)
-    _atomic_write(args.out, plaintext)
+    _atomic_write(args.out, decrypt_stack(key, stack, length))
     return 0
 
 

@@ -20,9 +20,11 @@ from tdpkex import (
     decode_block,
     decrypt_block,
     decrypt_message,
+    decrypt_stack,
     encode_block,
     encrypt_block,
     encrypt_message,
+    encrypt_stack,
     mat_trace,
     random_nonsingular,
     run_session,
@@ -182,6 +184,9 @@ def test_empty_message_at_zero_capacity():
     assert decrypt_message(key, message) == b""
     with pytest.raises(ValueError, match="cannot carry"):
         encrypt_message(key, b"\x00")
+    assert encrypt_stack(key, b"").shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="cannot carry"):
+        encrypt_stack(key, b"\x00")
 
 
 def test_64_bytes_needs_two_blocks():
@@ -226,6 +231,15 @@ def test_cipher_message_count_validated():
         CipherMessage(p3, 1, (CipherBlock(Matrix.zero(p3)),))
 
 
+def test_negative_plaintext_length_refused():
+    with pytest.raises(ValueError, match="negative"):
+        CipherMessage(P251, -5, ())
+    with pytest.raises(ValueError, match="negative"):
+        decode_block(PlainBlock(Matrix.zero(P251)), -1)
+    with pytest.raises(ValueError, match="negative"):
+        decrypt_stack(_golden_key(), np.zeros((0, 8, 8), np.int64), -1)
+
+
 def test_session_key_inverted_once(row_reductions):
     key = _golden_key()
     assert row_reductions == [1]
@@ -268,6 +282,11 @@ def test_stacked_path_matches_per_block_oracle(p, d):
         message = encrypt_message(key, plaintext)
         assert [b.c.a.tolist() for b in message.blocks] == [c.tolist() for c in expected]
         assert decrypt_message(key, message) == plaintext
+        stack = encrypt_stack(key, plaintext)
+        assert stack.shape == (len(expected), d, d)
+        assert stack.tolist() == [c.tolist() for c in expected]
+        assert decrypt_stack(key, stack, length) == plaintext
+        assert stack.tolist() == [c.tolist() for c in expected]  # read, not written
         assert oracles.decrypt_message_per_block(k, k_inv, expected, p, bpb, length) == plaintext
         for i, block in enumerate(message.blocks):
             chunk = plaintext[i * bpb:(i + 1) * bpb]

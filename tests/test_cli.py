@@ -1,24 +1,30 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdpkex import (
+    CipherBlock,
     FieldParams,
     FileFormatError,
     Matrix,
     Role,
+    SessionKey,
     SplitMix64,
     alice_keygen,
     alice_token,
     bob_keygen,
+    decrypt_message,
     encrypt_message,
     gen_setup,
+    random_nonsingular,
     run_session,
 )
 from tdpkex.cli import (
+    REC_CIPHERTEXT,
     REC_SETUP,
     REC_TOKEN,
     _pack_record,
@@ -156,12 +162,16 @@ _READERS = (read_setup_file, read_private_file, read_token_file,
 
 @pytest.fixture(scope="module")
 def valid_records(tmp_path_factory):
-    """A temporary directory and one well-formed record of each kind, as bytes."""
+    """A temporary directory and one well-formed record of each kind, as bytes.
+
+    The directory also holds session.key, the key of the ciphertext record.
+    """
     directory = tmp_path_factory.mktemp("records")
     rs = SplitMix64(16)
     setup = gen_setup(rs, P251)
     alice = alice_keygen(rs, setup)
     key = run_session(rs, P251).alice_key
+    write_session_key_file(directory / "session.key", key)
     writes = [
         (write_setup_file, setup),
         (write_private_file, alice),
@@ -176,17 +186,17 @@ def valid_records(tmp_path_factory):
     return directory, records
 
 
-@given(kind=st.integers(0, 4),
-       overwrites=st.lists(st.tuples(st.integers(0, 700), st.integers(0, 255)), max_size=4),
-       splice=st.none() | st.tuples(st.integers(0, 700), st.none() | st.integers(0, 255)),
-       record_type=st.none() | st.integers(0, 6))
-@settings(max_examples=200, deadline=None)
-def test_readers_raise_only_file_format_error(valid_records, kind, overwrites, splice,
-                                              record_type):
-    """Overwritten bytes, one deleted (byte None) or inserted byte and a forced type byte
-    leave every reader returning an object or raising FileFormatError."""
-    directory, records = valid_records
-    raw = bytearray(records[kind])
+# overwritten bytes, one deleted (byte None) or inserted byte, and a forced type byte
+_MUTATIONS = dict(
+    overwrites=st.lists(st.tuples(st.integers(0, 700), st.integers(0, 255)), max_size=4),
+    splice=st.none() | st.tuples(st.integers(0, 700), st.none() | st.integers(0, 255)),
+    record_type=st.none() | st.integers(0, 6),
+)
+
+
+def _mutated(directory, record, overwrites, splice, record_type):
+    """The path of a copy of record with the _MUTATIONS applied."""
+    raw = bytearray(record)
     for pos, byte in overwrites:
         raw[pos % len(raw)] = byte
     if splice is not None:
@@ -199,11 +209,40 @@ def test_readers_raise_only_file_format_error(valid_records, kind, overwrites, s
         raw[4] = record_type
     path = directory / "mutated.tdp"
     path.write_bytes(bytes(raw))
+    return path
+
+
+@given(kind=st.integers(0, 4), **_MUTATIONS)
+@settings(max_examples=200, deadline=None)
+def test_readers_raise_only_file_format_error(valid_records, kind, overwrites, splice,
+                                              record_type):
+    """Mutated records leave every reader returning an object or raising FileFormatError."""
+    directory, records = valid_records
+    path = _mutated(directory, records[kind], overwrites, splice, record_type)
     for read in _READERS:
         try:
             read(path)
         except FileFormatError:
             pass
+
+
+@given(**_MUTATIONS)
+@settings(max_examples=200, deadline=None)
+def test_decrypt_command_refuses_mutated_ciphertext(valid_records, overwrites, splice,
+                                                     record_type):
+    """A mutated ciphertext record makes decrypt exit 3, 4 or 5 and write nothing, unless
+    the mutation left a well-formed record, which then decrypts as the library reads it."""
+    directory, records = valid_records
+    path = _mutated(directory, records[4], overwrites, splice, record_type)
+    key, out = directory / "session.key", directory / "mutated.dec"
+    out.unlink(missing_ok=True)
+    code = main(["decrypt", "--key", str(key), "--in", str(path), "--out", str(out)])
+    if code == 0:  # e.g. a byte overwritten with itself, or a length its blocks still frame
+        message = read_ciphertext_file(path)
+        assert out.read_bytes() == decrypt_message(read_session_key_file(key), message)
+    else:
+        assert code in (3, 4, 5)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +373,9 @@ def test_exit_3_wrong_record_type(tmp_path):
 def test_exit_3_setup_with_p2(tmp_path):
     # well-formed record with invertible bases, but p = 2 leaves no secret eigenvalues
     p2 = FieldParams(p=2, d=2)
-    ident = Matrix.identity(p2)
-    shear = Matrix.from_rows(p2, [[1, 1], [0, 1]])
+    ident, shear = [[1, 0], [0, 1]], [[1, 1], [0, 1]]
     setup = tmp_path / "p2.tdp"
-    setup.write_bytes(_pack_record(REC_SETUP, p2, None, [ident, shear, ident, shear]))
+    setup.write_bytes(_pack_record(REC_SETUP, p2, None, np.array([ident, shear, ident, shear])))
     assert main(["keygen", "--in", str(setup), "--role", "alice",
                  "--seed", "1", "--out", str(tmp_path / "a.key")]) == 3
 
@@ -357,7 +395,7 @@ def test_exit_3_singular_token(tmp_path, capsys):
     key = tmp_path / "a.key"
     write_private_file(key, alice_keygen(rs, gen_setup(rs, P251)))
     token = tmp_path / "b.tok"
-    token.write_bytes(_pack_record(REC_TOKEN, P251, Role.BOB, [Matrix.zero(P251)] * 3))
+    token.write_bytes(_pack_record(REC_TOKEN, P251, Role.BOB, np.zeros((3, 8, 8), np.int64)))
     assert main(["shared", "--key", str(key), "--peer", str(token),
                  "--out", str(tmp_path / "a.sk")]) == 3
     assert "singular" in capsys.readouterr().err
@@ -386,6 +424,107 @@ def test_exit_5_wrong_key_decrypt(tmp_path):
                  "--out", str(tmp_path / "out.bin")])
     assert code == 5
     assert not (tmp_path / "out.bin").exists()
+
+
+def _key_file(tmp_path, key):
+    path = tmp_path / "k.sk"
+    write_session_key_file(path, key)
+    return path
+
+
+@pytest.mark.parametrize("params, size", [(P251, 0), (P251, 1), (P251, 62), (P251, 63),
+                                          (P251, 64), (P251, 1000 * 63 + 5),
+                                          (FieldParams(p=7, d=4), 23)])
+def test_encrypt_command_matches_library_route(tmp_path, params, size):
+    key = SessionKey(random_nonsingular(SplitMix64(size), params)[0])
+    key_path = _key_file(tmp_path, key)
+    plaintext = SplitMix64(size + 1).read(size)
+    plain, cli_file, lib_file = tmp_path / "m.bin", tmp_path / "cli.tdp", tmp_path / "lib.tdp"
+    plain.write_bytes(plaintext)
+    assert main(["encrypt", "--key", str(key_path), "--in", str(plain),
+                 "--out", str(cli_file)]) == 0
+    message = encrypt_message(key, plaintext)
+    write_ciphertext_file(lib_file, message)
+    assert cli_file.read_bytes() == lib_file.read_bytes()
+    # each route decrypts the other's file
+    out = tmp_path / "out.bin"
+    assert main(["decrypt", "--key", str(key_path), "--in", str(lib_file),
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == plaintext
+    back = read_ciphertext_file(cli_file)
+    assert back == message
+    assert decrypt_message(key, back) == plaintext
+
+
+@pytest.mark.parametrize("blocks", [1, 1000])
+def test_cli_round_trip_builds_no_per_block_objects(tmp_path, monkeypatch, blocks):
+    """Each command builds only the key matrix and its inverse; blocks stay one array."""
+    key_path = _key_file(tmp_path, run_session(SplitMix64(19), P251).alice_key)
+    plain, cipher, out = tmp_path / "m.bin", tmp_path / "m.tdp", tmp_path / "m.out"
+    plain.write_bytes(SplitMix64(20).read(blocks * 63))
+    built = {Matrix: 0, CipherBlock: 0}
+    post_init, init = Matrix.__post_init__, CipherBlock.__init__
+
+    def counted_post_init(self):
+        built[Matrix] += 1
+        post_init(self)
+
+    def counted_init(self, *args, **kwargs):
+        built[CipherBlock] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(CipherBlock, "__init__", counted_init)
+    assert main(["encrypt", "--key", str(key_path), "--in", str(plain), "--out", str(cipher)]) == 0
+    assert main(["decrypt", "--key", str(key_path), "--in", str(cipher), "--out", str(out)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    assert built == {Matrix: 4, CipherBlock: 0}
+
+
+def test_exit_2_encrypt_at_zero_capacity(tmp_path, capsys):
+    key_path = _key_file(tmp_path, SessionKey(Matrix.identity(FieldParams(p=3, d=2))))
+    plain, out = tmp_path / "m.bin", tmp_path / "m.tdp"
+    plain.write_bytes(b"\x00")
+    assert main(["encrypt", "--key", str(key_path), "--in", str(plain), "--out", str(out)]) == 2
+    assert "cannot carry" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _bad_ciphertext(case, raw):
+    """A ciphertext record broken as case says, from raw: a good 2-block, 100-byte record."""
+    if case == "truncated":
+        return raw[:-1]
+    if case == "entry >= p":
+        return raw[:-1] + bytes([251])
+    if case == "count vs length":  # 200 bytes need 4 blocks, the record has 2
+        return raw[:13] + (200).to_bytes(8, "little") + raw[21:]
+    if case == "zero capacity":  # no byte fits a p=3, d=2 block
+        stack = np.zeros((1, 2, 2), np.int64)
+        return _pack_record(REC_CIPHERTEXT, FieldParams(p=3, d=2), None, stack,
+                            plaintext_length=1)
+    p7 = FieldParams(p=7, d=4)
+    message = encrypt_message(SessionKey(Matrix.identity(p7)), bytes(10))
+    stack = np.array([b.c.a for b in message.blocks])
+    return _pack_record(REC_CIPHERTEXT, p7, None, stack, plaintext_length=10)
+
+
+@pytest.mark.parametrize("case, code, reason", [
+    ("truncated", 3, "does not match header"),
+    ("entry >= p", 3, "entry >= p"),
+    ("count vs length", 3, "2 blocks inconsistent with length 200"),
+    ("zero capacity", 3, "cannot carry"),
+    ("p=7 under a p=251 key", 4, "ciphertext parameters differ from key"),
+])
+def test_decrypt_command_refusals(tmp_path, capsys, case, code, reason):
+    key = run_session(SplitMix64(17), P251).alice_key
+    key_path = _key_file(tmp_path, key)
+    good = tmp_path / "good.tdp"
+    write_ciphertext_file(good, encrypt_message(key, SplitMix64(18).read(100)))
+    bad, out = tmp_path / "bad.tdp", tmp_path / "out.bin"
+    bad.write_bytes(_bad_ciphertext(case, good.read_bytes()))
+    assert main(["decrypt", "--key", str(key_path), "--in", str(bad), "--out", str(out)]) == code
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_no_partial_file_on_error(tmp_path):

@@ -29,7 +29,7 @@ from tdpkex import (
     random_nonsingular,
     run_session,
 )
-from tdpkex import field_matrix
+from tdpkex import cipher, field_matrix
 
 import oracles
 import vectors
@@ -267,17 +267,23 @@ def test_bulk_message_is_one_stack(row_reductions, monkeypatch):
     assert products == []
 
 
-@pytest.mark.parametrize("p, d", [(251, 8), (251, 2), (5, 2), (7, 3), (3, 3), (65521, 4), (3, 2)])
+@pytest.mark.parametrize("p, d", [(251, 8), (251, 2), (5, 2), (7, 3), (3, 3), (65521, 4), (65521, 8), (2, 8), (3, 2)])
 def test_stacked_path_matches_per_block_oracle(p, d):
+    # lengths on both sides of cipher._BULK blocks, so both paths meet the oracle
     params = FieldParams(p=p, d=d)
     key = SessionKey(random_nonsingular(SplitMix64(p + d), params)[0])
     k = key.k.a
     k_inv = np.array(oracles.inverse_adjugate(k.tolist(), p), dtype=np.int64)
     bpb = bytes_per_block(params)
+    bulk = cipher._BULK
     # (3, 2) has zero capacity: only the empty message exists there
-    lengths = sorted({0, 1, bpb - 1, bpb, bpb + 1, 5 * bpb + 3}) if bpb else [0]
-    for length in lengths:
-        plaintext = SplitMix64(length).read(length)
+    lengths = sorted({0, 1, bpb - 1, bpb, bpb + 1, 5 * bpb + 3, bulk * bpb, bulk * bpb + 1,
+                      (bulk + 1) * bpb, 40 * bpb + 3}) if bpb else [0]
+    # at (2, 8) p^(d*d) = 256^bpb: all-0xff blocks are the largest valid ones
+    plaintexts = [SplitMix64(length).read(length) for length in lengths]
+    plaintexts += [b"\xff" * (40 * bpb + 3)] if bpb else []
+    for plaintext in plaintexts:
+        length = len(plaintext)
         expected = oracles.encrypt_message_per_block(k, k_inv, plaintext, p, d, bpb)
         message = encrypt_message(key, plaintext)
         assert [b.c.a.tolist() for b in message.blocks] == [c.tolist() for c in expected]
@@ -297,12 +303,18 @@ def test_stacked_path_matches_per_block_oracle(p, d):
             assert decode_block(decrypt_block(key, block), len(chunk)) == chunk
 
 
-@pytest.mark.parametrize("p, d", [(251, 8), (7, 3)])
-def test_range_check_on_a_middle_block(p, d):
+@pytest.mark.parametrize("p, d, blocks", [
+    pytest.param(251, 8, 5, id="251-8"),
+    pytest.param(7, 3, 5, id="7-3"),
+    pytest.param(251, 8, 40, id="251-8-40"),
+    pytest.param(7, 3, 40, id="7-3-40"),
+])
+def test_range_check_on_a_middle_block(p, d, blocks):
+    assert (blocks > cipher._BULK) == (blocks == 40)  # one message per path
     params = FieldParams(p=p, d=d)
     key = SessionKey(random_nonsingular(SplitMix64(40), params)[0])
     bpb = bytes_per_block(params)
-    plaintext = SplitMix64(41).read(5 * bpb)
+    plaintext = SplitMix64(41).read(blocks * bpb)
     message = encrypt_message(key, plaintext)
 
     def with_block_2(value):
@@ -322,6 +334,36 @@ def test_range_check_on_a_middle_block(p, d):
     largest = with_block_2((1 << (8 * bpb)) - 1)
     expected = plaintext[:2 * bpb] + b"\xff" * bpb + plaintext[3 * bpb:]
     assert decrypt_message(key, largest) == per_block(largest) == expected
+
+
+def test_bulk_path_exact_at_the_float_bound():
+    # entries p - 1 at p = 65521 give the largest product sums, d(p-1)^2, of any p at d = 8
+    params = FieldParams(p=65521, d=8)
+    p = params.p
+    key = SessionKey(random_nonsingular(SplitMix64(62), params)[0])
+    stack = np.full((40, 8, 8), p - 1, dtype=np.int64)
+    expected = (key.k_inv.a @ stack % p) @ key.k.a % p
+    assert np.array_equal(cipher._conjugate_bulk(key.k_inv, stack, key.k), expected)
+    assert np.array_equal(cipher._conjugate(key.k_inv, stack, key.k), expected)
+    # the largest valid block whose low 63 digits are all p - 1: the codec's largest word sums
+    bpb = bytes_per_block(params)
+    top = p ** 63
+    value = (1 << 8 * bpb) // top * top - 1
+    plaintext = value.to_bytes(bpb, "big") * 40
+    digits = cipher._encode_bulk(plaintext, params, 40)
+    assert np.array_equal(digits, np.broadcast_to(oracles.radix_digits(value, p, 8), (40, 8, 8)))
+    assert digits[0].reshape(-1)[1:].tolist() == [p - 1] * 63
+    assert cipher._decode_bulk(digits, params, len(plaintext)) == plaintext
+
+
+def test_scalar_blocks_are_fixed_points():
+    # the chosen-plaintext weakness the module docstring states, on both paths
+    params = P251
+    key = SessionKey(random_nonsingular(SplitMix64(63), params)[0])
+    scalars = np.arange(params.p)[:, None, None] * np.eye(8, dtype=np.int64)
+    for m in scalars:
+        assert encrypt_block(key, PlainBlock(Matrix(params, m))).c.a.tolist() == m.tolist()
+    assert np.array_equal(cipher._conjugate_bulk(key.k_inv, scalars, key.k), scalars)
 
 
 def test_params_mismatch_refused():

@@ -17,8 +17,10 @@ from tdpkex import (
     alice_keygen,
     alice_token,
     bob_keygen,
+    bytes_per_block,
     decrypt_message,
     encrypt_message,
+    encrypt_stack,
     gen_setup,
     random_nonsingular,
     run_session,
@@ -40,6 +42,8 @@ from tdpkex.cli import (
     write_setup_file,
     write_token_file,
 )
+
+import oracles
 
 P251 = FieldParams()
 
@@ -424,6 +428,21 @@ def test_exit_5_wrong_key_decrypt(tmp_path):
                  "--out", str(tmp_path / "out.bin")])
     assert code == 5
     assert not (tmp_path / "out.bin").exists()
+
+
+def test_exit_5_out_of_range_block_in_bulk_file(tmp_path, capsys):
+    # a 1000-block file takes the bulk decode path; block 2 decodes to 256^bpb
+    key = SessionKey(random_nonsingular(SplitMix64(60), P251)[0])
+    p, bpb = P251.p, bytes_per_block(P251)
+    plaintext = SplitMix64(61).read(1000 * bpb)
+    stack = encrypt_stack(key, plaintext)
+    stack[2] = (key.k_inv.a @ oracles.radix_digits(1 << (8 * bpb), p, P251.d) % p) @ key.k.a % p
+    bad, out = tmp_path / "bad.tdp", tmp_path / "out.bin"
+    bad.write_bytes(_pack_record(REC_CIPHERTEXT, P251, None, stack, plaintext_length=len(plaintext)))
+    key_path = _key_file(tmp_path, key)
+    assert main(["decrypt", "--key", str(key_path), "--in", str(bad), "--out", str(out)]) == 5
+    assert "padded byte block" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _key_file(tmp_path, key):

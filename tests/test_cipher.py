@@ -231,6 +231,17 @@ def test_cipher_message_count_validated():
         CipherMessage(p3, 1, (CipherBlock(Matrix.zero(p3)),))
 
 
+def test_decrypt_stack_frames_the_blocks_it_decodes():
+    key = _golden_key()
+    data = SplitMix64(14).read(4 * 63)
+    stack = encrypt_stack(key, data)
+    assert decrypt_stack(key, stack.reshape(4, 64), len(data)) == data
+    assert decrypt_stack(key, list(stack), len(data)) == data
+    # four rows of 128 entries hold eight blocks, and 252 bytes frame four
+    with pytest.raises(ValueError, match="8 blocks inconsistent with length 252"):
+        decrypt_stack(key, np.concatenate([stack, stack]).reshape(4, 8, 16), len(data))
+
+
 def test_negative_plaintext_length_refused():
     with pytest.raises(ValueError, match="negative"):
         CipherMessage(P251, -5, ())
@@ -267,19 +278,19 @@ def test_bulk_message_is_one_stack(row_reductions, monkeypatch):
     assert products == []
 
 
-@pytest.mark.parametrize("p, d", [(251, 8), (251, 2), (5, 2), (7, 3), (3, 3), (65521, 4), (65521, 8), (2, 8), (3, 2)])
+@pytest.mark.parametrize("p, d", [(251, 8), (251, 2), (5, 2), (7, 3), (3, 3), (65521, 4), (65521, 8), (2, 8), (3, 2), (7, 8), (3, 8)])
 def test_stacked_path_matches_per_block_oracle(p, d):
-    # lengths on both sides of cipher._BULK blocks, so both paths meet the oracle
+    # one block to 40, and the edges of a block, all meet the oracle
     params = FieldParams(p=p, d=d)
     key = SessionKey(random_nonsingular(SplitMix64(p + d), params)[0])
     k = key.k.a
     k_inv = np.array(oracles.inverse_adjugate(k.tolist(), p), dtype=np.int64)
     bpb = bytes_per_block(params)
-    bulk = cipher._BULK
     # (3, 2) has zero capacity: only the empty message exists there
-    lengths = sorted({0, 1, bpb - 1, bpb, bpb + 1, 5 * bpb + 3, bulk * bpb, bulk * bpb + 1,
-                      (bulk + 1) * bpb, 40 * bpb + 3}) if bpb else [0]
-    # at (2, 8) p^(d*d) = 256^bpb: all-0xff blocks are the largest valid ones
+    lengths = sorted({0, 1, bpb - 1, bpb, bpb + 1, 5 * bpb + 3, 16 * bpb, 16 * bpb + 1,
+                      17 * bpb, 40 * bpb + 3}) if bpb else [0]
+    # at (2, 8) p^(d*d) = 256^bpb: all-0xff blocks are the largest valid ones; at (7, 8)
+    # and (3, 8) their limb sums come nearest the 2^53 bound of bytes @ to_limbs
     plaintexts = [SplitMix64(length).read(length) for length in lengths]
     plaintexts += [b"\xff" * (40 * bpb + 3)] if bpb else []
     for plaintext in plaintexts:
@@ -310,7 +321,6 @@ def test_stacked_path_matches_per_block_oracle(p, d):
     pytest.param(7, 3, 40, id="7-3-40"),
 ])
 def test_range_check_on_a_middle_block(p, d, blocks):
-    assert (blocks > cipher._BULK) == (blocks == 40)  # one message per path
     params = FieldParams(p=p, d=d)
     key = SessionKey(random_nonsingular(SplitMix64(40), params)[0])
     bpb = bytes_per_block(params)
@@ -341,29 +351,35 @@ def test_bulk_path_exact_at_the_float_bound():
     params = FieldParams(p=65521, d=8)
     p = params.p
     key = SessionKey(random_nonsingular(SplitMix64(62), params)[0])
-    stack = np.full((40, 8, 8), p - 1, dtype=np.int64)
-    expected = (key.k_inv.a @ stack % p) @ key.k.a % p
-    assert np.array_equal(cipher._conjugate_bulk(key.k_inv, stack, key.k), expected)
-    assert np.array_equal(cipher._conjugate(key.k_inv, stack, key.k), expected)
     # the largest valid block whose low 63 digits are all p - 1: the codec's largest word sums
     bpb = bytes_per_block(params)
     top = p ** 63
     value = (1 << 8 * bpb) // top * top - 1
-    plaintext = value.to_bytes(bpb, "big") * 40
-    digits = cipher._encode_bulk(plaintext, params, 40)
-    assert np.array_equal(digits, np.broadcast_to(oracles.radix_digits(value, p, 8), (40, 8, 8)))
-    assert digits[0].reshape(-1)[1:].tolist() == [p - 1] * 63
-    assert cipher._decode_bulk(digits, params, len(plaintext)) == plaintext
+    for n in (1, 40):  # one-block messages take the same float64 path as long ones
+        stack = np.full((n, 8, 8), p - 1, dtype=np.int64)
+        expected = (key.k_inv.a @ stack % p) @ key.k.a % p
+        assert np.array_equal(cipher._conjugate(key.k_inv, stack, key.k), expected)
+        plaintext = value.to_bytes(bpb, "big") * n
+        digits = cipher._encode(plaintext, params, n)
+        assert np.array_equal(digits, np.broadcast_to(oracles.radix_digits(value, p, 8), (n, 8, 8)))
+        assert digits[0].reshape(-1)[1:].tolist() == [p - 1] * 63
+        assert cipher._decode(digits, params, len(plaintext)) == plaintext
+    # left, m and right with entries near p - 1: unreduced between the products, the
+    # second product's sums would reach d^2 (p-1)^3 > 2^53 and lose their low bits
+    near = field_matrix.uniform_array(SplitMix64(64), p - 100, p - 1, 3 * 64).reshape(3, 8, 8)
+    expected = (near[0] @ near[2:] % p) @ near[1] % p
+    conjugated = cipher._conjugate(Matrix(params, near[0]), near[2:], Matrix(params, near[1]))
+    assert np.array_equal(conjugated, expected)
 
 
 def test_scalar_blocks_are_fixed_points():
-    # the chosen-plaintext weakness the module docstring states, on both paths
+    # the chosen-plaintext weakness the module docstring states, block by block and as a stack
     params = P251
     key = SessionKey(random_nonsingular(SplitMix64(63), params)[0])
     scalars = np.arange(params.p)[:, None, None] * np.eye(8, dtype=np.int64)
     for m in scalars:
         assert encrypt_block(key, PlainBlock(Matrix(params, m))).c.a.tolist() == m.tolist()
-    assert np.array_equal(cipher._conjugate_bulk(key.k_inv, scalars, key.k), scalars)
+    assert np.array_equal(cipher._conjugate(key.k_inv, scalars, key.k), scalars)
 
 
 def test_params_mismatch_refused():

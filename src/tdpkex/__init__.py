@@ -86,11 +86,9 @@ from .cipher import (
     decode_block,
     decrypt_block,
     decrypt_message,
-    decrypt_stack,
     encode_block,
     encrypt_block,
     encrypt_message,
-    encrypt_stack,
 )
 from .analysis import (
     KeyspaceReport,

@@ -344,7 +344,7 @@ def session_statistics(rs, params: FieldParams, n: int) -> SessionStats:
         message = encrypt_message(result.alice_key, plaintext)
         if decrypt_message(result.bob_key, message) == plaintext:
             roundtrips += 1
-        if message.blocks:
+        if len(message.stack):
             cipher_blocks.append(message.blocks[0])
             plain_blocks.append(encode_block(plaintext, params))
         redraws += result.singular_redraws

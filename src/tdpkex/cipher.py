@@ -37,12 +37,12 @@ memory.  floor(y / m) is exact for integers 0 <= y < 2^53, which makes the
 reductions exact too.  A block whose integer is 256^B or more decodes to a
 ValueOutOfRangeError, never to wrapped bytes.
 
-encrypt_stack and decrypt_stack are the one encrypt and decrypt
-implementation: encrypt_message and decrypt_message wrap and unwrap their
-stacks as CipherBlocks, and the CLI hands the stack straight between them and
-the ciphertext file, building no per-block object.  The single-block
-functions are the n = 1 case of the same helpers.  check_framing holds the
-one rule tying a plaintext length to its block count.
+encrypt_message and decrypt_message are the one encrypt and decrypt route,
+for the library and the CLI alike.  CipherMessage holds its blocks as one
+read-only (n, d, d) stack, checked for framing and range when it is built,
+and wraps them as CipherBlocks only when asked.  The single-block functions
+are the n = 1 case of the same helpers.  check_framing holds the one rule
+tying a plaintext length to its block count.
 """
 
 from __future__ import annotations
@@ -78,16 +78,39 @@ class CipherBlock:
     c: Matrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CipherMessage:
-    """A framed byte message: independent cipher blocks plus the true length."""
+    """A framed byte message: its cipher blocks as one stack, plus the true length.
+
+    stack is an (n, d, d) or (n, d*d) array or a sequence of d x d arrays, kept
+    as a read-only (n, d, d) int64 copy.  Raises ValueError when the blocks do
+    not frame plaintext_length bytes or an entry lies outside [0, p).
+    """
 
     params: FieldParams
     plaintext_length: int
-    blocks: tuple[CipherBlock, ...]
+    stack: np.ndarray
 
     def __post_init__(self):
-        check_framing(self.params, self.plaintext_length, len(self.blocks))
+        d, p = self.params.d, self.params.p
+        stack = np.array(self.stack, dtype=np.int64).reshape(-1, d, d)
+        check_framing(self.params, self.plaintext_length, len(stack))
+        # one reduction checks both ends: a negative entry viewed as uint64 is >= 2^63
+        if stack.view(np.uint64).max(initial=0) >= p:
+            raise ValueError(f"cipher block entries must lie in [0, {p})")
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+
+    @property
+    def blocks(self) -> tuple[CipherBlock, ...]:
+        """The stack's rows, each wrapped as a CipherBlock."""
+        return tuple([CipherBlock(Matrix(self.params, c)) for c in self.stack])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CipherMessage):
+            return NotImplemented
+        same = (self.params, self.plaintext_length) == (other.params, other.plaintext_length)
+        return same and bool(np.array_equal(self.stack, other.stack))
 
 
 def check_framing(params: FieldParams, plaintext_length: int, count: int) -> None:
@@ -151,51 +174,29 @@ def decrypt_block(key: SessionKey, block: CipherBlock) -> PlainBlock:
     return PlainBlock(Matrix(block.c.params, m))
 
 
-def encrypt_stack(key: SessionKey, plaintext: bytes) -> np.ndarray:
-    """The (n, d, d) int64 ciphertext of plaintext, as capacity-sized chunks encrypted as one stack.
+def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:
+    """plaintext's capacity-sized chunks, encoded and encrypted as one stack.
 
     Raises ValueError for a nonempty plaintext at zero capacity.
     """
     params = key.k.params
-    bpb = bytes_per_block(params)
-    n = -(-len(plaintext) // max(bpb, 1))
-    check_framing(params, len(plaintext), n)
+    n = -(-len(plaintext) // max(bytes_per_block(params), 1))
+    check_framing(params, len(plaintext), n)  # before _encode, which cannot cut zero-byte chunks
     stack = _conjugate(key.k_inv, _encode(plaintext, params, n), key.k)
-    return stack.astype(np.int64)
-
-
-def decrypt_stack(
-    key: SessionKey, stack: np.ndarray | list[np.ndarray], plaintext_length: int
-) -> bytes:
-    """The plaintext of n ciphertext blocks with entries in [0, p) under key's params.
-
-    stack is an (n, d, d) array or a sequence of n d x d arrays; it is read,
-    not written.  Raises ValueError when n blocks do not frame
-    plaintext_length bytes, and ValueOutOfRangeError for a block that decodes
-    outside the padded-byte range (corruption or a wrong key).
-    """
-    params = key.k.params
-    stack = np.asarray(stack, dtype=np.int64).reshape(-1, params.d, params.d)
-    check_framing(params, plaintext_length, len(stack))
-    return _decode(_conjugate(key.k, stack, key.k_inv), params, plaintext_length)
-
-
-def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:
-    """encrypt_stack, with every block wrapped as a CipherBlock."""
-    params = key.k.params
-    blocks = tuple([CipherBlock(Matrix(params, c)) for c in encrypt_stack(key, plaintext)])
-    return CipherMessage(params, len(plaintext), blocks)
+    return CipherMessage(params, len(plaintext), stack)
 
 
 def decrypt_message(key: SessionKey, message: CipherMessage) -> bytes:
-    """decrypt_stack of the message's blocks, after checking they share the key's params."""
+    """The plaintext of message under key.
+
+    Raises ParamsMismatchError when key and message parameters differ, and
+    ValueOutOfRangeError for a block that decodes outside the padded-byte
+    range (corruption or a wrong key).
+    """
     params = message.params
     if key.k.params != params:
         raise ParamsMismatchError("key and message parameters differ")
-    for block in message.blocks:
-        if block.c.params != params:
-            raise ParamsMismatchError("key and block parameters differ")
-    return decrypt_stack(key, [block.c.a for block in message.blocks], message.plaintext_length)
+    return _decode(_conjugate(key.k, message.stack, key.k_inv), params, message.plaintext_length)
 
 
 @functools.cache

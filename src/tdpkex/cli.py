@@ -36,7 +36,7 @@ import tempfile
 import numpy as np
 
 from . import analysis, poly_tools
-from .cipher import CipherBlock, CipherMessage, check_framing, decrypt_stack, encrypt_stack
+from .cipher import CipherMessage, decrypt_message, encrypt_message
 from .errors import (
     FactorizationError,
     FileFormatError,
@@ -137,29 +137,25 @@ def _pack_record(
     return bytes(out)
 
 
-def _stack(params: FieldParams, matrices) -> np.ndarray:
-    return np.array([m.a for m in matrices], dtype=np.int64).reshape(-1, params.d, params.d)
-
-
 def _matrices(params: FieldParams, stack: np.ndarray) -> list[Matrix]:
     return [Matrix(params, m) for m in stack]
 
 
 def _write(path: str, record_type: int, params: FieldParams, role: Role | None,
            matrices: list[Matrix], **sections) -> None:
-    _atomic_write(path, _pack_record(record_type, params, role, _stack(params, matrices),
-                                     **sections))
+    stack = np.array([m.a for m in matrices])
+    _atomic_write(path, _pack_record(record_type, params, role, stack, **sections))
 
 
 def _read(path: str, expect_type: int, build):
     """Read a record of type expect_type; return build(params, role, stack, section).
 
-    stack is the (count, d, d) int64 array of the record's matrices, every
-    entry already checked to be < p; each builder wraps as Matrix only the
-    matrices it keeps.  section is the private record's four eigenvalue lists
-    (bytes) or the ciphertext's plaintext length, else None.  Every format
-    violation, and any ValueError that build raises on inconsistent material,
-    is a FileFormatError naming path.
+    stack is the read-only (count, d, d) uint8 array of the record's
+    matrices, every entry already checked to be < p; each builder converts
+    only the matrices it keeps.  section is the private record's four
+    eigenvalue lists (bytes) or the ciphertext's plaintext length, else None.
+    Every format violation, and any ValueError that build raises on
+    inconsistent material, is a FileFormatError naming path.
     """
     def fail(reason: str):
         raise FileFormatError(f"{path}: {reason}")
@@ -200,7 +196,7 @@ def _read(path: str, expect_type: int, build):
         pos = 21
     if len(data) != pos + count * d * d:
         fail(f"length {len(data)} does not match header (expected {pos + count * d * d})")
-    entries = np.frombuffer(data, np.uint8, offset=pos).astype(np.int64).reshape(count, d, d)
+    entries = np.frombuffer(data, np.uint8, offset=pos).reshape(count, d, d)
     bad = np.flatnonzero((entries >= params.p).any(axis=(1, 2)))
     if bad.size:
         fail(f"matrix {bad[0]} has an entry >= p")
@@ -258,34 +254,15 @@ def read_session_key_file(path: str) -> SessionKey:
                  lambda params, role, stack, _: SessionKey(Matrix(params, stack[0])))
 
 
-def _write_ciphertext(path: str, params: FieldParams, plaintext_length: int,
-                      stack: np.ndarray) -> None:
-    _atomic_write(path, _pack_record(REC_CIPHERTEXT, params, None, stack,
-                                     plaintext_length=plaintext_length))
-
-
-def _read_ciphertext(path: str) -> tuple[FieldParams, int, np.ndarray]:
-    """(params, plaintext length, (n, d, d) stack) of a ciphertext record.
-
-    Blocks that do not frame the length are a FileFormatError, as in
-    read_ciphertext_file, which wraps this stack as a CipherMessage.
-    """
-    def build(params, role, stack, length):
-        check_framing(params, length, len(stack))
-        return params, length, stack
-
-    return _read(path, REC_CIPHERTEXT, build)
-
-
 def write_ciphertext_file(path: str, message: CipherMessage) -> None:
-    params = message.params
-    _write_ciphertext(path, params, message.plaintext_length,
-                      _stack(params, [b.c for b in message.blocks]))
+    _atomic_write(path, _pack_record(REC_CIPHERTEXT, message.params, None, message.stack,
+                                     plaintext_length=message.plaintext_length))
 
 
 def read_ciphertext_file(path: str) -> CipherMessage:
-    params, length, stack = _read_ciphertext(path)
-    return CipherMessage(params, length, tuple(CipherBlock(m) for m in _matrices(params, stack)))
+    """The record's message; blocks that do not frame its length are a FileFormatError."""
+    return _read(path, REC_CIPHERTEXT,
+                 lambda params, role, stack, length: CipherMessage(params, length, stack))
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +366,16 @@ def cmd_encrypt(args) -> int:
     key = read_session_key_file(args.key)
     with open(args.infile, "rb") as fh:
         plaintext = fh.read()
-    _write_ciphertext(args.out, key.k.params, len(plaintext), encrypt_stack(key, plaintext))
+    write_ciphertext_file(args.out, encrypt_message(key, plaintext))
     return 0
 
 
 def cmd_decrypt(args) -> int:
     key = read_session_key_file(args.key)
-    params, length, stack = _read_ciphertext(args.infile)
-    if params != key.k.params:
+    message = read_ciphertext_file(args.infile)
+    if message.params != key.k.params:
         raise ParamsMismatchError(f"{args.infile}: ciphertext parameters differ from key")
-    _atomic_write(args.out, decrypt_stack(key, stack, length))
+    _atomic_write(args.out, decrypt_message(key, message))
     return 0
 
 

@@ -20,11 +20,9 @@ from tdpkex import (
     decode_block,
     decrypt_block,
     decrypt_message,
-    decrypt_stack,
     encode_block,
     encrypt_block,
     encrypt_message,
-    encrypt_stack,
     mat_trace,
     random_nonsingular,
     run_session,
@@ -184,9 +182,7 @@ def test_empty_message_at_zero_capacity():
     assert decrypt_message(key, message) == b""
     with pytest.raises(ValueError, match="cannot carry"):
         encrypt_message(key, b"\x00")
-    assert encrypt_stack(key, b"").shape == (0, 2, 2)
-    with pytest.raises(ValueError, match="cannot carry"):
-        encrypt_stack(key, b"\x00")
+    assert message.stack.shape == (0, 2, 2)
 
 
 def test_64_bytes_needs_two_blocks():
@@ -225,21 +221,53 @@ def test_cipher_message_count_validated():
     key = _golden_key()
     good = encrypt_message(key, bytes(100))
     with pytest.raises(ValueError):
-        CipherMessage(P251, 100, good.blocks[:1])
+        CipherMessage(P251, 100, good.stack[:1])
     p3 = FieldParams(p=3, d=2)  # 3^4 < 256: no whole byte fits a block
     with pytest.raises(ValueError, match="cannot carry"):
-        CipherMessage(p3, 1, (CipherBlock(Matrix.zero(p3)),))
+        CipherMessage(p3, 1, np.zeros((1, 2, 2), np.int64))
 
 
-def test_decrypt_stack_frames_the_blocks_it_decodes():
+def test_cipher_message_frames_the_blocks_it_holds():
     key = _golden_key()
     data = SplitMix64(14).read(4 * 63)
-    stack = encrypt_stack(key, data)
-    assert decrypt_stack(key, stack.reshape(4, 64), len(data)) == data
-    assert decrypt_stack(key, list(stack), len(data)) == data
+    message = encrypt_message(key, data)
+    stack = message.stack
+    for form in (stack.reshape(4, 64), list(stack)):
+        assert CipherMessage(P251, len(data), form) == message
+        assert decrypt_message(key, CipherMessage(P251, len(data), form)) == data
     # four rows of 128 entries hold eight blocks, and 252 bytes frame four
     with pytest.raises(ValueError, match="8 blocks inconsistent with length 252"):
-        decrypt_stack(key, np.concatenate([stack, stack]).reshape(4, 8, 16), len(data))
+        CipherMessage(P251, len(data), np.concatenate([stack, stack]).reshape(4, 8, 16))
+
+
+@pytest.mark.parametrize("entry", [-1, 251])
+def test_cipher_message_refuses_entries_outside_the_field(entry):
+    stack = encrypt_message(_golden_key(), bytes(100)).stack.copy()
+    stack[1, 7, 7] = entry
+    with pytest.raises(ValueError, match=r"\[0, 251\)"):
+        CipherMessage(P251, 100, stack)
+
+
+def test_cipher_message_refuses_a_stack_of_the_wrong_shape():
+    # 8 rows of 8 x 9 entries reshape to 9 blocks, and 504 bytes frame 8
+    with pytest.raises(ValueError, match="9 blocks inconsistent with length 504"):
+        CipherMessage(P251, 8 * 63, np.zeros((8, 8, 9), np.int64))
+    with pytest.raises(ValueError):  # 3 rows of 8 x 9 entries are no whole number of blocks
+        CipherMessage(P251, 3 * 63, np.zeros((3, 8, 9), np.int64))
+
+
+def test_cipher_message_owns_a_read_only_copy():
+    key = _golden_key()
+    data = SplitMix64(15).read(3 * 63)
+    source = encrypt_message(key, data).stack.copy()
+    message = CipherMessage(P251, len(data), source)
+    assert not message.stack.flags.writeable
+    with pytest.raises(ValueError):
+        message.stack[0, 0, 0] = 0
+    source[:] = 0
+    assert message.stack.any()
+    assert decrypt_message(key, message) == data
+    assert message != CipherMessage(P251, len(data), source)
 
 
 def test_negative_plaintext_length_refused():
@@ -247,8 +275,6 @@ def test_negative_plaintext_length_refused():
         CipherMessage(P251, -5, ())
     with pytest.raises(ValueError, match="negative"):
         decode_block(PlainBlock(Matrix.zero(P251)), -1)
-    with pytest.raises(ValueError, match="negative"):
-        decrypt_stack(_golden_key(), np.zeros((0, 8, 8), np.int64), -1)
 
 
 def test_session_key_inverted_once(row_reductions):
@@ -297,13 +323,10 @@ def test_stacked_path_matches_per_block_oracle(p, d):
         length = len(plaintext)
         expected = oracles.encrypt_message_per_block(k, k_inv, plaintext, p, d, bpb)
         message = encrypt_message(key, plaintext)
+        assert message.stack.shape == (len(expected), d, d)
+        assert message.stack.tolist() == [c.tolist() for c in expected]
         assert [b.c.a.tolist() for b in message.blocks] == [c.tolist() for c in expected]
         assert decrypt_message(key, message) == plaintext
-        stack = encrypt_stack(key, plaintext)
-        assert stack.shape == (len(expected), d, d)
-        assert stack.tolist() == [c.tolist() for c in expected]
-        assert decrypt_stack(key, stack, length) == plaintext
-        assert stack.tolist() == [c.tolist() for c in expected]  # read, not written
         assert oracles.decrypt_message_per_block(k, k_inv, expected, p, bpb, length) == plaintext
         for i, block in enumerate(message.blocks):
             chunk = plaintext[i * bpb:(i + 1) * bpb]
@@ -329,13 +352,13 @@ def test_range_check_on_a_middle_block(p, d, blocks):
 
     def with_block_2(value):
         c = (key.k_inv.a @ oracles.radix_digits(value, p, d) % p) @ key.k.a % p
-        blocks = message.blocks[:2] + (CipherBlock(Matrix(params, c)),) + message.blocks[3:]
-        return CipherMessage(params, len(plaintext), blocks)
+        stack = message.stack.copy()
+        stack[2] = c
+        return CipherMessage(params, len(plaintext), stack)
 
     def per_block(message):
-        blocks = [b.c.a for b in message.blocks]
         k, k_inv = key.k.a, key.k_inv.a
-        return oracles.decrypt_message_per_block(k, k_inv, blocks, p, bpb, len(plaintext))
+        return oracles.decrypt_message_per_block(k, k_inv, message.stack, p, bpb, len(plaintext))
 
     corrupt = with_block_2(1 << (8 * bpb))
     with pytest.raises(ValueOutOfRangeError):
@@ -391,9 +414,6 @@ def test_params_mismatch_refused():
         decrypt_block(key, CipherBlock(Matrix.zero(p7)))
     with pytest.raises(ParamsMismatchError, match="message"):
         decrypt_message(key, encrypt_message(SessionKey(Matrix.identity(p7)), bytes(10)))
-    foreign_block = CipherMessage(P251, 10, (CipherBlock(Matrix.zero(p7)),))
-    with pytest.raises(ParamsMismatchError, match="block"):
-        decrypt_message(key, foreign_block)
 
 
 def test_wrong_key_mostly_fails_range_check():

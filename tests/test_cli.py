@@ -20,11 +20,11 @@ from tdpkex import (
     bytes_per_block,
     decrypt_message,
     encrypt_message,
-    encrypt_stack,
     gen_setup,
     random_nonsingular,
     run_session,
 )
+from tdpkex import cli
 from tdpkex.cli import (
     REC_CIPHERTEXT,
     REC_SETUP,
@@ -107,6 +107,19 @@ def test_ciphertext_file_roundtrip(tmp_path):
     back = read_ciphertext_file(path)
     assert back.plaintext_length == 200
     assert back.blocks == message.blocks
+
+
+def test_ciphertext_record_with_any_field_entries_roundtrips(tmp_path):
+    # the reader checks entries < p; every such stack is a message, decryptable or not
+    stack = np.arange(3 * 64).reshape(3, 8, 8) % P251.p
+    stack[2] = P251.p - 1
+    path, again = tmp_path / "c.tdp", tmp_path / "again.tdp"
+    path.write_bytes(_pack_record(REC_CIPHERTEXT, P251, None, stack, plaintext_length=130))
+    back = read_ciphertext_file(path)
+    assert back.plaintext_length == 130
+    assert np.array_equal(back.stack, stack)
+    write_ciphertext_file(again, back)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_rewrite_is_byte_identical(tmp_path):
@@ -435,7 +448,7 @@ def test_exit_5_out_of_range_block_in_bulk_file(tmp_path, capsys):
     key = SessionKey(random_nonsingular(SplitMix64(60), P251)[0])
     p, bpb = P251.p, bytes_per_block(P251)
     plaintext = SplitMix64(61).read(1000 * bpb)
-    stack = encrypt_stack(key, plaintext)
+    stack = encrypt_message(key, plaintext).stack.copy()
     stack[2] = (key.k_inv.a @ oracles.radix_digits(1 << (8 * bpb), p, P251.d) % p) @ key.k.a % p
     bad, out = tmp_path / "bad.tdp", tmp_path / "out.bin"
     bad.write_bytes(_pack_record(REC_CIPHERTEXT, P251, None, stack, plaintext_length=len(plaintext)))
@@ -500,6 +513,28 @@ def test_cli_round_trip_builds_no_per_block_objects(tmp_path, monkeypatch, block
     assert built == {Matrix: 4, CipherBlock: 0}
 
 
+def test_cli_cipher_goes_through_the_library_route(tmp_path, monkeypatch):
+    """encrypt and decrypt call the public message and ciphertext-file functions once each.
+
+    These are the cli bindings a tracer replaces to see the ciphertext work.
+    """
+    calls = dict.fromkeys(["encrypt_message", "decrypt_message",
+                           "write_ciphertext_file", "read_ciphertext_file"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(cli, name)):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    key_path = _key_file(tmp_path, run_session(SplitMix64(21), P251).alice_key)
+    plain, cipher, out = tmp_path / "m.bin", tmp_path / "m.tdp", tmp_path / "m.out"
+    plain.write_bytes(SplitMix64(22).read(300))
+    assert main(["encrypt", "--key", str(key_path), "--in", str(plain), "--out", str(cipher)]) == 0
+    assert main(["decrypt", "--key", str(key_path), "--in", str(cipher), "--out", str(out)]) == 0
+    assert out.read_bytes() == plain.read_bytes()
+    assert calls == dict.fromkeys(calls, 1)
+
+
 def test_exit_2_encrypt_at_zero_capacity(tmp_path, capsys):
     key_path = _key_file(tmp_path, SessionKey(Matrix.identity(FieldParams(p=3, d=2))))
     plain, out = tmp_path / "m.bin", tmp_path / "m.tdp"
@@ -523,8 +558,7 @@ def _bad_ciphertext(case, raw):
                             plaintext_length=1)
     p7 = FieldParams(p=7, d=4)
     message = encrypt_message(SessionKey(Matrix.identity(p7)), bytes(10))
-    stack = np.array([b.c.a for b in message.blocks])
-    return _pack_record(REC_CIPHERTEXT, p7, None, stack, plaintext_length=10)
+    return _pack_record(REC_CIPHERTEXT, p7, None, message.stack, plaintext_length=10)
 
 
 @pytest.mark.parametrize("case, code, reason", [

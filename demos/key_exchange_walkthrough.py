@@ -67,8 +67,8 @@ print("    degenerate pitfall commutations:", weak if weak else "none")
 print("\n[7] Bob encrypts a message for Alice by conjugating with the key")
 plaintext = b"conjugation hides the block, but not its invariants"
 message = encrypt_message(key_b, plaintext)
-print(f"    {len(plaintext)} bytes -> {len(message.blocks)} cipher block(s)")
-print("    cif[0] =", message.blocks[0].c.a[0].tolist())
+print(f"    {len(plaintext)} bytes -> {len(message.stack)} cipher block(s)")
+print("    cif[0] =", message.stack[0, 0].tolist())
 
 recovered = decrypt_message(key_a, message)
 print("    Alice recovers:", recovered.decode())

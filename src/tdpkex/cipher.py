@@ -23,8 +23,15 @@ read as a big-endian base-256 integer and re-expressed in exactly d*d
 big-endian base-p digits.  Capacity is the largest B with 256^B <= p^(d*d)
 (63 bytes for p=251, d=8, about 1.6% expansion).
 
-Every message, of one block or a thousand, is converted and conjugated as
-one (n, d, d) stack by a fixed number of numpy calls.  Encoding multiplies
+Every message, of one block or a thousand, is converted and conjugated in
+windows of W = 65536 // (8 d d) blocks (128 at d = 8), each by a fixed
+number of numpy calls; a message of up to W blocks is one window.  A
+window's float64 temporaries are at most 64 KiB, below glibc's 128 KiB mmap
+threshold, so the allocator reuses them from its heap.  As one 1000-block
+stack they would be 512 KB each, and each would be mapped and faulted in
+afresh from the kernel, which costs about as much as the arithmetic.
+encrypt_message writes every window into one preallocated (n, d, d) output,
+and decrypt_message joins the windows' bytes.  Encoding multiplies
 the blocks' bytes by a table of the limbs of the powers of 256 and carries
 the sums into limbs of k base-p digits (4 at p=251), which one vectorised
 gather splits into digits; decoding multiplies the digits by a table of the
@@ -66,6 +73,12 @@ def bytes_per_block(params: FieldParams) -> int:
 def _capacity(p: int, d: int) -> int:
     # keyed by ints: hashing a FieldParams runs Python code, and every message call looks this up
     return ((p ** (d * d)).bit_length() - 1) // 8
+
+
+@functools.cache
+def _window(d: int) -> int:
+    """Blocks per window of the message functions: at most 64 KiB of float64 (module docstring)."""
+    return max(1, 65536 // (8 * d * d))
 
 
 @dataclass(frozen=True)
@@ -162,7 +175,8 @@ def encrypt_block(key: SessionKey, block: PlainBlock) -> CipherBlock:
     """c = k^-1 m k."""
     if key.k.params != block.m.params:
         raise ParamsMismatchError("key and block parameters differ")
-    c = _conjugate(key.k_inv, block.m.a[None], key.k)[0]
+    left, right = key.k_inv.a.astype(np.float64), key.k.a.astype(np.float64)
+    c = _conjugate(left, block.m.a[None], right, key.k.params.p)[0]
     return CipherBlock(Matrix(block.m.params, c))
 
 
@@ -170,19 +184,28 @@ def decrypt_block(key: SessionKey, block: CipherBlock) -> PlainBlock:
     """m = k c k^-1."""
     if key.k.params != block.c.params:
         raise ParamsMismatchError("key and block parameters differ")
-    m = _conjugate(key.k, block.c.a[None], key.k_inv)[0]
+    left, right = key.k.a.astype(np.float64), key.k_inv.a.astype(np.float64)
+    m = _conjugate(left, block.c.a[None], right, key.k.params.p)[0]
     return PlainBlock(Matrix(block.c.params, m))
 
 
 def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:
-    """plaintext's capacity-sized chunks, encoded and encrypted as one stack.
+    """plaintext's capacity-sized chunks, encoded and encrypted window by window into one stack.
 
     Raises ValueError for a nonempty plaintext at zero capacity.
     """
     params = key.k.params
-    n = -(-len(plaintext) // max(bytes_per_block(params), 1))
+    p, d = params.p, params.d
+    bpb = _capacity(p, d)
+    n = -(-len(plaintext) // max(bpb, 1))
     check_framing(params, len(plaintext), n)  # before _encode, which cannot cut zero-byte chunks
-    stack = _conjugate(key.k_inv, _encode(plaintext, params, n), key.k)
+    left, right = key.k_inv.a.astype(np.float64), key.k.a.astype(np.float64)
+    stack = np.empty((n, d, d))
+    step = _window(d)
+    for i in range(0, n, step):
+        out = stack[i:i + step]
+        chunk = plaintext[i * bpb:(i + step) * bpb]
+        _conjugate(left, _encode(chunk, params, len(out)), right, p, out)
     return CipherMessage(params, len(plaintext), stack)
 
 
@@ -196,7 +219,16 @@ def decrypt_message(key: SessionKey, message: CipherMessage) -> bytes:
     params = message.params
     if key.k.params != params:
         raise ParamsMismatchError("key and message parameters differ")
-    return _decode(_conjugate(key.k, message.stack, key.k_inv), params, message.plaintext_length)
+    p, d = params.p, params.d
+    bpb, length = _capacity(p, d), message.plaintext_length
+    left, right = key.k.a.astype(np.float64), key.k_inv.a.astype(np.float64)
+    step = _window(d)
+    parts = []
+    for i in range(0, len(message.stack), step):
+        window = _conjugate(left, message.stack[i:i + step], right, p)
+        # the length left exceeds step * bpb before the last window, so only the last is cut
+        parts.append(_decode(window, params, min(length - i * bpb, step * bpb)))
+    return b"".join(parts)
 
 
 @functools.cache
@@ -280,15 +312,16 @@ def _decode(stack: np.ndarray, params: FieldParams, length: int) -> bytes:
     return data[:cut] + data[cut + n * bpb - length:]
 
 
-def _conjugate(left: Matrix, stack: np.ndarray, right: Matrix) -> np.ndarray:
-    """left m right mod p for every m of an (n, d, d) stack, as a new float64 stack.
+def _conjugate(left: np.ndarray, stack: np.ndarray, right: np.ndarray, p: int,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """left m right mod p for every m of an (n, d, d) stack, into out or a new float64 stack.
 
-    Two float64 BLAS products, each reduced mod p; their sums stay at most
+    left and right are float64 d x d arrays with entries in [0, p).  Two
+    float64 BLAS products, each reduced mod p; their sums stay at most
     d(p-1)^2 < 2^53, so both are exact.
     """
-    p = left.params.p
-    product = _reduce(left.a.astype(np.float64) @ stack, p)
-    return _reduce(product @ right.a.astype(np.float64), p)
+    product = _reduce(left @ stack, p)
+    return _reduce(np.matmul(product, right, out=out), p)
 
 
 def _reduce(y: np.ndarray, p: int) -> np.ndarray:

@@ -306,15 +306,16 @@ def test_bulk_message_is_one_stack(row_reductions, monkeypatch):
 
 @pytest.mark.parametrize("p, d", [(251, 8), (251, 2), (5, 2), (7, 3), (3, 3), (65521, 4), (65521, 8), (2, 8), (3, 2), (7, 8), (3, 8)])
 def test_stacked_path_matches_per_block_oracle(p, d):
-    # one block to 40, and the edges of a block, all meet the oracle
+    # one block to 40, the edges of a block and the edges of a window all meet the oracle
     params = FieldParams(p=p, d=d)
     key = SessionKey(random_nonsingular(SplitMix64(p + d), params)[0])
     k = key.k.a
     k_inv = np.array(oracles.inverse_adjugate(k.tolist(), p), dtype=np.int64)
     bpb = bytes_per_block(params)
+    span = cipher._window(d) * bpb  # the bytes of one full window
     # (3, 2) has zero capacity: only the empty message exists there
     lengths = sorted({0, 1, bpb - 1, bpb, bpb + 1, 5 * bpb + 3, 16 * bpb, 16 * bpb + 1,
-                      17 * bpb, 40 * bpb + 3}) if bpb else [0]
+                      17 * bpb, 40 * bpb + 3, span - 1, span, span + 1, 2 * span + 3}) if bpb else [0]
     # at (2, 8) p^(d*d) = 256^bpb: all-0xff blocks are the largest valid ones; at (7, 8)
     # and (3, 8) their limb sums come nearest the 2^53 bound of bytes @ to_limbs
     plaintexts = [SplitMix64(length).read(length) for length in lengths]
@@ -325,9 +326,11 @@ def test_stacked_path_matches_per_block_oracle(p, d):
         message = encrypt_message(key, plaintext)
         assert message.stack.shape == (len(expected), d, d)
         assert message.stack.tolist() == [c.tolist() for c in expected]
-        assert [b.c.a.tolist() for b in message.blocks] == [c.tolist() for c in expected]
         assert decrypt_message(key, message) == plaintext
         assert oracles.decrypt_message_per_block(k, k_inv, expected, p, bpb, length) == plaintext
+        if length > 40 * bpb + 3:
+            continue  # blocks and the single-block functions are checked on the shorter messages
+        assert [b.c.a.tolist() for b in message.blocks] == [c.tolist() for c in expected]
         for i, block in enumerate(message.blocks):
             chunk = plaintext[i * bpb:(i + 1) * bpb]
             plain = encode_block(chunk, params)
@@ -337,35 +340,78 @@ def test_stacked_path_matches_per_block_oracle(p, d):
             assert decode_block(decrypt_block(key, block), len(chunk)) == chunk
 
 
-@pytest.mark.parametrize("p, d, blocks", [
-    pytest.param(251, 8, 5, id="251-8"),
-    pytest.param(7, 3, 5, id="7-3"),
-    pytest.param(251, 8, 40, id="251-8-40"),
-    pytest.param(7, 3, 40, id="7-3-40"),
+@pytest.mark.parametrize("p, d, blocks", [(251, 8, 1000), (7, 3, 2 * cipher._window(3) + 5)])
+def test_every_helper_call_holds_one_window_at_most(p, d, blocks, monkeypatch):
+    # every temporary stays within 64 KiB, and the windows together hold each block once
+    params = FieldParams(p=p, d=d)
+    window = cipher._window(d)
+    assert window * d * d * 8 <= 65536
+    key = SessionKey(random_nonsingular(SplitMix64(42), params)[0])
+    plaintext = SplitMix64(43).read(blocks * bytes_per_block(params) - 2)
+    sizes = {"_encode": [], "_conjugate": [], "_decode": []}
+    chunks, conjugated, decoded = [], [], []
+    encode, conjugate, decode = cipher._encode, cipher._conjugate, cipher._decode
+
+    def spy_encode(chunk, params, n):
+        sizes["_encode"].append(n)
+        chunks.append(chunk)
+        return encode(chunk, params, n)
+
+    def spy_conjugate(left, stack, right, p, out=None):
+        sizes["_conjugate"].append(len(stack))
+        conjugated.append(np.array(stack, dtype=np.int64))
+        return conjugate(left, stack, right, p, out)
+
+    def spy_decode(stack, params, length):
+        sizes["_decode"].append(len(stack))
+        decoded.append(decode(stack, params, length))
+        return decoded[-1]
+
+    monkeypatch.setattr(cipher, "_encode", spy_encode)
+    monkeypatch.setattr(cipher, "_conjugate", spy_conjugate)
+    monkeypatch.setattr(cipher, "_decode", spy_decode)
+    message = encrypt_message(key, plaintext)
+    assert decrypt_message(key, message) == plaintext
+    calls = -(-blocks // window)
+    assert len(sizes["_encode"]) == len(sizes["_decode"]) == calls
+    assert len(sizes["_conjugate"]) == 2 * calls
+    for counts in (sizes["_encode"], sizes["_conjugate"][:calls], sizes["_conjugate"][calls:], sizes["_decode"]):
+        assert max(counts) <= window and sum(counts) == blocks
+    assert b"".join(chunks) == plaintext
+    assert np.array_equal(np.concatenate(conjugated[calls:]), message.stack)
+    assert b"".join(decoded) == plaintext
+
+
+@pytest.mark.parametrize("p, d, blocks, index", [
+    pytest.param(251, 8, 5, 2, id="251-8"),
+    pytest.param(7, 3, 5, 2, id="7-3"),
+    pytest.param(251, 8, 40, 2, id="251-8-40"),
+    pytest.param(7, 3, 40, 2, id="7-3-40"),
+    pytest.param(251, 8, 2 * cipher._window(8) + 1, cipher._window(8) + 2, id="251-8-second-window"),
 ])
-def test_range_check_on_a_middle_block(p, d, blocks):
+def test_range_check_on_a_middle_block(p, d, blocks, index):
     params = FieldParams(p=p, d=d)
     key = SessionKey(random_nonsingular(SplitMix64(40), params)[0])
     bpb = bytes_per_block(params)
     plaintext = SplitMix64(41).read(blocks * bpb)
     message = encrypt_message(key, plaintext)
 
-    def with_block_2(value):
+    def with_block(value):
         c = (key.k_inv.a @ oracles.radix_digits(value, p, d) % p) @ key.k.a % p
         stack = message.stack.copy()
-        stack[2] = c
+        stack[index] = c
         return CipherMessage(params, len(plaintext), stack)
 
     def per_block(message):
         k, k_inv = key.k.a, key.k_inv.a
         return oracles.decrypt_message_per_block(k, k_inv, message.stack, p, bpb, len(plaintext))
 
-    corrupt = with_block_2(1 << (8 * bpb))
+    corrupt = with_block(1 << (8 * bpb))
     with pytest.raises(ValueOutOfRangeError):
         decrypt_message(key, corrupt)
     assert per_block(corrupt) is None
-    largest = with_block_2((1 << (8 * bpb)) - 1)
-    expected = plaintext[:2 * bpb] + b"\xff" * bpb + plaintext[3 * bpb:]
+    largest = with_block((1 << (8 * bpb)) - 1)
+    expected = plaintext[:index * bpb] + b"\xff" * bpb + plaintext[(index + 1) * bpb:]
     assert decrypt_message(key, largest) == per_block(largest) == expected
 
 
@@ -378,10 +424,11 @@ def test_bulk_path_exact_at_the_float_bound():
     bpb = bytes_per_block(params)
     top = p ** 63
     value = (1 << 8 * bpb) // top * top - 1
+    left, right = key.k_inv.a.astype(np.float64), key.k.a.astype(np.float64)
     for n in (1, 40):  # one-block messages take the same float64 path as long ones
         stack = np.full((n, 8, 8), p - 1, dtype=np.int64)
         expected = (key.k_inv.a @ stack % p) @ key.k.a % p
-        assert np.array_equal(cipher._conjugate(key.k_inv, stack, key.k), expected)
+        assert np.array_equal(cipher._conjugate(left, stack, right, p), expected)
         plaintext = value.to_bytes(bpb, "big") * n
         digits = cipher._encode(plaintext, params, n)
         assert np.array_equal(digits, np.broadcast_to(oracles.radix_digits(value, p, 8), (n, 8, 8)))
@@ -391,7 +438,7 @@ def test_bulk_path_exact_at_the_float_bound():
     # second product's sums would reach d^2 (p-1)^3 > 2^53 and lose their low bits
     near = field_matrix.uniform_array(SplitMix64(64), p - 100, p - 1, 3 * 64).reshape(3, 8, 8)
     expected = (near[0] @ near[2:] % p) @ near[1] % p
-    conjugated = cipher._conjugate(Matrix(params, near[0]), near[2:], Matrix(params, near[1]))
+    conjugated = cipher._conjugate(near[0].astype(np.float64), near[2:], near[1].astype(np.float64), p)
     assert np.array_equal(conjugated, expected)
 
 
@@ -402,7 +449,8 @@ def test_scalar_blocks_are_fixed_points():
     scalars = np.arange(params.p)[:, None, None] * np.eye(8, dtype=np.int64)
     for m in scalars:
         assert encrypt_block(key, PlainBlock(Matrix(params, m))).c.a.tolist() == m.tolist()
-    assert np.array_equal(cipher._conjugate(key.k_inv, scalars, key.k), scalars)
+    left, right = key.k_inv.a.astype(np.float64), key.k.a.astype(np.float64)
+    assert np.array_equal(cipher._conjugate(left, scalars, right, params.p), scalars)
 
 
 def test_params_mismatch_refused():

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from tdpkex import (
     random_nonsingular,
     run_session,
 )
+import tdpkex
 from tdpkex import cli
 from tdpkex.cli import (
     REC_CIPHERTEXT,
@@ -678,11 +681,14 @@ def test_irreducible_degree_one(capsys):
 
 
 def test_console_entry_point():
+    # the child imports the same package as the tests, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(tdpkex.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "tdpkex", "params", "--prime", "5", "--dim", "2",
          "--format", "kv"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "gl_order=480" in proc.stdout

@@ -45,6 +45,7 @@ from .field_matrix import (
 from .poly_tools import (
     MonicPoly,
     char_poly,
+    char_poly_many,
     companion_matrix,
     count_irreducible,
     element_order,

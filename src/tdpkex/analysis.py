@@ -39,7 +39,7 @@ from .field_matrix import (
     mat_mul,
     mat_trace,
 )
-from .poly_tools import char_poly
+from .poly_tools import char_poly_many
 from .protocol import PublicSetup, PublicToken, Role, SessionKey, run_session
 
 
@@ -280,16 +280,17 @@ def similarity_leak_check(plain: PlainBlock, cipher: CipherBlock) -> SimilarityR
 
     For any genuine (plaintext, ciphertext) pair all three are equal: that is
     a theorem about conjugation, not a bug, and it is exactly the information
-    the cipher leaks about its plaintext.
+    the cipher leaks about its plaintext.  Both polynomials come from one
+    stacked Berkowitz pass.
     """
     m, c = plain.m, cipher.c
     if m.params != c.params:
         raise ValueError("blocks have mixed parameters")
-    cp_m, cp_c = char_poly(m), char_poly(c)
+    cp_m, cp_c = char_poly_many(np.stack([m.a, c.a]), m.params.p).tolist()
     return SimilarityReport(
         trace_equal=mat_trace(m) == mat_trace(c),
         # det(m) = (-1)^d cp_m(0), and both blocks share d
-        det_equal=cp_m.coeffs[0] == cp_c.coeffs[0],
+        det_equal=cp_m[0] == cp_c[0],
         charpoly_equal=cp_m == cp_c,
     )
 

@@ -7,9 +7,12 @@ deterministic byte-stream RNG, and one Gauss-Jordan row reduction
 on an (n, d, k) stack, so n matrices cost one pass of numpy calls over the d
 columns: at d = 8 the cost is call overhead, not arithmetic.  ``mat_det`` and
 ``mat_inverse`` are its n = 1 case; ``mat_det_many``, ``mat_inverse_many``
-and ``random_nonsingular_many`` hand it several matrices at once.  All
-arithmetic is integer-exact; there is no floating point anywhere in this
-module.  Field elements are plain Python ints in [0, p-1].
+and ``random_nonsingular_many`` hand it several matrices at once.  A
+nonsingular draw reduces [a | I], so the one elimination that accepts a draw
+also yields its inverse, which the protocol layer passes on instead of
+inverting the draw again.  All arithmetic is integer-exact; there is no
+floating point anywhere in this module.  Field elements are plain Python
+ints in [0, p-1].
 
 Matrices, params and specs are immutable values, safe to share across
 threads; the operations are pure.  A random source instance is stateful and
@@ -64,23 +67,31 @@ class SplitMix64(_BufferedSource):
     the standard xor-shift/multiply output mix; every output word is emitted
     as 8 little-endian bytes.  The same seed therefore produces the identical
     byte stream on every platform, which is what makes seeded protocol runs
-    bit-reproducible.
+    bit-reproducible.  The generator is counter-based (word i is the mix of
+    seed + i * gamma), so a refill mixes a block of words in one numpy pass;
+    the state stays a Python int and only uint64 arrays wrap, so no numpy
+    scalar overflows.
     """
+
+    _BLOCK = np.arange(1, 65, dtype=np.uint64) * np.uint64(_GAMMA)
 
     def __init__(self, seed: int):
         super().__init__()
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        """Advance the state and return the next 64-bit output word."""
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        """The next 64-bit output word: the next 8 bytes of the stream, little-endian."""
+        return int.from_bytes(self.read(8), "little")
 
     def _refill(self) -> None:
-        self._buf += self.next_u64().to_bytes(8, "little")
+        z = self._BLOCK + np.uint64(self._state)
+        self._state = (self._state + len(self._BLOCK) * _GAMMA) & _MASK64
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._buf += z.astype("<u8").tobytes()
 
 
 class StubSource(_BufferedSource):
@@ -425,25 +436,41 @@ def random_matrix(rs, params: FieldParams) -> Matrix:
     return Matrix(params, entries.reshape(params.d, params.d))
 
 
-def random_nonsingular_many(rs, params: FieldParams, n: int) -> tuple[list[Matrix], int]:
-    """n uniform draws from GL(d, F_p) by whole-matrix rejection, in stacked rounds.
+def _random_nonsingular_with_inverses(
+    rs, params: FieldParams, n: int
+) -> tuple[list[Matrix], list[Matrix], int]:
+    """``random_nonsingular_many`` that also returns the accepted draws' inverses.
 
-    Each round draws every still-missing matrix with one ``uniform_array``
-    call and tests them with one stacked determinant; singular draws are
-    discarded entirely, never patched.  The accepted matrices, the total
-    rejection count and the stream position equal those of n successive
-    ``random_nonsingular`` calls, since each matrix is d*d consecutive
-    uniform values and a rejected one is simply skipped.
+    Each round reduces [a | I] for every draw of the round, so the elimination
+    that rejects a singular draw leaves an accepted one's inverse beside it.
     """
     d, p = params.d, params.p
     out: list[Matrix] = []
+    inverses: list[Matrix] = []
     rejections = 0
     while len(out) < n:
         want = n - len(out)
         stack = uniform_array(rs, 0, p - 1, want * d * d).reshape(want, d, d)
-        dets = _row_reduce(stack.copy(), p)
-        out.extend(Matrix(params, m) for m, det in zip(stack, dets) if det)
+        inv, dets = _invert(stack, p)
+        for m, m_inv, det in zip(stack, inv, dets):
+            if det:
+                out.append(Matrix(params, m))
+                inverses.append(Matrix(params, m_inv))
         rejections += dets.count(0)
+    return out, inverses, rejections
+
+
+def random_nonsingular_many(rs, params: FieldParams, n: int) -> tuple[list[Matrix], int]:
+    """n uniform draws from GL(d, F_p) by whole-matrix rejection, in stacked rounds.
+
+    Each round draws every still-missing matrix with one ``uniform_array``
+    call and row-reduces them all, with their inverses, in one kernel call;
+    singular draws are discarded entirely, never patched.  The accepted
+    matrices, the total rejection count and the stream position equal those
+    of n successive ``random_nonsingular`` calls, since each matrix is d*d
+    consecutive uniform values and a rejected one is simply skipped.
+    """
+    out, _, rejections = _random_nonsingular_with_inverses(rs, params, n)
     return out, rejections
 
 

@@ -10,6 +10,7 @@ counts are arbitrary-precision integers, never floats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,33 +178,59 @@ def companion_matrix(f: MonicPoly) -> Matrix:
     return Matrix(params, m)
 
 
-def char_poly(m: Matrix) -> MonicPoly:
-    """Characteristic polynomial det(xI - m) by the division-free Berkowitz scheme.
+def char_poly_many(stack: np.ndarray, p: int) -> np.ndarray:
+    """Characteristic polynomials det(xI - a) of an (n, d, d) stack, by division-free Berkowitz.
 
-    Works over F_p for every p (no divisions), O(d^4) arithmetic.
+    Returns an (n, d) array whose row i holds c_0 .. c_{d-1} of stack[i]'s
+    polynomial.  Works over F_p for every p (no divisions).  Berkowitz
+    extends the polynomial of the leading i x i submatrix A_i to that of
+    A_{i+1} through the Toeplitz vector t_i = (1, -a_ii, -r A_i^k c for
+    k < i), with r and c the new row and column.  All of these come from
+    d - 1 stacked products: column i of W holds A_i^k c (zero from row i
+    down), so W <- (A W) masked to the strict upper triangle advances every
+    i at once, and diag(A W) is r A_i^k c.  Then d - 1 stacked Toeplitz
+    products fold the t_i into the coefficients.
     """
-    p = m.params.p
-    n = m.params.d
-    a = m.a
-    # v holds charpoly coefficients of the leading principal submatrix,
-    # highest degree first; each step multiplies by a lower-triangular
-    # Toeplitz matrix, i.e. convolves and truncates to the new length
-    v = np.array([1, (-int(a[0, 0])) % p], dtype=np.int64)
-    for i in range(1, n):
-        sub = a[:i, :i]
-        row = a[i, :i]
-        col = a[:i, i]
-        t = np.empty(i + 2, dtype=np.int64)
-        t[0] = 1
-        t[1] = (-int(a[i, i])) % p
-        w = col.copy()
-        for k in range(i):
-            t[k + 2] = (-int(row @ w)) % p
-            if k < i - 1:
-                w = (sub @ w) % p
-        v = np.convolve(v, t)[:i + 2] % p
-    coeffs = tuple(int(c) for c in v[1:][::-1])
-    return MonicPoly(p, coeffs)
+    stack = np.asarray(stack, dtype=np.int64) % p
+    n, d, _ = stack.shape
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    # t[:, i] is t_i, padded with zeros to length d + 2; the last entry stays 0
+    t = np.zeros((n, d, d + 2), dtype=np.int64)
+    t[:, :, 0] = 1
+    t[:, :, 1] = -np.diagonal(stack, axis1=1, axis2=2)
+    w = stack * upper
+    for k in range(d - 1):
+        aw = stack @ w % p
+        t[:, k + 1:, k + 2] = -np.diagonal(aw, axis1=1, axis2=2)[:, k + 1:]
+        w = aw * upper
+    t %= p
+    # v holds the leading submatrix's coefficients, highest degree first; each
+    # step multiplies it by the lower-triangular Toeplitz matrix of t_i
+    v = t[:, 0, :2, None]
+    for i, shift in enumerate(_toeplitz_indices(d), 1):
+        v = t[:, i, shift] @ v % p
+    return v[:, :0:-1, 0]
+
+
+@functools.cache
+def _toeplitz_indices(d: int) -> list[np.ndarray]:
+    """For i in 1 .. d-1, the (i+2, i+1) indices into t_i of its lower-triangular Toeplitz matrix.
+
+    Entry (m, j) is m - j on and below the diagonal and -1 above it, which
+    picks t_i's always-zero last pad entry.
+    """
+    out = []
+    for i in range(1, d):
+        shift = np.arange(i + 2)[:, None] - np.arange(i + 1)
+        idx = np.where(shift >= 0, shift, -1)
+        idx.flags.writeable = False
+        out.append(idx)
+    return out
+
+
+def char_poly(m: Matrix) -> MonicPoly:
+    """Characteristic polynomial det(xI - m): the one-matrix case of ``char_poly_many``."""
+    return MonicPoly(m.params.p, tuple(char_poly_many(m.a[None], m.params.p)[0].tolist()))
 
 
 def element_order(m: Matrix, factorization: list[tuple[int, int]] | None = None) -> int:

@@ -36,13 +36,11 @@ from .field_matrix import (
     DiagonalSpec,
     FieldParams,
     Matrix,
-    mat_det,
+    _random_nonsingular_with_inverses,
     mat_inverse,
     mat_inverse_many,
     mat_mul,
-    random_diagonal,
-    random_nonsingular,
-    random_nonsingular_many,
+    uniform_array,
 )
 
 
@@ -63,13 +61,39 @@ def _product(*ms: Matrix) -> Matrix:
     return out
 
 
+def _inverse_or_none(m: Matrix) -> Matrix | None:
+    try:
+        return mat_inverse(m)
+    except SingularMatrixError:
+        return None
+
+
+def _checked_inverses(ms: Sequence[Matrix], invs: Sequence[Matrix]) -> list[Matrix | None]:
+    """Each supplied inverse x where m x == I mod p, else None, from one stacked matmul.
+
+    m x == I proves m invertible with inverse x, so a supplied inverse is a
+    certificate, not something taken on trust.
+    """
+    params = ms[0].params
+    if any(x.params != params for x in invs):
+        raise ParamsMismatchError("supplied inverse has foreign parameters")
+    prod = np.stack([m.a for m in ms]) @ np.stack([x.a for x in invs]) % params.p
+    ok = (prod == np.eye(params.d, dtype=np.int64)).all(axis=(1, 2))
+    return [x if good else None for x, good in zip(invs, ok.tolist())]
+
+
+_BASES = ("P", "Q", "R", "S")
+
+
 @dataclass(frozen=True)
 class PublicSetup:
     """The four public eigenvector bases; all invertible, all same params.
 
-    basis_inv maps each basis name to its inverse, computed here with one
-    stacked reduction, so every family member and member inverse is one
-    matmul (see ``member``).
+    basis_inv maps each basis name to its inverse, so every family member and
+    member inverse is one matmul (see ``member``).  A caller that already
+    holds the inverses, as the setup draw does, passes them in and the
+    constructor checks all four with one stacked matmul; otherwise it
+    inverts the four bases with one stacked reduction.
     """
 
     params: FieldParams
@@ -77,20 +101,22 @@ class PublicSetup:
     Q: Matrix
     R: Matrix
     S: Matrix
-    basis_inv: dict[str, Matrix] = field(init=False, compare=False, repr=False)
+    basis_inv: dict[str, Matrix] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _require_protocol_params(self.params)
-        names = ("P", "Q", "R", "S")
-        bases = [getattr(self, name) for name in names]
-        for name, m in zip(names, bases):
+        bases = [getattr(self, name) for name in _BASES]
+        for name, m in zip(_BASES, bases):
             if m.params != self.params:
                 raise ParamsMismatchError(f"basis {name} has foreign parameters")
-        inverses = dict(zip(names, mat_inverse_many(bases)))
-        for name, inv in inverses.items():
+        if self.basis_inv is None:
+            inverses = mat_inverse_many(bases)
+        else:
+            inverses = _checked_inverses(bases, [self.basis_inv[name] for name in _BASES])
+        for name, inv in zip(_BASES, inverses):
             if inv is None:
                 raise SingularMatrixError(f"basis {name} is singular")
-        object.__setattr__(self, "basis_inv", inverses)
+        object.__setattr__(self, "basis_inv", dict(zip(_BASES, inverses)))
 
     def member(self, basis_name: str, eigenvalues: Sequence[int]) -> Matrix:
         """basis^-1 diag(eigenvalues) basis for the named basis, with no elimination."""
@@ -99,10 +125,15 @@ class PublicSetup:
 
 @dataclass(frozen=True)
 class _Private:
-    """Shared checks of a party's secret material; the layout comes from ROLE_LAYOUT."""
+    """Shared checks of a party's secret material; the layout comes from ROLE_LAYOUT.
+
+    free_inv is the free factor's inverse: checked with one matmul when the
+    caller supplies it (keygen's draw computed it), else computed here.
+    """
 
     role: ClassVar[Role]
     setup: PublicSetup
+    free_inv: Matrix | None = field(default=None, kw_only=True, compare=False, repr=False)
 
     def __post_init__(self):
         layout = ROLE_LAYOUT[self.role]
@@ -120,8 +151,14 @@ class _Private:
         # tested inversion-free
         if not np.array_equal(b @ f % params.p, eigenvalues[:, :, None] * b % params.p):
             raise ValueError("derived matrix does not match its basis and eigenvalues")
-        if mat_det(getattr(self, layout.free)) == 0:
+        free = getattr(self, layout.free)
+        if self.free_inv is None:
+            free_inv = _inverse_or_none(free)
+        else:
+            (free_inv,) = _checked_inverses([free], [self.free_inv])
+        if free_inv is None:
             raise SingularMatrixError(f"{layout.free} is singular")
+        object.__setattr__(self, "free_inv", free_inv)
 
 
 @dataclass(frozen=True)
@@ -230,18 +267,22 @@ class PublicToken:
 class SessionKey:
     """The agreed key matrix; invertible because all six factors are.
 
-    k_inv is computed once here, so the cipher conjugates every block with no
-    further elimination.
+    k_inv is held here, so the cipher conjugates every block with no further
+    elimination.  A supplied k_inv is checked with one matmul (``run_session``
+    inverts both parties' keys in one stacked call); without one it is
+    computed here.
     """
 
     k: Matrix
-    k_inv: Matrix = field(init=False, compare=False, repr=False)
+    k_inv: Matrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        try:
-            k_inv = mat_inverse(self.k)
-        except SingularMatrixError:
-            raise SingularMatrixError("session key is singular") from None
+        if self.k_inv is None:
+            k_inv = _inverse_or_none(self.k)
+        else:
+            (k_inv,) = _checked_inverses([self.k], [self.k_inv])
+        if k_inv is None:
+            raise SingularMatrixError("session key is singular")
         object.__setattr__(self, "k_inv", k_inv)
 
 
@@ -252,20 +293,29 @@ def gen_setup(rs, params: FieldParams) -> PublicSetup:
 
 
 def _gen_setup_counted(rs, params: FieldParams) -> tuple[PublicSetup, int]:
-    bases, redraws = random_nonsingular_many(rs, params, 4)
-    return PublicSetup(params, *bases), redraws
+    bases, inverses, redraws = _random_nonsingular_with_inverses(rs, params, 4)
+    return PublicSetup(params, *bases, basis_inv=dict(zip(_BASES, inverses))), redraws
 
 
 def _keygen(rs, setup: PublicSetup, role: Role) -> tuple[_Private, int]:
-    """Draw the four eigenvalue lists in record order, then the free factor."""
+    """Draw the four eigenvalue lists in record order, then the free factor.
+
+    The lists are one ``uniform_array`` call, the same bytes as one
+    ``random_diagonal`` per list, and the four family members are one
+    broadcast product basis^-1 diag basis.
+    """
     layout = ROLE_LAYOUT[role]
     params = setup.params
-    specs = [random_diagonal(rs, params) for _ in layout.families]
-    free, redraws = random_nonsingular(rs, params)
-    factors = {layout.free: free}
-    for (name, basis_name), spec in zip(layout.families, specs):
-        factors[name] = setup.member(basis_name, spec.eigenvalues)
-    return layout.private(setup, *specs, **factors), redraws
+    p, d = params.p, params.d
+    eigenvalues = uniform_array(rs, 1, p - 1, len(layout.families) * d).reshape(-1, d)
+    specs = [DiagonalSpec(params, row) for row in eigenvalues.tolist()]
+    (free,), (free_inv,), redraws = _random_nonsingular_with_inverses(rs, params, 1)
+    b = np.stack([getattr(setup, basis_name).a for _, basis_name in layout.families])
+    b_inv = np.stack([setup.basis_inv[basis_name].a for _, basis_name in layout.families])
+    members = (b_inv * eigenvalues[:, None, :] % p) @ b
+    factors = {name: Matrix(params, m) for (name, _), m in zip(layout.families, members)}
+    factors[layout.free] = free
+    return layout.private(setup, *specs, **factors, free_inv=free_inv), redraws
 
 
 def _token(priv: _Private) -> PublicToken:
@@ -278,7 +328,7 @@ def _token(priv: _Private) -> PublicToken:
     return PublicToken(priv.role, t1, t2, t3)
 
 
-def _shared(priv: _Private, token: PublicToken) -> SessionKey:
+def _key_product(priv: _Private, token: PublicToken) -> Matrix:
     if token.role is priv.role:
         raise ValueError(f"{priv.role.value} needs the peer's token, not a {token.role.value} token")
     if token.params != priv.setup.params:
@@ -287,7 +337,11 @@ def _shared(priv: _Private, token: PublicToken) -> SessionKey:
     peer = [token.t1, token.t2, token.t3]
     # K = a1 b1 a2 b2 a3 b3: Alice's factors always sit on the left of Bob's
     left, right = (own, peer) if priv.role is Role.ALICE else (peer, own)
-    return SessionKey(_product(*(m for pair in zip(left, right) for m in pair)))
+    return _product(*(m for pair in zip(left, right) for m in pair))
+
+
+def _shared(priv: _Private, token: PublicToken) -> SessionKey:
+    return SessionKey(_key_product(priv, token))
 
 
 def alice_keygen(rs, setup: PublicSetup) -> AlicePrivate:
@@ -402,14 +456,19 @@ class SessionResult:
 
 
 def run_session(rs, params: FieldParams) -> SessionResult:
-    """Run setup, both keygens, token exchange and both key derivations."""
+    """Run setup, both keygens, token exchange and both key derivations.
+
+    Every draw hands on the inverses its elimination computed, and the two
+    session keys are inverted in one stacked call, so a session makes four
+    elimination kernel calls plus one per redraw round.
+    """
     setup, redraws = _gen_setup_counted(rs, params)
     alice, r_a = _keygen(rs, setup, Role.ALICE)
     bob, r_b = _keygen(rs, setup, Role.BOB)
     tok_a = alice_token(alice)
     tok_b = bob_token(bob)
-    k_a = alice_shared(alice, tok_b)
-    k_b = bob_shared(bob, tok_a)
+    keys = [_key_product(alice, tok_b), _key_product(bob, tok_a)]
+    k_a, k_b = (SessionKey(k, k_inv) for k, k_inv in zip(keys, mat_inverse_many(keys)))
     return SessionResult(
         setup=setup,
         alice=alice,

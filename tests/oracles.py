@@ -184,3 +184,38 @@ def decrypt_message_per_block(k, k_inv, blocks, p, bpb, length):
         out += value.to_bytes(bpb, "big")[bpb - take:]
         remaining -= take
     return out
+
+
+def splitmix64_stream(seed, nbytes):
+    """The first nbytes of SplitMix64(seed), one 64-bit word at a time with Python ints."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    out = b""
+    while len(out) < nbytes:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out += (z ^ (z >> 31)).to_bytes(8, "little")
+    return out[:nbytes]
+
+
+def charpoly_berkowitz(arr, p):
+    """Coefficients c_0..c_{d-1} of det(xI - A) by Berkowitz, one matrix and one matvec at a time.
+
+    Division-free, so it holds at every p, p <= d included.
+    """
+    a = np.asarray(arr, dtype=np.int64) % p
+    n = a.shape[0]
+    v = np.array([1, (-int(a[0, 0])) % p], dtype=np.int64)
+    for i in range(1, n):
+        sub, row, col = a[:i, :i], a[i, :i], a[:i, i]
+        t = np.empty(i + 2, dtype=np.int64)
+        t[0] = 1
+        t[1] = (-int(a[i, i])) % p
+        w = col.copy()
+        for k in range(i):
+            t[k + 2] = (-int(row @ w)) % p
+            w = (sub @ w) % p
+        v = np.convolve(v, t)[:i + 2] % p
+    return [int(c) for c in v[1:][::-1]]

@@ -256,11 +256,12 @@ def test_criterion_9_cli_pipeline_bit_exact(tmp_path):
 
 
 def test_criterion_9_cli_pipeline_kernel_calls(tmp_path, row_reductions):
-    # 50 matrices (draws, basis inverses, key, token and file checks) in 22
-    # stacked kernel calls: every read of a setup inverts its four bases at once
+    # 44 matrices (draws, key, token and file checks) in 19 stacked kernel
+    # calls: every read of a setup inverts its four bases at once, while the
+    # setup and keygen draws hand on the inverses their own reduction computed
     _cli_pipeline(tmp_path / "run", SplitMix64(12345).read(777))
-    assert sum(row_reductions) == 50
-    assert len(row_reductions) == 22
+    assert sum(row_reductions) == 44
+    assert len(row_reductions) == 19
 
 
 def test_criterion_9_cli_pipeline_matches_recorded_digests(tmp_path):

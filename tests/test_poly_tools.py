@@ -9,6 +9,7 @@ from tdpkex import (
     NotUnitOrderError,
     SplitMix64,
     char_poly,
+    char_poly_many,
     companion_matrix,
     count_irreducible,
     element_order,
@@ -25,6 +26,7 @@ from tdpkex import (
 )
 
 from oracles import (
+    charpoly_berkowitz,
     charpoly_by_interpolation,
     count_irreducible_brute,
     gl_order_brute,
@@ -176,6 +178,51 @@ def test_char_poly_matches_interpolation_oracle(p, d, n):
     for _ in range(n):
         m = random_matrix(rs, params)
         assert list(char_poly(m).coeffs) == charpoly_by_interpolation(m.a, p)
+
+
+def _mixed_stack(rs, p, d):
+    """Random, nilpotent, scalar, zero and repeated matrices in one stack."""
+    params = FieldParams(p=p, d=d)
+    randoms = [random_matrix(rs, params).a for _ in range(6)]
+    nilpotent = np.triu(random_matrix(rs, params).a, 1)
+    scalar = (p - 1) * np.eye(d, dtype=np.int64)
+    zero = np.zeros((d, d), dtype=np.int64)
+    return np.stack(randoms + [nilpotent, scalar, zero, randoms[0], nilpotent])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_char_poly_many_matches_berkowitz_oracle_at_small_p(p, d):
+    # p <= d: too few distinct points to interpolate, Berkowitz needs no division
+    stack = _mixed_stack(SplitMix64(p * 10 + d), p, d)
+    got = char_poly_many(stack, p)
+    assert got.shape == (len(stack), d)
+    assert got.tolist() == [charpoly_berkowitz(m, p) for m in stack]
+
+
+@pytest.mark.parametrize("p,d", [(7, 2), (11, 5), (251, 8), (65521, 3)])
+def test_char_poly_many_matches_interpolation_oracle(p, d):
+    stack = _mixed_stack(SplitMix64(p + d), p, d)
+    assert char_poly_many(stack, p).tolist() == [charpoly_by_interpolation(m, p) for m in stack]
+
+
+def test_char_poly_many_of_nilpotent_and_scalar():
+    p, d = 13, 4
+    nilpotent = np.triu(np.arange(1, d * d + 1).reshape(d, d), 1)
+    scalar = 3 * np.eye(d, dtype=np.int64)
+    # x^4 and (x - 3)^4 = x^4 - 12 x^3 + 54 x^2 - 108 x + 81
+    assert char_poly_many(np.stack([nilpotent, scalar]), p).tolist() == [
+        [0, 0, 0, 0],
+        [81 % p, -108 % p, 54 % p, -12 % p],
+    ]
+
+
+def test_char_poly_is_the_one_matrix_case():
+    rs = SplitMix64(6)
+    params = FieldParams(p=251, d=8)
+    for _ in range(10):
+        m = random_matrix(rs, params)
+        assert list(char_poly(m).coeffs) == char_poly_many(m.a[None], 251)[0].tolist()
 
 
 def test_char_poly_of_diagonal_has_eigenvalue_roots():

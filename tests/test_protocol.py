@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from tdpkex import (
     ParamsMismatchError,
     PublicSetup,
     Role,
+    SessionKey,
     SingularMatrixError,
     SplitMix64,
     alice_keygen,
@@ -87,6 +90,27 @@ def test_setup_rejects_singular_basis():
         PublicSetup(P5, ident, ident, Matrix.identity(FieldParams(p=7, d=2)), singular)
 
 
+def test_setup_checks_supplied_inverses():
+    setup = gen_setup(SplitMix64(15), P5)
+    bases = [setup.P, setup.Q, setup.R, setup.S]
+    supplied = PublicSetup(P5, *bases, basis_inv=setup.basis_inv)
+    assert supplied == setup == PublicSetup(P5, *bases)
+    assert supplied.basis_inv == setup.basis_inv == PublicSetup(P5, *bases).basis_inv
+    # a wrong inverse for an invertible basis is refused like a singular basis
+    with pytest.raises(SingularMatrixError, match="basis P is singular"):
+        PublicSetup(P5, *bases, basis_inv={**setup.basis_inv, "P": setup.P})
+    with pytest.raises(SingularMatrixError, match="basis S is singular"):
+        PublicSetup(P5, *bases, basis_inv={**setup.basis_inv, "S": Matrix.identity(P5)})
+    # no inverse can certify a singular basis
+    singular = Matrix.from_rows(P5, [[1, 1], [1, 1]])
+    with pytest.raises(SingularMatrixError, match="basis Q is singular"):
+        PublicSetup(P5, setup.P, singular, setup.R, setup.S,
+                    basis_inv={**setup.basis_inv, "Q": Matrix.identity(P5)})
+    foreign = Matrix.identity(FieldParams(7, 2))
+    with pytest.raises(ParamsMismatchError):
+        PublicSetup(P5, *bases, basis_inv={**setup.basis_inv, "R": foreign})
+
+
 # ---------------------------------------------------------------------------
 # keygen
 # ---------------------------------------------------------------------------
@@ -142,6 +166,25 @@ def test_private_constructor_rejects_inconsistent_material():
         AlicePrivate(setup, *fields[:3], DiagonalSpec(foreign, [1] * 8), *fields[4:])
     with pytest.raises(SingularMatrixError, match="a1 is singular"):
         AlicePrivate(setup, *fields[:4], Matrix.zero(P251), *fields[5:])
+
+
+@pytest.mark.parametrize("keygen, free", [(alice_keygen, "a1"), (bob_keygen, "b3")])
+def test_private_checks_supplied_free_inverse(keygen, free):
+    rs = SplitMix64(16)
+    setup = gen_setup(rs, P251)
+    priv = keygen(rs, setup)
+    build = type(priv)
+    material = {f.name: getattr(priv, f.name) for f in dataclasses.fields(priv)}
+    del material["free_inv"]
+    plain = build(**material)
+    supplied = build(**material, free_inv=priv.free_inv)
+    assert plain == supplied == priv
+    assert plain.free_inv == supplied.free_inv == mat_inverse(getattr(priv, free))
+    for wrong in (getattr(priv, free), Matrix.identity(P251)):
+        with pytest.raises(SingularMatrixError, match=f"{free} is singular"):
+            build(**material, free_inv=wrong)
+    with pytest.raises(SingularMatrixError, match=f"{free} is singular"):
+        build(**{**material, free: Matrix.zero(P251)}, free_inv=priv.free_inv)
 
 
 def test_cross_family_commutation_by_construction():
@@ -336,6 +379,20 @@ def test_validation_rejects_foreign_setup():
         validate_session(r2.setup, r1.alice, r1.bob)
 
 
+def test_session_key_checks_supplied_inverse():
+    result = run_session(SplitMix64(29), P251)
+    k, k_inv = result.alice_key.k, result.alice_key.k_inv
+    assert SessionKey(k, k_inv) == SessionKey(k) == result.alice_key
+    assert SessionKey(k, k_inv).k_inv == SessionKey(k).k_inv == mat_inverse(k)
+    for wrong in (k, Matrix.identity(P251)):
+        with pytest.raises(SingularMatrixError, match="session key is singular"):
+            SessionKey(k, wrong)
+    with pytest.raises(SingularMatrixError, match="session key is singular"):
+        SessionKey(Matrix.zero(P251), k_inv)
+    with pytest.raises(SingularMatrixError, match="session key is singular"):
+        SessionKey(Matrix.zero(P251))
+
+
 def test_session_counters():
     result = run_session(SplitMix64(28), P251)
     assert result.singular_redraws >= 0
@@ -354,6 +411,9 @@ def test_cached_inverses_match_mat_inverse(params):
     for priv in (result.alice, result.bob):
         layout = ROLE_LAYOUT[priv.role]
         assert layout.hide_inverses(priv) == [mat_inverse(getattr(priv, h)) for h in layout.hide]
+        assert priv.free_inv == mat_inverse(getattr(priv, layout.free))
+    for key in (result.alice_key, result.bob_key):
+        assert key.k_inv == mat_inverse(key.k)
 
 
 # redraw rounds: at p=5 seed 24 the setup batch needs three more rounds for
@@ -363,13 +423,14 @@ def test_cached_inverses_match_mat_inverse(params):
     "params, seed, redraw_rounds", [(P5, 24, 4), (P251, 33, 1)], ids=["p5d2", "p251d8"]
 )
 def test_session_eliminations(params, seed, redraw_rounds, row_reductions):
-    # matrices: 4 setup draws + 4 basis inverses + 2 free draws + 2 free-factor
-    # checks + 2 session keys; kernel calls: 1 setup draw + 1 basis inversion
-    # + 2 free draws + 2 free-factor checks + 2 session keys
+    # every draw's elimination also yields its inverse, which the setup and the
+    # private keys check with a matmul instead of eliminating again.  matrices:
+    # 4 setup draws + 2 free draws + 2 session keys; kernel calls: 1 setup draw
+    # + 2 free draws + 1 for both session keys
     result = run_session(SplitMix64(seed), params)
     assert result.singular_redraws > 0
-    assert sum(row_reductions) == 14 + result.singular_redraws
-    assert len(row_reductions) == 8 + redraw_rounds
+    assert sum(row_reductions) == 8 + result.singular_redraws
+    assert len(row_reductions) == 4 + redraw_rounds
 
 
 def test_tokens_do_no_elimination(row_reductions):

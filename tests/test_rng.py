@@ -3,6 +3,7 @@ import pytest
 
 from tdpkex import SplitMix64, StubSource, field_uniform, uniform_array
 
+from oracles import splitmix64_stream
 from vectors import SPLITMIX64_SEED0
 
 
@@ -40,6 +41,42 @@ def test_unread_rewinds():
     first = rs.read(10)
     rs.unread(first)
     assert rs.read(10) == first
+
+
+# a refill mixes 64 words (512 bytes) at once; these sizes sit on and around its edges
+@pytest.mark.parametrize("n", [1, 7, 511, 512, 513, 1025])
+@pytest.mark.parametrize(
+    "seed", [0, 987654321, 1 << 63, (1 << 64) - 1], ids=["0", "mid", "2^63", "max"]
+)
+def test_stream_matches_per_word_oracle(seed, n):
+    assert SplitMix64(seed).read(n) == splitmix64_stream(seed, n)
+
+
+def test_seed0_words_from_fresh_source():
+    stream = SplitMix64(0).read(24)
+    assert [int.from_bytes(stream[i:i + 8], "little") for i in (0, 8, 16)] == SPLITMIX64_SEED0
+
+
+def test_read_and_unread_across_block_edge():
+    expected = splitmix64_stream(77, 1200)
+    rs = SplitMix64(77)
+    head = rs.read(500)
+    tail = rs.read(30)  # crosses the first 512-byte block edge
+    rs.unread(tail)
+    rs.unread(head[-3:])
+    assert head == expected[:500]
+    assert rs.read(33) == expected[497:530]
+    assert rs.read(670) == expected[530:]
+
+
+def test_stream_offset_after_a_session_is_pinned():
+    # the 8 bytes after one default session at seed 9: any change in how many
+    # bytes a session consumes moves them
+    from tdpkex import FieldParams, run_session
+
+    rs = SplitMix64(9)
+    run_session(rs, FieldParams())
+    assert rs.read(8) == bytes.fromhex("13046d6419b44705")
 
 
 def test_field_uniform_minimum_byte():

@@ -10,6 +10,7 @@ degrees of freedom, which is 1 or even, and both cases have closed forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -26,6 +27,7 @@ from .cipher import (
     encode_block,
     encrypt_message,
 )
+from .commuting import family_member
 from .errors import (
     PseudoKeyNotFoundError,
     SearchSpaceTooLargeError,
@@ -35,6 +37,7 @@ from .field_matrix import (
     FieldParams,
     Matrix,
     _check_same_params,
+    _inverse_table,
     mat_inverse,
     mat_mul,
     mat_trace,
@@ -102,14 +105,13 @@ class PseudoKey:
     candidates_tested: int
 
 
-def _family_tables(setup: PublicSetup, basis_name: str):
-    """All (member, member^-1) pairs of the family on one setup basis, as raw arrays."""
+def _family_tables(setup: PublicSetup, basis_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Every member of the family on one setup basis, and their inverses, as two stacks."""
     p = setup.params.p
-    inv_table = [0] + [pow(v, -1, p) for v in range(1, p)]
-    return [
-        (setup.member(basis_name, diag).a, setup.member(basis_name, [inv_table[v] for v in diag]).a)
-        for diag in itertools.product(range(1, p), repeat=setup.params.d)
-    ]
+    diags = np.array(list(itertools.product(range(1, p), repeat=setup.params.d)))
+    basis, basis_inv = getattr(setup, basis_name).a, setup.basis_inv[basis_name].a
+    inverted = _inverse_table(p)[diags]
+    return family_member(basis, basis_inv, diags, p), family_member(basis, basis_inv, inverted, p)
 
 
 def brute_force_pseudo_key(
@@ -150,10 +152,10 @@ def brute_force_pseudo_key(
     off_diag = ~np.eye(d, dtype=bool)
 
     tested = 0
-    for x1, x1_inv in r_family:
+    for x1, x1_inv in zip(*r_family):
         a1c = u @ x1_inv % p
         left = x1 @ v % p
-        for x2, x2_inv in s_family:
+        for x2, x2_inv in zip(*s_family):
             tested += 1
             a2c = left @ x2_inv % p
             if ((p_mat @ a2c % p) @ p_inv % p)[off_diag].any():
@@ -182,15 +184,13 @@ def pseudo_key_reproduces(
     true_key: SessionKey,
 ) -> bool:
     """Re-substitution check: token equations hold and the derived key matches."""
-    params = candidate.a1.params
     x1i = mat_inverse(candidate.x1)
     x2i = mat_inverse(candidate.x2)
     eq_u = mat_mul(candidate.a1, candidate.x1) == alice_token.t1
     eq_v = mat_mul(mat_mul(x1i, candidate.a2), candidate.x2) == alice_token.t2
     eq_w = mat_mul(x2i, candidate.a3) == alice_token.t3
-    k = candidate.a1
-    for f in (bob_token.t1, candidate.a2, bob_token.t2, candidate.a3, bob_token.t3):
-        k = mat_mul(k, f)
+    factors = (candidate.a1, bob_token.t1, candidate.a2, bob_token.t2, candidate.a3, bob_token.t3)
+    k = functools.reduce(mat_mul, factors)
     return eq_u and eq_v and eq_w and k == true_key.k
 
 

@@ -8,26 +8,26 @@ key-agreement layer uses for its commutative subgroups.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .field_matrix import DiagonalSpec, Matrix, mat_inverse
 
 
-def family_member(basis: Matrix, basis_inv: Matrix, eigenvalues: Sequence[int]) -> Matrix:
-    """basis^-1 diag(eigenvalues) basis from a known basis^-1: one matmul, no elimination.
+def family_member(basis: np.ndarray, basis_inv: np.ndarray, eigenvalues, p: int) -> np.ndarray:
+    """basis^-1 diag(eigenvalues) basis mod p from a known basis^-1: no elimination.
 
-    Scaling the columns of basis^-1 by the eigenvalues is the product with
-    the diagonal.  The member's inverse is this call on the eigenvalues'
-    inverses mod p.
+    Broadcasts over leading axes, so (k, d, d) bases or (k, d) eigenvalue
+    lists give k members in one call.  Scaling the columns of basis^-1 is the
+    product with the diagonal; a member's inverse is this call on the
+    eigenvalues' inverses mod p.
     """
-    scaled = basis_inv.a * np.asarray(eigenvalues, dtype=np.int64) % basis.params.p
-    return Matrix(basis.params, scaled @ basis.a)
+    scaled = basis_inv * np.asarray(eigenvalues, dtype=np.int64)[..., None, :] % p
+    return scaled @ basis % p
 
 
 def commuting_from_basis(basis: Matrix, spec: DiagonalSpec) -> Matrix:
     """basis^-1 diag(spec) basis; invertible, eigenvalues are exactly spec."""
     if basis.params != spec.params:
         raise ValueError("basis and spec parameters differ")
-    return family_member(basis, mat_inverse(basis), spec.eigenvalues)
+    basis_inv = mat_inverse(basis)
+    return Matrix(basis.params, family_member(basis.a, basis_inv.a, spec.eigenvalues, basis.params.p))

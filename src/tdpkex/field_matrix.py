@@ -436,13 +436,15 @@ def random_matrix(rs, params: FieldParams) -> Matrix:
     return Matrix(params, entries.reshape(params.d, params.d))
 
 
-def _random_nonsingular_with_inverses(
-    rs, params: FieldParams, n: int
-) -> tuple[list[Matrix], list[Matrix], int]:
-    """``random_nonsingular_many`` that also returns the accepted draws' inverses.
+def random_nonsingular_many(rs, params: FieldParams, n: int) -> tuple[list[Matrix], list[Matrix], int]:
+    """n uniform draws from GL(d, F_p) by whole-matrix rejection: (draws, inverses, rejections).
 
-    Each round reduces [a | I] for every draw of the round, so the elimination
-    that rejects a singular draw leaves an accepted one's inverse beside it.
+    Each round draws every still-missing matrix with one ``uniform_array``
+    call and row-reduces them all beside the identity in one kernel call, so
+    an accepted draw comes with its inverse; singular draws are discarded
+    entirely, never patched.  Draws, count and stream position equal those of
+    n successive ``random_nonsingular`` calls: each matrix is d*d
+    consecutive uniform values, and a rejected one is simply skipped.
     """
     d, p = params.d, params.p
     out: list[Matrix] = []
@@ -460,20 +462,6 @@ def _random_nonsingular_with_inverses(
     return out, inverses, rejections
 
 
-def random_nonsingular_many(rs, params: FieldParams, n: int) -> tuple[list[Matrix], int]:
-    """n uniform draws from GL(d, F_p) by whole-matrix rejection, in stacked rounds.
-
-    Each round draws every still-missing matrix with one ``uniform_array``
-    call and row-reduces them all, with their inverses, in one kernel call;
-    singular draws are discarded entirely, never patched.  The accepted
-    matrices, the total rejection count and the stream position equal those
-    of n successive ``random_nonsingular`` calls, since each matrix is d*d
-    consecutive uniform values and a rejected one is simply skipped.
-    """
-    out, _, rejections = _random_nonsingular_with_inverses(rs, params, n)
-    return out, rejections
-
-
 def random_nonsingular(rs, params: FieldParams) -> tuple[Matrix, int]:
     """Uniform draw from GL(d, F_p) by whole-matrix rejection.
 
@@ -481,7 +469,7 @@ def random_nonsingular(rs, params: FieldParams) -> tuple[Matrix, int]:
     redraws; never patches individual entries.  Returns the accepted matrix
     and the number of rejected draws (observable for rate statistics).
     """
-    (m,), rejections = random_nonsingular_many(rs, params, 1)
+    (m,), _, rejections = random_nonsingular_many(rs, params, 1)
     return m, rejections
 
 

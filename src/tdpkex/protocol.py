@@ -25,6 +25,7 @@ run concurrently.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -36,10 +37,10 @@ from .field_matrix import (
     DiagonalSpec,
     FieldParams,
     Matrix,
-    _random_nonsingular_with_inverses,
-    mat_inverse,
+    _inverse_table,
+    commutator,
     mat_inverse_many,
-    mat_mul,
+    random_nonsingular_many,
     uniform_array,
 )
 
@@ -54,32 +55,26 @@ def _require_protocol_params(params: FieldParams) -> None:
         raise ValueError("key agreement needs p > 2 (nonzero eigenvalue choices)")
 
 
-def _product(*ms: Matrix) -> Matrix:
-    out = ms[0]
-    for m in ms[1:]:
-        out = mat_mul(out, m)
-    return out
+def _inverses(ms: list[Matrix], supplied: list[Matrix | None], names: list[str]) -> list[Matrix]:
+    """The inverses of same-params ms; SingularMatrixError naming the first that has none.
 
-
-def _inverse_or_none(m: Matrix) -> Matrix | None:
-    try:
-        return mat_inverse(m)
-    except SingularMatrixError:
-        return None
-
-
-def _checked_inverses(ms: Sequence[Matrix], invs: Sequence[Matrix]) -> list[Matrix | None]:
-    """Each supplied inverse x where m x == I mod p, else None, from one stacked matmul.
-
-    m x == I proves m invertible with inverse x, so a supplied inverse is a
-    certificate, not something taken on trust.
+    Supplied inverses are checked with one stacked m x == I mod p, which
+    proves m invertible with inverse x, so they are certificates, not taken
+    on trust.  If any is missing, ms are inverted in one stacked reduction.
     """
     params = ms[0].params
-    if any(x.params != params for x in invs):
-        raise ParamsMismatchError("supplied inverse has foreign parameters")
-    prod = np.stack([m.a for m in ms]) @ np.stack([x.a for x in invs]) % params.p
-    ok = (prod == np.eye(params.d, dtype=np.int64)).all(axis=(1, 2))
-    return [x if good else None for x, good in zip(invs, ok.tolist())]
+    if any(x is None for x in supplied):
+        inverses = mat_inverse_many(ms)
+    else:
+        if any(x.params != params for x in supplied):
+            raise ParamsMismatchError("supplied inverse has foreign parameters")
+        prod = np.array([m.a for m in ms]) @ np.array([x.a for x in supplied]) % params.p
+        ok = (prod == np.eye(params.d, dtype=np.int64)).all(axis=(1, 2))
+        inverses = [x if good else None for x, good in zip(supplied, ok.tolist())]
+    for name, inv in zip(names, inverses):
+        if inv is None:
+            raise SingularMatrixError(f"{name} is singular")
+    return inverses
 
 
 _BASES = ("P", "Q", "R", "S")
@@ -109,18 +104,19 @@ class PublicSetup:
         for name, m in zip(_BASES, bases):
             if m.params != self.params:
                 raise ParamsMismatchError(f"basis {name} has foreign parameters")
-        if self.basis_inv is None:
-            inverses = mat_inverse_many(bases)
-        else:
-            inverses = _checked_inverses(bases, [self.basis_inv[name] for name in _BASES])
-        for name, inv in zip(_BASES, inverses):
-            if inv is None:
-                raise SingularMatrixError(f"basis {name} is singular")
+        supplied = [None] * 4 if self.basis_inv is None else [self.basis_inv[name] for name in _BASES]
+        inverses = _inverses(bases, supplied, [f"basis {name}" for name in _BASES])
         object.__setattr__(self, "basis_inv", dict(zip(_BASES, inverses)))
 
     def member(self, basis_name: str, eigenvalues: Sequence[int]) -> Matrix:
         """basis^-1 diag(eigenvalues) basis for the named basis, with no elimination."""
-        return family_member(getattr(self, basis_name), self.basis_inv[basis_name], eigenvalues)
+        return Matrix(self.params, self._members([basis_name], [eigenvalues])[0])
+
+    def _members(self, basis_names: Sequence[str], eigenvalues) -> np.ndarray:
+        """One family member per named basis and eigenvalue row, as one (k, d, d) broadcast."""
+        b = np.array([getattr(self, name).a for name in basis_names])
+        b_inv = np.array([self.basis_inv[name].a for name in basis_names])
+        return family_member(b, b_inv, eigenvalues, self.params.p)
 
 
 @dataclass(frozen=True)
@@ -144,20 +140,17 @@ class _Private:
         for name, m, spec in zip(names, derived, specs):
             if m.params != params or spec.params != params:
                 raise ParamsMismatchError(f"{name} has foreign parameters")
-        b = np.stack([getattr(self.setup, basis_name).a for _, basis_name in layout.families])
-        f = np.stack([m.a for m in derived])
+        free = getattr(self, layout.free)
+        if free.params != params:
+            raise ParamsMismatchError(f"{layout.free} has foreign parameters")
+        b = np.array([getattr(self.setup, basis_name).a for _, basis_name in layout.families])
+        f = np.array([m.a for m in derived])
         eigenvalues = np.array([spec.eigenvalues for spec in specs])
         # B F == diag(eigenvalues) B for all four families at once: F == B^-1 diag B,
         # tested inversion-free
         if not np.array_equal(b @ f % params.p, eigenvalues[:, :, None] * b % params.p):
             raise ValueError("derived matrix does not match its basis and eigenvalues")
-        free = getattr(self, layout.free)
-        if self.free_inv is None:
-            free_inv = _inverse_or_none(free)
-        else:
-            (free_inv,) = _checked_inverses([free], [self.free_inv])
-        if free_inv is None:
-            raise SingularMatrixError(f"{layout.free} is singular")
+        (free_inv,) = _inverses([free], [self.free_inv], [layout.free])
         object.__setattr__(self, "free_inv", free_inv)
 
 
@@ -219,12 +212,10 @@ class RoleLayout:
 
     def hide_inverses(self, priv: _Private) -> list[Matrix]:
         """h1^-1, h2^-1 from the inverted eigenvalues; exact because _Private checked each h."""
-        p, basis = priv.setup.params.p, dict(self.families)
-        out = []
-        for h in self.hide:
-            inverted = [pow(v, -1, p) for v in getattr(priv, "d_" + h).eigenvalues]
-            out.append(priv.setup.member(basis[h], inverted))
-        return out
+        params, basis = priv.setup.params, dict(self.families)
+        eigenvalues = np.array([getattr(priv, "d_" + h).eigenvalues for h in self.hide])
+        members = priv.setup._members([basis[h] for h in self.hide], _inverse_table(params.p)[eigenvalues])
+        return [Matrix(params, m) for m in members]
 
 
 ROLE_LAYOUT = {
@@ -277,23 +268,17 @@ class SessionKey:
     k_inv: Matrix | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.k_inv is None:
-            k_inv = _inverse_or_none(self.k)
-        else:
-            (k_inv,) = _checked_inverses([self.k], [self.k_inv])
-        if k_inv is None:
-            raise SingularMatrixError("session key is singular")
+        (k_inv,) = _inverses([self.k], [self.k_inv], ["session key"])
         object.__setattr__(self, "k_inv", k_inv)
 
 
 def gen_setup(rs, params: FieldParams) -> PublicSetup:
     """Draw the four public bases P, Q, R, S independently from GL(d, F_p)."""
-    setup, _ = _gen_setup_counted(rs, params)
-    return setup
+    return _gen_setup_counted(rs, params)[0]
 
 
 def _gen_setup_counted(rs, params: FieldParams) -> tuple[PublicSetup, int]:
-    bases, inverses, redraws = _random_nonsingular_with_inverses(rs, params, 4)
+    bases, inverses, redraws = random_nonsingular_many(rs, params, 4)
     return PublicSetup(params, *bases, basis_inv=dict(zip(_BASES, inverses))), redraws
 
 
@@ -309,39 +294,34 @@ def _keygen(rs, setup: PublicSetup, role: Role) -> tuple[_Private, int]:
     p, d = params.p, params.d
     eigenvalues = uniform_array(rs, 1, p - 1, len(layout.families) * d).reshape(-1, d)
     specs = [DiagonalSpec(params, row) for row in eigenvalues.tolist()]
-    (free,), (free_inv,), redraws = _random_nonsingular_with_inverses(rs, params, 1)
-    b = np.stack([getattr(setup, basis_name).a for _, basis_name in layout.families])
-    b_inv = np.stack([setup.basis_inv[basis_name].a for _, basis_name in layout.families])
-    members = (b_inv * eigenvalues[:, None, :] % p) @ b
+    (free,), (free_inv,), redraws = random_nonsingular_many(rs, params, 1)
+    members = setup._members([basis_name for _, basis_name in layout.families], eigenvalues)
     factors = {name: Matrix(params, m) for (name, _), m in zip(layout.families, members)}
     factors[layout.free] = free
     return layout.private(setup, *specs, **factors, free_inv=free_inv), redraws
 
 
 def _token(priv: _Private) -> PublicToken:
-    layout = ROLE_LAYOUT[priv.role]
-    f1, f2, f3, h1, h2 = layout.matrices(priv)
-    h1_inv, h2_inv = layout.hide_inverses(priv)
-    t1 = mat_mul(f1, h1)
-    t2 = _product(h1_inv, f2, h2)
-    t3 = mat_mul(h2_inv, f3)
-    return PublicToken(priv.role, t1, t2, t3)
+    """(f1 h1, h1^-1 f2 h2, h2^-1 f3): one stacked product, then one matmul by h2."""
+    layout, params = ROLE_LAYOUT[priv.role], priv.setup.params
+    f1, f2, f3, h1, h2 = (m.a for m in layout.matrices(priv))
+    h1_inv, h2_inv = (m.a for m in layout.hide_inverses(priv))
+    t1, t2, t3 = np.array([f1, h1_inv, h2_inv]) @ np.array([h1, f2, f3]) % params.p
+    return PublicToken(priv.role, *(Matrix(params, t) for t in (t1, t2 @ h2, t3)))
 
 
 def _key_product(priv: _Private, token: PublicToken) -> Matrix:
     if token.role is priv.role:
         raise ValueError(f"{priv.role.value} needs the peer's token, not a {token.role.value} token")
-    if token.params != priv.setup.params:
+    params = priv.setup.params
+    if token.params != params:
         raise ParamsMismatchError("token parameters differ from private key")
-    own = [getattr(priv, name) for name in ROLE_LAYOUT[priv.role].key]
-    peer = [token.t1, token.t2, token.t3]
+    own = [getattr(priv, name).a for name in ROLE_LAYOUT[priv.role].key]
+    peer = [token.t1.a, token.t2.a, token.t3.a]
     # K = a1 b1 a2 b2 a3 b3: Alice's factors always sit on the left of Bob's
     left, right = (own, peer) if priv.role is Role.ALICE else (peer, own)
-    return _product(*(m for pair in zip(left, right) for m in pair))
-
-
-def _shared(priv: _Private, token: PublicToken) -> SessionKey:
-    return SessionKey(_key_product(priv, token))
+    factors = [m for pair in zip(left, right) for m in pair]
+    return Matrix(params, functools.reduce(lambda k, f: k @ f % params.p, factors))
 
 
 def alice_keygen(rs, setup: PublicSetup) -> AlicePrivate:
@@ -366,18 +346,29 @@ def bob_token(priv: BobPrivate) -> PublicToken:
 
 def alice_shared(priv: AlicePrivate, token: PublicToken) -> SessionKey:
     """K = a1 p a2 q a3 r, which telescopes to a1 b1 a2 b2 a3 b3."""
-    return _shared(priv, token)
+    return SessionKey(_key_product(priv, token))
 
 
 def bob_shared(priv: BobPrivate, token: PublicToken) -> SessionKey:
     """K = u b1 v b2 w b3, which telescopes to a1 b1 a2 b2 a3 b3."""
-    return _shared(priv, token)
+    return SessionKey(_key_product(priv, token))
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One checked pair (a, b) of private factors.
+
+    ``passed`` says a b == b a for a required pair, a b != b a for a pitfall.
+    ``commutator`` (a^-1 b^-1 a b) costs an elimination, so it is computed
+    on access, never by the check.
+    """
+
     passed: bool
-    commutator: Matrix
+    pair: tuple[Matrix, Matrix]
+
+    @property
+    def commutator(self) -> Matrix:
+        return commutator(*self.pair)
 
 
 @dataclass(frozen=True)
@@ -385,10 +376,13 @@ class ValidationReport:
     """Result of the session health checks.
 
     ``required`` lists the cross-party commutation conditions the key
-    agreement depends on (must all hold).  ``pitfalls`` lists commutators
-    that must NOT be the identity; if any of them is, the private material is
-    degenerate enough that the session key leaks from public data, so the
-    session is flagged weak.  Advisory only: callers decide whether to abort.
+    agreement depends on (must all hold).  ``pitfalls`` lists pairs that
+    must NOT commute; one that does marks degenerate private material (say,
+    bases that share one family), and the session is flagged ``weak``.
+    ``weak`` flags degenerate material, not security: an ``ok`` session
+    still leaks its key to a linear-algebra attack on the public tokens
+    (README, "Known limitations").  Advisory only: callers decide whether
+    to abort.
     """
 
     required: dict[str, CheckResult]
@@ -407,34 +401,31 @@ class ValidationReport:
         return self.all_required_pass and not self.weak
 
 
+# each check is named [f,g] after the pair of factors it tests; Alice's are a*
+# and x*, Bob's b* and y*
+_REQUIRED = ("[a2,y1]", "[a3,y2]", "[b1,x1]", "[b2,x2]")
+_PITFALLS = ("[x1,y1]", "[x2,y1]", "[x2,y2]", "[a2,b1]", "[a3,b2]", "[a3,b1]", "[x2,b1]", "[a3,y1]")
+
+
 def validate_session(setup: PublicSetup, alice: AlicePrivate, bob: BobPrivate) -> ValidationReport:
-    """Check required commutation conditions and degenerate-commutation pitfalls."""
+    """Check required commutation conditions and degenerate-commutation pitfalls.
+
+    All twelve verdicts come from one stacked a b and one stacked b a, with
+    no elimination.
+    """
     if alice.setup != setup or bob.setup != setup:
         raise ParamsMismatchError("private keys built on a different setup")
-    required_pairs = {
-        "[a2,y1]": (alice.a2, bob.y1),
-        "[a3,y2]": (alice.a3, bob.y2),
-        "[b1,x1]": (bob.b1, alice.x1),
-        "[b2,x2]": (bob.b2, alice.x2),
+    pairs = {
+        name: tuple(getattr(alice if f[0] in "ax" else bob, f) for f in name[1:-1].split(","))
+        for name in _REQUIRED + _PITFALLS
     }
-    pitfall_pairs = {
-        "[x1,y1]": (alice.x1, bob.y1),
-        "[x2,y1]": (alice.x2, bob.y1),
-        "[x2,y2]": (alice.x2, bob.y2),
-        "[a2,b1]": (alice.a2, bob.b1),
-        "[a3,b2]": (alice.a3, bob.b2),
-        "[a3,b1]": (alice.a3, bob.b1),
-        "[x2,b1]": (alice.x2, bob.b1),
-        "[a3,y1]": (alice.a3, bob.y1),
-    }
-    pairs = {**required_pairs, **pitfall_pairs}
-    # commutator(a, b) = (b a)^-1 (a b), with all twelve (b a) inverted at once
-    # every factor is invertible (_Private checked it), so every product is
-    inverses = mat_inverse_many([mat_mul(b, a) for a, b in pairs.values()])
-    c = {name: mat_mul(inv, mat_mul(a, b)) for (name, (a, b)), inv in zip(pairs.items(), inverses)}
-    required = {name: CheckResult(c[name].is_identity(), c[name]) for name in required_pairs}
-    pitfalls = {name: CheckResult(not c[name].is_identity(), c[name]) for name in pitfall_pairs}
-    return ValidationReport(required=required, pitfalls=pitfalls)
+    a, b = (np.array([pair[i].a for pair in pairs.values()]) for i in (0, 1))
+    p = setup.params.p
+    commute = dict(zip(pairs, (a @ b % p == b @ a % p).all(axis=(1, 2)).tolist()))
+    return ValidationReport(
+        required={name: CheckResult(commute[name], pairs[name]) for name in _REQUIRED},
+        pitfalls={name: CheckResult(not commute[name], pairs[name]) for name in _PITFALLS},
+    )
 
 
 @dataclass(frozen=True)

@@ -151,7 +151,7 @@ def test_criterion_7_singularity_rate():
     accepted = 100_000
     rejections = 0
     for _ in range(accepted // 10_000):
-        _, rej = random_nonsingular_many(rs, P251, 10_000)
+        _, _, rej = random_nonsingular_many(rs, P251, 10_000)
         rejections += rej
     assert rejections == 399
     fraction = rejections / (accepted + rejections)

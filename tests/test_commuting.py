@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from tdpkex import (
@@ -11,10 +12,12 @@ from tdpkex import (
     commutator,
     commuting_from_basis,
     mat_det,
+    mat_inverse,
     mat_mul,
     random_diagonal,
     random_nonsingular,
 )
+from tdpkex.commuting import family_member
 
 P5 = FieldParams(p=5, d=2)
 P251 = FieldParams()
@@ -94,3 +97,12 @@ def test_family_is_pairwise_commuting():
     for a, b in itertools.combinations(members, 2):
         assert mat_mul(a, b) == mat_mul(b, a)
     assert all(mat_det(m) != 0 for m in members)
+    # one stacked call, over one basis or a stack of it, gives every member at once
+    b, b_inv = basis.a, mat_inverse(basis).a
+    eigenvalues = [s.eigenvalues for s in specs]
+    per_member = [Matrix(P251, family_member(b, b_inv, e, 251)) for e in eigenvalues]
+    for stacked in (
+        family_member(b, b_inv, eigenvalues, 251),
+        family_member(np.stack([b] * 4), np.stack([b_inv] * 4), eigenvalues, 251),
+    ):
+        assert [Matrix(P251, m) for m in stacked] == per_member == members

@@ -295,8 +295,9 @@ def test_random_nonsingular_many_equals_sequential_draws(p, d, n):
         m, rej = random_nonsingular(seq_rs, params)
         expected.append(m)
         expected_rejections += rej
-    matrices, rejections = random_nonsingular_many(batch_rs, params, n)
+    matrices, inverses, rejections = random_nonsingular_many(batch_rs, params, n)
     assert matrices == expected
+    assert inverses == [mat_inverse(m) for m in matrices]
     assert rejections == expected_rejections
     assert batch_rs.read(16) == seq_rs.read(16)
     if p < 251:

@@ -166,6 +166,9 @@ def test_private_constructor_rejects_inconsistent_material():
         AlicePrivate(setup, *fields[:3], DiagonalSpec(foreign, [1] * 8), *fields[4:])
     with pytest.raises(SingularMatrixError, match="a1 is singular"):
         AlicePrivate(setup, *fields[:4], Matrix.zero(P251), *fields[5:])
+    # the free factor's parameters are checked with the family factors'
+    with pytest.raises(ParamsMismatchError, match="a1 has foreign parameters"):
+        AlicePrivate(setup, *fields[:4], Matrix.identity(foreign), *fields[5:])
 
 
 @pytest.mark.parametrize("keygen, free", [(alice_keygen, "a1"), (bob_keygen, "b3")])
@@ -365,11 +368,11 @@ def test_validation_commutators_match_commutator():
                 assert check.passed == (expected.is_identity() == must_commute), name
 
 
-def test_validation_inverts_once(row_reductions):
+def test_validation_does_no_elimination(row_reductions):
     result = run_session(SplitMix64(30), P251)
     row_reductions.clear()
     validate_session(result.setup, result.alice, result.bob)
-    assert row_reductions == [12]
+    assert row_reductions == []
 
 
 def test_validation_rejects_foreign_setup():

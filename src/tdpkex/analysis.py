@@ -286,7 +286,7 @@ def similarity_leak_check(plain: PlainBlock, cipher: CipherBlock) -> SimilarityR
     m, c = plain.m, cipher.c
     if m.params != c.params:
         raise ValueError("blocks have mixed parameters")
-    cp_m, cp_c = char_poly_many(np.stack([m.a, c.a]), m.params.p).tolist()
+    cp_m, cp_c = char_poly_many(np.array([m.a, c.a]), m.params.p).tolist()
     return SimilarityReport(
         trace_equal=mat_trace(m) == mat_trace(c),
         # det(m) = (-1)^d cp_m(0), and both blocks share d

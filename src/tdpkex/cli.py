@@ -45,7 +45,7 @@ from .errors import (
     TooFewSamplesError,
     ValueOutOfRangeError,
 )
-from .field_matrix import DiagonalSpec, FieldParams, Matrix, SplitMix64, mat_det_many
+from .field_matrix import DiagonalSpec, FieldParams, Matrix, SplitMix64, mat_inverse_many
 from .protocol import (
     ROLE_LAYOUT,
     AlicePrivate,
@@ -223,9 +223,16 @@ def write_private_file(path: str, priv: AlicePrivate | BobPrivate) -> None:
 
 def read_private_file(path: str) -> AlicePrivate | BobPrivate:
     def build(params, role, stack, lists):
+        layout = ROLE_LAYOUT[role]
         specs = [DiagonalSpec(params, values) for values in lists]
         ms = _matrices(params, stack)
-        return ROLE_LAYOUT[role].private(PublicSetup(params, *ms[:4]), *specs, *ms[4:])
+        factors = dict(zip(layout.key + layout.hide, ms[4:]))
+        # one elimination for the four bases and the free factor; the
+        # constructors check each inverse as a certificate, and a singular
+        # matrix (None here) is refused there with its own message
+        inverses = mat_inverse_many(ms[:4] + [factors[layout.free]])
+        setup = PublicSetup(params, *ms[:4], basis_inv=dict(zip("PQRS", inverses)))
+        return layout.private(setup, *specs, **factors, free_inv=inverses[4])
 
     return _read(path, REC_PRIVATE, build)
 
@@ -237,10 +244,11 @@ def write_token_file(path: str, token: PublicToken) -> None:
 def read_token_file(path: str) -> PublicToken:
     def build(params, role, stack, _):
         ms = _matrices(params, stack)
+        inverses = mat_inverse_many(ms)
         # every token matrix is a product of invertible factors
-        if 0 in mat_det_many(ms):
+        if any(x is None for x in inverses):
             raise SingularMatrixError("token has a singular matrix")
-        return PublicToken(role, *ms)
+        return PublicToken(role, *ms, inverses=np.array([x.a for x in inverses]))
 
     return _read(path, REC_TOKEN, build)
 

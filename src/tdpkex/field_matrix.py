@@ -6,11 +6,15 @@ deterministic byte-stream RNG, and one Gauss-Jordan row reduction
 (``_row_reduce``) behind every determinant and inverse.  The reduction works
 on an (n, d, k) stack, so n matrices cost one pass of numpy calls over the d
 columns: at d = 8 the cost is call overhead, not arithmetic.  ``mat_det`` and
-``mat_inverse`` are its n = 1 case; ``mat_det_many``, ``mat_inverse_many``
-and ``random_nonsingular_many`` hand it several matrices at once.  A
-nonsingular draw reduces [a | I], so the one elimination that accepts a draw
-also yields its inverse, which the protocol layer passes on instead of
-inverting the draw again.  All arithmetic is integer-exact; there is no
+``mat_inverse`` are its n = 1 case; ``mat_det_many`` and
+``mat_inverse_many`` hand it several matrices at once.  ``draw_segments`` is
+the one draw rule for nonsingular matrices: it parses a list of segments
+(nonsingular matrices, uniform values) ahead as if no candidate were
+singular and reduces every candidate in one call per round, and
+``random_nonsingular_many`` is its one-segment case.  A nonsingular draw
+reduces [a | I], so the one elimination that accepts a draw also yields its
+inverse, which the protocol layer passes on instead of inverting the draw
+again.  All arithmetic is integer-exact; there is no
 floating point anywhere in this module.  Field elements are plain Python
 ints in [0, p-1].
 
@@ -25,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -370,7 +374,7 @@ def _row_reduce(m: np.ndarray, p: int) -> list[int]:
 
 def _stack(ms: Sequence[Matrix]) -> tuple[FieldParams, np.ndarray]:
     params = _check_same_params(*ms)
-    return params, np.stack([m.a for m in ms])
+    return params, np.array([m.a for m in ms])
 
 
 def _invert(stack: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -436,30 +440,110 @@ def random_matrix(rs, params: FieldParams) -> Matrix:
     return Matrix(params, entries.reshape(params.d, params.d))
 
 
+class NonsingularDraws(NamedTuple):
+    """A ``draw_segments`` segment: n uniform draws from GL(d, F_p), each with its inverse."""
+
+    n: int
+
+
+class UniformDraws(NamedTuple):
+    """A ``draw_segments`` segment: count uniform draws on [lo, hi]."""
+
+    lo: int
+    hi: int
+    count: int
+
+
+class _Tape:
+    """A source's read and unread passed through, keeping the bytes taken net of push-backs."""
+
+    def __init__(self, rs):
+        self.rs = rs
+        self.taken = bytearray()
+
+    def read(self, n: int) -> bytes:
+        data = self.rs.read(n)
+        self.taken += data
+        return data
+
+    def unread(self, data: bytes) -> None:
+        del self.taken[len(self.taken) - len(data):]
+        self.rs.unread(data)
+
+
+def draw_segments(
+    rs, params: FieldParams, segments: Sequence[NonsingularDraws | UniformDraws]
+) -> tuple[list, int]:
+    """Draw the segments in stream order with one elimination kernel call per round.
+
+    Returns one result per segment and the number of singular candidates
+    rejected.  A ``NonsingularDraws`` result is (matrices, inverses), two
+    (n, d, d) arrays; a ``UniformDraws`` result is its int64 values.
+
+    Each round parses every unfinished segment as if no candidate were
+    singular and row-reduces all their candidate matrices beside the
+    identity in one kernel call: the counter-based parse-ahead of Salmon et
+    al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011).  At the
+    first segment with a singular candidate the round ends: that segment
+    keeps its nonsingular candidates, the bytes the later segments consumed
+    go back to the source through ``unread``, and the next round parses on
+    from that segment's missing matrices.  A singular candidate is discarded
+    entirely, never patched, so draws, rejections and stream position equal
+    those of drawing the segments one after another, each matrix d*d
+    consecutive uniform values on [0, p-1] and a rejected one simply skipped.
+    """
+    d, p = params.d, params.p
+    out: list = [None] * len(segments)
+    missing = {i: seg.n for i, seg in enumerate(segments) if isinstance(seg, NonsingularDraws)}
+    kept = {i: ([], []) for i in missing}
+    rejections = start = 0
+    while start < len(segments):
+        tape = _Tape(rs)
+        marks, candidates = {}, {}
+        for i in range(start, len(segments)):
+            marks[i] = len(tape.taken)
+            if i in missing:
+                draws = uniform_array(tape, 0, p - 1, missing[i] * d * d)
+                candidates[i] = draws.reshape(missing[i], d, d)
+            else:
+                seg = segments[i]
+                out[i] = uniform_array(tape, seg.lo, seg.hi, seg.count)
+        marks[len(segments)] = len(tape.taken)
+        start = len(segments)
+        stack = np.concatenate([np.empty((0, d, d), np.int64), *candidates.values()])
+        inv, dets = _invert(stack, p) if len(stack) else (stack, [])
+        pos = 0
+        for i, drawn in candidates.items():
+            seg_dets, seg_inv = dets[pos:pos + len(drawn)], inv[pos:pos + len(drawn)]
+            pos += len(drawn)
+            if not all(seg_dets):
+                ok = np.array(seg_dets) != 0
+                drawn, seg_inv = drawn[ok], seg_inv[ok]
+            kept[i][0].append(drawn)
+            kept[i][1].append(seg_inv)
+            missing[i] -= len(drawn)
+            if missing[i]:
+                # each still-missing matrix is one rejected candidate
+                rejections += missing[i]
+                rs.unread(bytes(tape.taken[marks[i + 1]:]))
+                start = i
+                break
+    for i, (ms, xs) in kept.items():
+        out[i] = np.concatenate(ms), np.concatenate(xs)
+    return out, rejections
+
+
 def random_nonsingular_many(rs, params: FieldParams, n: int) -> tuple[list[Matrix], list[Matrix], int]:
     """n uniform draws from GL(d, F_p) by whole-matrix rejection: (draws, inverses, rejections).
 
-    Each round draws every still-missing matrix with one ``uniform_array``
-    call and row-reduces them all beside the identity in one kernel call, so
-    an accepted draw comes with its inverse; singular draws are discarded
-    entirely, never patched.  Draws, count and stream position equal those of
-    n successive ``random_nonsingular`` calls: each matrix is d*d
-    consecutive uniform values, and a rejected one is simply skipped.
+    The one-segment case of ``draw_segments``: each round draws every
+    still-missing matrix and row-reduces them all beside the identity in one
+    kernel call, so an accepted draw comes with its inverse.  Draws, count
+    and stream position equal those of n successive ``random_nonsingular``
+    calls.
     """
-    d, p = params.d, params.p
-    out: list[Matrix] = []
-    inverses: list[Matrix] = []
-    rejections = 0
-    while len(out) < n:
-        want = n - len(out)
-        stack = uniform_array(rs, 0, p - 1, want * d * d).reshape(want, d, d)
-        inv, dets = _invert(stack, p)
-        for m, m_inv, det in zip(stack, inv, dets):
-            if det:
-                out.append(Matrix(params, m))
-                inverses.append(Matrix(params, m_inv))
-        rejections += dets.count(0)
-    return out, inverses, rejections
+    ((ms, xs),), rejections = draw_segments(rs, params, [NonsingularDraws(n)])
+    return [Matrix(params, m) for m in ms], [Matrix(params, x) for x in xs], rejections
 
 
 def random_nonsingular(rs, params: FieldParams) -> tuple[Matrix, int]:

@@ -37,11 +37,12 @@ from .field_matrix import (
     DiagonalSpec,
     FieldParams,
     Matrix,
+    NonsingularDraws,
+    UniformDraws,
     _inverse_table,
     commutator,
+    draw_segments,
     mat_inverse_many,
-    random_nonsingular_many,
-    uniform_array,
 )
 
 
@@ -210,12 +211,20 @@ class RoleLayout:
     def matrices(self, priv: _Private) -> list[Matrix]:
         return [getattr(priv, name) for name in self.key + self.hide]
 
-    def hide_inverses(self, priv: _Private) -> list[Matrix]:
-        """h1^-1, h2^-1 from the inverted eigenvalues; exact because _Private checked each h."""
-        params, basis = priv.setup.params, dict(self.families)
-        eigenvalues = np.array([getattr(priv, "d_" + h).eigenvalues for h in self.hide])
-        members = priv.setup._members([basis[h] for h in self.hide], _inverse_table(params.p)[eigenvalues])
-        return [Matrix(params, m) for m in members]
+    def inverses(self, priv: _Private, names: Sequence[str]) -> np.ndarray:
+        """The named factors' inverses as one (k, d, d) array, with no elimination.
+
+        A family factor's inverse is its family member on the inverted
+        eigenvalues, exact because _Private checked each family factor
+        against its basis; the free factor's is the certified ``free_inv``.
+        """
+        family = [name for name in names if name != self.free]
+        basis = dict(self.families)
+        eigenvalues = np.array([getattr(priv, "d_" + name).eigenvalues for name in family])
+        inverted = _inverse_table(priv.setup.params.p)[eigenvalues]
+        found = dict(zip(family, priv.setup._members([basis[name] for name in family], inverted)))
+        found[self.free] = priv.free_inv.a
+        return np.array([found[name] for name in names])
 
 
 ROLE_LAYOUT = {
@@ -238,12 +247,19 @@ ROLE_LAYOUT = {
 
 @dataclass(frozen=True)
 class PublicToken:
-    """The published triple: (u, v, w) from Alice or (p, q, r) from Bob."""
+    """The published triple: (u, v, w) from Alice or (p, q, r) from Bob.
+
+    inverses, when a reader that eliminated the triple supplies it, is the
+    (3, d, d) array of t1^-1, t2^-1, t3^-1.  It is not checked here: a
+    session key derived from the token builds its own inverse from it, and
+    ``SessionKey`` certifies that product.
+    """
 
     role: Role
     t1: Matrix
     t2: Matrix
     t3: Matrix
+    inverses: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def params(self) -> FieldParams:
@@ -259,9 +275,9 @@ class SessionKey:
     """The agreed key matrix; invertible because all six factors are.
 
     k_inv is held here, so the cipher conjugates every block with no further
-    elimination.  A supplied k_inv is checked with one matmul (``run_session``
-    inverts both parties' keys in one stacked call); without one it is
-    computed here.
+    elimination.  A supplied k_inv is checked with one matmul; ``run_session``
+    builds it from the six factors' inverses, and a shared key from a token
+    that carries its inverses.  Without one it is computed here.
     """
 
     k: Matrix
@@ -272,42 +288,73 @@ class SessionKey:
         object.__setattr__(self, "k_inv", k_inv)
 
 
-def gen_setup(rs, params: FieldParams) -> PublicSetup:
-    """Draw the four public bases P, Q, R, S independently from GL(d, F_p)."""
-    return _gen_setup_counted(rs, params)[0]
+_SETUP_DRAWS = (NonsingularDraws(len(_BASES)),)
 
 
-def _gen_setup_counted(rs, params: FieldParams) -> tuple[PublicSetup, int]:
-    bases, inverses, redraws = random_nonsingular_many(rs, params, 4)
-    return PublicSetup(params, *bases, basis_inv=dict(zip(_BASES, inverses))), redraws
+def _keygen_draws(params: FieldParams) -> tuple[UniformDraws, NonsingularDraws]:
+    """A party's draws: one eigenvalue list per basis, in record order, then the free factor."""
+    return UniformDraws(1, params.p - 1, len(_BASES) * params.d), NonsingularDraws(1)
 
 
-def _keygen(rs, setup: PublicSetup, role: Role) -> tuple[_Private, int]:
-    """Draw the four eigenvalue lists in record order, then the free factor.
+def _setup(params: FieldParams, drawn: list) -> PublicSetup:
+    """The setup from the draws of ``_SETUP_DRAWS``, their inverses passed on."""
+    ((bases, inverses),) = drawn
+    basis_inv = {name: Matrix(params, x) for name, x in zip(_BASES, inverses)}
+    return PublicSetup(params, *(Matrix(params, b) for b in bases), basis_inv=basis_inv)
 
-    The lists are one ``uniform_array`` call, the same bytes as one
-    ``random_diagonal`` per list, and the four family members are one
-    broadcast product basis^-1 diag basis.
+
+def _private(setup: PublicSetup, role: Role, drawn: list) -> _Private:
+    """A party's private key from the draws of ``_keygen_draws``.
+
+    The four family members are one broadcast product basis^-1 diag basis.
     """
-    layout = ROLE_LAYOUT[role]
-    params = setup.params
-    p, d = params.p, params.d
-    eigenvalues = uniform_array(rs, 1, p - 1, len(layout.families) * d).reshape(-1, d)
+    layout, params = ROLE_LAYOUT[role], setup.params
+    eigenvalues, ((free,), (free_inv,)) = drawn
+    eigenvalues = eigenvalues.reshape(-1, params.d)
     specs = [DiagonalSpec(params, row) for row in eigenvalues.tolist()]
-    (free,), (free_inv,), redraws = random_nonsingular_many(rs, params, 1)
     members = setup._members([basis_name for _, basis_name in layout.families], eigenvalues)
     factors = {name: Matrix(params, m) for (name, _), m in zip(layout.families, members)}
-    factors[layout.free] = free
-    return layout.private(setup, *specs, **factors, free_inv=free_inv), redraws
+    factors[layout.free] = Matrix(params, free)
+    return layout.private(setup, *specs, **factors, free_inv=Matrix(params, free_inv))
+
+
+def gen_setup(rs, params: FieldParams) -> PublicSetup:
+    """Draw the four public bases P, Q, R, S independently from GL(d, F_p)."""
+    return _setup(params, draw_segments(rs, params, _SETUP_DRAWS)[0])
+
+
+def _keygen(rs, setup: PublicSetup, role: Role) -> _Private:
+    return _private(setup, role, draw_segments(rs, setup.params, _keygen_draws(setup.params))[0])
 
 
 def _token(priv: _Private) -> PublicToken:
     """(f1 h1, h1^-1 f2 h2, h2^-1 f3): one stacked product, then one matmul by h2."""
     layout, params = ROLE_LAYOUT[priv.role], priv.setup.params
     f1, f2, f3, h1, h2 = (m.a for m in layout.matrices(priv))
-    h1_inv, h2_inv = (m.a for m in layout.hide_inverses(priv))
+    h1_inv, h2_inv = layout.inverses(priv, layout.hide)
     t1, t2, t3 = np.array([f1, h1_inv, h2_inv]) @ np.array([h1, f2, f3]) % params.p
     return PublicToken(priv.role, *(Matrix(params, t) for t in (t1, t2 @ h2, t3)))
+
+
+def _chain(alice, bob, p: int) -> np.ndarray:
+    """a1 b1 a2 b2 a3 b3 from Alice's and Bob's factor triples: hers sit left of his."""
+    factors = [m for pair in zip(alice, bob) for m in pair]
+    return functools.reduce(lambda k, f: k @ f % p, factors)
+
+
+def _chain_inverse(alice_inv, bob_inv, p: int) -> np.ndarray:
+    """(a1 b1 a2 b2 a3 b3)^-1 = b3^-1 a3^-1 b2^-1 a2^-1 b1^-1 a1^-1 from the factors' inverses."""
+    return _chain(bob_inv[::-1], alice_inv[::-1], p)
+
+
+def _by_role(role: Role, own, peer) -> tuple:
+    """A party's own and its peer's triples, ordered (Alice's, Bob's)."""
+    return (own, peer) if role is Role.ALICE else (peer, own)
+
+
+def _key_inverses(priv: _Private) -> np.ndarray:
+    layout = ROLE_LAYOUT[priv.role]
+    return layout.inverses(priv, layout.key)
 
 
 def _key_product(priv: _Private, token: PublicToken) -> Matrix:
@@ -318,20 +365,27 @@ def _key_product(priv: _Private, token: PublicToken) -> Matrix:
         raise ParamsMismatchError("token parameters differ from private key")
     own = [getattr(priv, name).a for name in ROLE_LAYOUT[priv.role].key]
     peer = [token.t1.a, token.t2.a, token.t3.a]
-    # K = a1 b1 a2 b2 a3 b3: Alice's factors always sit on the left of Bob's
-    left, right = (own, peer) if priv.role is Role.ALICE else (peer, own)
-    factors = [m for pair in zip(left, right) for m in pair]
-    return Matrix(params, functools.reduce(lambda k, f: k @ f % params.p, factors))
+    return Matrix(params, _chain(*_by_role(priv.role, own, peer), params.p))
+
+
+def _shared(priv: _Private, token: PublicToken) -> SessionKey:
+    """The session key; its inverse comes with no elimination when the token carries its own."""
+    k = _key_product(priv, token)
+    k_inv = None
+    if token.inverses is not None:
+        pair = _by_role(priv.role, _key_inverses(priv), token.inverses)
+        k_inv = Matrix(k.params, _chain_inverse(*pair, k.params.p))
+    return SessionKey(k, k_inv)
 
 
 def alice_keygen(rs, setup: PublicSetup) -> AlicePrivate:
     """Draw Alice's eigenvalue lists and free factor, derive a2, a3, x1, x2."""
-    return _keygen(rs, setup, Role.ALICE)[0]
+    return _keygen(rs, setup, Role.ALICE)
 
 
 def bob_keygen(rs, setup: PublicSetup) -> BobPrivate:
     """Draw Bob's eigenvalue lists and free factor, derive b1, b2, y1, y2."""
-    return _keygen(rs, setup, Role.BOB)[0]
+    return _keygen(rs, setup, Role.BOB)
 
 
 def alice_token(priv: AlicePrivate) -> PublicToken:
@@ -346,12 +400,12 @@ def bob_token(priv: BobPrivate) -> PublicToken:
 
 def alice_shared(priv: AlicePrivate, token: PublicToken) -> SessionKey:
     """K = a1 p a2 q a3 r, which telescopes to a1 b1 a2 b2 a3 b3."""
-    return SessionKey(_key_product(priv, token))
+    return _shared(priv, token)
 
 
 def bob_shared(priv: BobPrivate, token: PublicToken) -> SessionKey:
     """K = u b1 v b2 w b3, which telescopes to a1 b1 a2 b2 a3 b3."""
-    return SessionKey(_key_product(priv, token))
+    return _shared(priv, token)
 
 
 @dataclass(frozen=True)
@@ -449,24 +503,26 @@ class SessionResult:
 def run_session(rs, params: FieldParams) -> SessionResult:
     """Run setup, both keygens, token exchange and both key derivations.
 
-    Every draw hands on the inverses its elimination computed, and the two
-    session keys are inverted in one stacked call, so a session makes four
-    elimination kernel calls plus one per redraw round.
+    The setup and both parties' material are one ``draw_segments`` call, so
+    every nonsingular draw comes with its inverse and a session makes one
+    elimination kernel call plus one per re-parse round.  The session key's
+    inverse is b3^-1 a3^-1 b2^-1 a2^-1 b1^-1 a1^-1, built from the factors'
+    inverses with no elimination, and both keys certify it.
     """
-    setup, redraws = _gen_setup_counted(rs, params)
-    alice, r_a = _keygen(rs, setup, Role.ALICE)
-    bob, r_b = _keygen(rs, setup, Role.BOB)
-    tok_a = alice_token(alice)
-    tok_b = bob_token(bob)
-    keys = [_key_product(alice, tok_b), _key_product(bob, tok_a)]
-    k_a, k_b = (SessionKey(k, k_inv) for k, k_inv in zip(keys, mat_inverse_many(keys)))
+    keygen = _keygen_draws(params)
+    drawn, redraws = draw_segments(rs, params, _SETUP_DRAWS + keygen + keygen)
+    setup = _setup(params, drawn[:1])
+    alice = _private(setup, Role.ALICE, drawn[1:3])
+    bob = _private(setup, Role.BOB, drawn[3:])
+    tok_a, tok_b = alice_token(alice), bob_token(bob)
+    k_inv = Matrix(params, _chain_inverse(_key_inverses(alice), _key_inverses(bob), params.p))
     return SessionResult(
         setup=setup,
         alice=alice,
         bob=bob,
         alice_pub=tok_a,
         bob_pub=tok_b,
-        alice_key=k_a,
-        bob_key=k_b,
-        singular_redraws=redraws + r_a + r_b,
+        alice_key=SessionKey(_key_product(alice, tok_b), k_inv),
+        bob_key=SessionKey(_key_product(bob, tok_a), k_inv),
+        singular_redraws=redraws,
     )

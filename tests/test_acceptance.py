@@ -256,12 +256,15 @@ def test_criterion_9_cli_pipeline_bit_exact(tmp_path):
 
 
 def test_criterion_9_cli_pipeline_kernel_calls(tmp_path, row_reductions):
-    # 44 matrices (draws, key, token and file checks) in 19 stacked kernel
-    # calls: every read of a setup inverts its four bases at once, while the
-    # setup and keygen draws hand on the inverses their own reduction computed
+    # 42 matrices in 13 stacked kernel calls, per command: setup 1 (its draw),
+    # keygen 2 each (the setup read, the free-factor draw), token 1 each (the
+    # private read inverts four bases and the free factor at once), shared 2
+    # each (that private read, the token read, whose inverses build the key's
+    # with no call), encrypt 1 and decrypt 1 (the session key read)
     _cli_pipeline(tmp_path / "run", SplitMix64(12345).read(777))
-    assert sum(row_reductions) == 44
-    assert len(row_reductions) == 19
+    assert row_reductions == [4, 4, 1, 4, 1, 5, 5, 5, 3, 5, 3, 1, 1]
+    assert sum(row_reductions) == 42
+    assert len(row_reductions) == 13
 
 
 def test_criterion_9_cli_pipeline_matches_recorded_digests(tmp_path):

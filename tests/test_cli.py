@@ -23,6 +23,7 @@ from tdpkex import (
     decrypt_message,
     encrypt_message,
     gen_setup,
+    mat_inverse,
     random_nonsingular,
     run_session,
 )
@@ -418,7 +419,41 @@ def test_exit_3_singular_token(tmp_path, capsys):
     token.write_bytes(_pack_record(REC_TOKEN, P251, Role.BOB, np.zeros((3, 8, 8), np.int64)))
     assert main(["shared", "--key", str(key), "--peer", str(token),
                  "--out", str(tmp_path / "a.sk")]) == 3
-    assert "singular" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {token}: inconsistent token material: token has a singular matrix\n"
+    )
+
+
+def test_read_token_carries_inverses_and_shared_needs_no_elimination(tmp_path, row_reductions):
+    result = run_session(SplitMix64(17), P251)
+    path = tmp_path / "b.tok"
+    write_token_file(path, result.bob_pub)
+    token = read_token_file(path)
+    assert token == result.bob_pub
+    assert np.array_equal(token.inverses, [mat_inverse(t).a for t in (token.t1, token.t2, token.t3)])
+    row_reductions.clear()
+    key = tdpkex.alice_shared(result.alice, token)
+    assert row_reductions == []
+    assert key == result.alice_key
+    assert key.k_inv == mat_inverse(key.k)
+
+
+@pytest.mark.parametrize("role, keygen, free", [("alice", alice_keygen, 4), ("bob", bob_keygen, 6)])
+@pytest.mark.parametrize("matrix", ["P", "S", "free"])
+def test_exit_3_singular_private_matrix(tmp_path, capsys, role, keygen, free, matrix):
+    # the reader inverts the bases and the free factor in one call; a
+    # singular one is still refused by its constructor, with its own name
+    rs = SplitMix64(15)
+    key = tmp_path / "k.key"
+    write_private_file(key, keygen(rs, gen_setup(rs, P251)))
+    raw = bytearray(key.read_bytes())
+    index = {"P": 0, "S": 3, "free": free}[matrix]
+    start = 13 + 1 + 32 + index * 64
+    raw[start:start + 64] = bytes(64)
+    key.write_bytes(bytes(raw))
+    assert main(["token", "--key", str(key), "--out", str(tmp_path / "k.tok")]) == 3
+    name = {"P": "basis P", "S": "basis S", "free": "a1" if role == "alice" else "b3"}[matrix]
+    assert capsys.readouterr().err == f"error: {key}: inconsistent private key material: {name} is singular\n"
 
 
 def test_exit_4_params_mismatch(tmp_path):

@@ -304,6 +304,92 @@ def test_random_nonsingular_many_equals_sequential_draws(p, d, n):
         assert rejections > 0
 
 
+def _segments(p):
+    return [
+        field_matrix.NonsingularDraws(3),
+        field_matrix.UniformDraws(1, p - 1, 6),
+        field_matrix.NonsingularDraws(1),
+        field_matrix.UniformDraws(0, p - 1, 5),
+        field_matrix.NonsingularDraws(2),
+    ]
+
+
+def _draw_one_by_one(rs, params, segments):
+    """Each segment in turn; each matrix d*d uniform values, redrawn while its cofactor determinant is 0."""
+    p, d = params.p, params.d
+    out, rejections = [], 0
+    for seg in segments:
+        if isinstance(seg, field_matrix.UniformDraws):
+            out.append(field_matrix.uniform_array(rs, seg.lo, seg.hi, seg.count))
+            continue
+        matrices = []
+        while len(matrices) < seg.n:
+            m = field_matrix.uniform_array(rs, 0, p - 1, d * d).reshape(d, d)
+            if det_cofactor(m.tolist(), p):
+                matrices.append(m)
+            else:
+                rejections += 1
+        out.append(np.array(matrices))
+    return out, rejections
+
+
+def _assert_draws_equal(params, drawn, expected):
+    eye = np.eye(params.d, dtype=np.int64)
+    for got, want in zip(drawn, expected, strict=True):
+        if isinstance(got, tuple):
+            matrices, inverses = got
+            assert np.array_equal(matrices, want)
+            assert (matrices @ inverses % params.p == eye).all()
+        else:
+            assert np.array_equal(got, want)
+
+
+# p=251 seeds 5 and 1338 draw one and two singular candidates; the small
+# fields reject about half their candidates, across several segments
+@pytest.mark.parametrize(
+    "p,d,seed", [(251, 8, 5), (251, 8, 1338), (5, 2, 1), (5, 2, 2), (3, 3, 1), (3, 3, 2)]
+)
+def test_draw_segments_equals_per_segment_sequential_draws(p, d, seed, row_reductions):
+    params = FieldParams(p=p, d=d)
+    seq_rs, batch_rs = SplitMix64(seed), SplitMix64(seed)
+    expected, expected_rejections = _draw_one_by_one(seq_rs, params, _segments(p))
+    row_reductions.clear()
+    drawn, rejections = field_matrix.draw_segments(batch_rs, params, _segments(p))
+    _assert_draws_equal(params, drawn, expected)
+    assert rejections == expected_rejections > 0
+    assert batch_rs.read(16) == seq_rs.read(16)
+    # one kernel call for the first parse, one per re-parse round, and a
+    # re-parse round happens only after a rejection
+    assert 2 <= len(row_reductions) <= 1 + rejections
+
+
+@pytest.mark.parametrize("p,d,seed", [(5, 2, 3), (3, 3, 1)])
+def test_draw_segments_reads_exactly_the_sequential_bytes(p, d, seed):
+    # every byte is below p - 1, so both ranges accept it and the sequential
+    # path reads one byte per value: a stub holding exactly those bytes must
+    # serve the parse-ahead, whose push-backs never over-read
+    params = FieldParams(p=p, d=d)
+    pool = bytes(b % (p - 1) for b in SplitMix64(seed).read(4096))
+    expected, rejections = _draw_one_by_one(StubSource(pool), params, _segments(p))
+    matrices = sum(len(v) for v in expected if v.ndim == 3) + rejections
+    used = sum(v.size for v in expected if v.ndim == 1) + matrices * d * d
+    stub = StubSource(pool[:used])
+    drawn, batch_rejections = field_matrix.draw_segments(stub, params, _segments(p))
+    _assert_draws_equal(params, drawn, expected)
+    assert batch_rejections == rejections > 0
+    with pytest.raises(RuntimeError, match="exhausted"):
+        stub.read(1)
+
+
+def test_draw_segments_without_candidates_makes_no_kernel_call(row_reductions):
+    drawn, rejections = field_matrix.draw_segments(
+        SplitMix64(3), P5, [field_matrix.UniformDraws(1, 4, 3), field_matrix.NonsingularDraws(0)]
+    )
+    assert drawn[0].shape == (3,) and [m.shape for m in drawn[1]] == [(0, 2, 2), (0, 2, 2)]
+    assert rejections == 0
+    assert row_reductions == []
+
+
 def test_random_diagonal_stub_passthrough():
     spec = random_diagonal(StubSource([1, 2]), P5)
     assert spec.eigenvalues == (2, 3)

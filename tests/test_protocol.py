@@ -30,12 +30,14 @@ from tdpkex import (
     validate_session,
 )
 
+from tdpkex import protocol
 from tdpkex.protocol import ROLE_LAYOUT
 
 from conftest import identity_privates
 
 P251 = FieldParams()
 P5 = FieldParams(p=5, d=2)
+P3D3 = FieldParams(p=3, d=3)
 
 
 def _np_inv(arr, p):
@@ -396,6 +398,17 @@ def test_session_key_checks_supplied_inverse():
         SessionKey(Matrix.zero(P251))
 
 
+def test_shared_certifies_the_key_inverse_built_from_token_inverses():
+    result = run_session(SplitMix64(42), P251)
+    token = result.bob_pub
+    inverses = np.array([mat_inverse(t).a for t in (token.t1, token.t2, token.t3)])
+    key = alice_shared(result.alice, dataclasses.replace(token, inverses=inverses))
+    assert key == result.alice_key
+    assert key.k_inv == result.alice_key.k_inv
+    with pytest.raises(SingularMatrixError, match="session key is singular"):
+        alice_shared(result.alice, dataclasses.replace(token, inverses=inverses[::-1]))
+
+
 def test_session_counters():
     result = run_session(SplitMix64(28), P251)
     assert result.singular_redraws >= 0
@@ -413,27 +426,72 @@ def test_cached_inverses_match_mat_inverse(params):
         assert setup.basis_inv[name] == mat_inverse(getattr(setup, name))
     for priv in (result.alice, result.bob):
         layout = ROLE_LAYOUT[priv.role]
-        assert layout.hide_inverses(priv) == [mat_inverse(getattr(priv, h)) for h in layout.hide]
+        for names in (layout.hide, layout.key):
+            expected = [mat_inverse(getattr(priv, name)).a for name in names]
+            assert np.array_equal(layout.inverses(priv, names), expected)
         assert priv.free_inv == mat_inverse(getattr(priv, layout.free))
     for key in (result.alice_key, result.bob_key):
         assert key.k_inv == mat_inverse(key.k)
 
 
-# redraw rounds: at p=5 seed 24 the setup batch needs three more rounds for
-# its four singular draws and Alice's free factor one redraw; at p=251 seed
-# 33 one setup basis is redrawn in one more round
+# at p=5 seed 24 four re-parse rounds follow the first parse, for five
+# singular candidates across the setup and Alice's free factor; at p=251
+# seed 33 one setup basis is redrawn in one re-parse round
 @pytest.mark.parametrize(
-    "params, seed, redraw_rounds", [(P5, 24, 4), (P251, 33, 1)], ids=["p5d2", "p251d8"]
+    "params, seed, reparse_rounds, matrices", [(P5, 24, 4, 18), (P251, 33, 1, 9)], ids=["p5d2", "p251d8"]
 )
-def test_session_eliminations(params, seed, redraw_rounds, row_reductions):
-    # every draw's elimination also yields its inverse, which the setup and the
-    # private keys check with a matmul instead of eliminating again.  matrices:
-    # 4 setup draws + 2 free draws + 2 session keys; kernel calls: 1 setup draw
-    # + 2 free draws + 1 for both session keys
+def test_session_eliminations(params, seed, reparse_rounds, matrices, row_reductions):
+    # the first parse reduces the 4 setup draws and the 2 free draws in one
+    # kernel call; a re-parse round reduces the matrices still missing from the
+    # first segment with a singular candidate on.  The session keys' inverse
+    # is built from the factors' inverses, so no call reduces a key
     result = run_session(SplitMix64(seed), params)
     assert result.singular_redraws > 0
-    assert sum(row_reductions) == 8 + result.singular_redraws
-    assert len(row_reductions) == 4 + redraw_rounds
+    assert len(row_reductions) == 1 + reparse_rounds
+    assert sum(row_reductions) == matrices
+    assert row_reductions[0] == 6
+
+
+# seeds and the draw segments where they meet a singular candidate: a setup
+# basis, Alice's free factor a1 or Bob's free factor b3
+_SEGMENT_SEEDS = [
+    (P251, 33, ("setup",)), (P251, 98, ("a1",)), (P251, 417, ("b3",)),
+    (P5, 1, ("setup",)), (P5, 0, ("a1",)), (P5, 32, ("b3",)), (P5, 24, ("setup", "a1")),
+    (P3D3, 2, ("setup",)), (P3D3, 1, ("a1",)), (P3D3, 14, ("b3",)),
+]
+
+
+@pytest.mark.parametrize(
+    "params, seed, singular_in", _SEGMENT_SEEDS,
+    ids=[f"p{p.p}d{p.d}-seed{seed}-{'-'.join(hit)}" for p, seed, hit in _SEGMENT_SEEDS],
+)
+def test_run_session_equals_sequential_calls(params, seed, singular_in, monkeypatch):
+    rejections = []
+    draw = protocol.draw_segments
+
+    def counted(rs, params, segments):
+        drawn, rejected = draw(rs, params, segments)
+        rejections.append(rejected)
+        return drawn, rejected
+
+    run_rs = SplitMix64(seed)
+    result = run_session(run_rs, params)
+    monkeypatch.setattr(protocol, "draw_segments", counted)
+    rs = SplitMix64(seed)
+    setup = gen_setup(rs, params)
+    alice, bob = alice_keygen(rs, setup), bob_keygen(rs, setup)
+    tok_a, tok_b = alice_token(alice), bob_token(bob)
+    keys = alice_shared(alice, tok_b), bob_shared(bob, tok_a)
+    assert [bool(r) for r in rejections] == [s in singular_in for s in ("setup", "a1", "b3")]
+    assert result.setup == setup
+    assert [result.setup.basis_inv[n] for n in "PQRS"] == [setup.basis_inv[n] for n in "PQRS"]
+    assert (result.alice, result.bob) == (alice, bob)
+    assert (result.alice.free_inv, result.bob.free_inv) == (alice.free_inv, bob.free_inv)
+    assert (result.alice_pub, result.bob_pub) == (tok_a, tok_b)
+    assert (result.alice_key, result.bob_key) == keys
+    assert [k.k_inv for k in (result.alice_key, result.bob_key)] == [k.k_inv for k in keys]
+    assert result.singular_redraws == sum(rejections) > 0
+    assert run_rs.read(16) == rs.read(16)
 
 
 def test_tokens_do_no_elimination(row_reductions):

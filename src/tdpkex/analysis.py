@@ -227,7 +227,8 @@ def _chi2_sf(x: float, dof: int) -> float:
     return min(1.0, math.exp(top - half) * math.fsum(math.exp(t - top) for t in logs))
 
 
-_POOL_CHUNK = 4096
+# a chunk's stack is 128 KiB at d = 8, so pooling adds little to its caller's peak memory
+_POOL_CHUNK = 256
 
 
 def uniformity_stats(matrices: Sequence[Matrix], significance: float = 0.001) -> StatsReport:

@@ -173,19 +173,19 @@ def decode_block(block: PlainBlock, length: int) -> bytes:
 
 def encrypt_block(key: SessionKey, block: PlainBlock) -> CipherBlock:
     """c = k^-1 m k."""
-    if key.k.params != block.m.params:
+    if key.params != block.m.params:
         raise ParamsMismatchError("key and block parameters differ")
-    left, right = key.k_inv.a.astype(np.float64), key.k.a.astype(np.float64)
-    c = _conjugate(left, block.m.a[None], right, key.k.params.p)[0]
+    k, k_inv = key.stack.astype(np.float64)
+    c = _conjugate(k_inv, block.m.a[None], k, key.params.p)[0]
     return CipherBlock(Matrix(block.m.params, c))
 
 
 def decrypt_block(key: SessionKey, block: CipherBlock) -> PlainBlock:
     """m = k c k^-1."""
-    if key.k.params != block.c.params:
+    if key.params != block.c.params:
         raise ParamsMismatchError("key and block parameters differ")
-    left, right = key.k.a.astype(np.float64), key.k_inv.a.astype(np.float64)
-    m = _conjugate(left, block.c.a[None], right, key.k.params.p)[0]
+    k, k_inv = key.stack.astype(np.float64)
+    m = _conjugate(k, block.c.a[None], k_inv, key.params.p)[0]
     return PlainBlock(Matrix(block.c.params, m))
 
 
@@ -194,18 +194,18 @@ def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:
 
     Raises ValueError for a nonempty plaintext at zero capacity.
     """
-    params = key.k.params
+    params = key.params
     p, d = params.p, params.d
     bpb = _capacity(p, d)
     n = -(-len(plaintext) // max(bpb, 1))
     check_framing(params, len(plaintext), n)  # before _encode, which cannot cut zero-byte chunks
-    left, right = key.k_inv.a.astype(np.float64), key.k.a.astype(np.float64)
+    k, k_inv = key.stack.astype(np.float64)
     stack = np.empty((n, d, d))
     step = _window(d)
     for i in range(0, n, step):
         out = stack[i:i + step]
         chunk = plaintext[i * bpb:(i + step) * bpb]
-        _conjugate(left, _encode(chunk, params, len(out)), right, p, out)
+        _conjugate(k_inv, _encode(chunk, params, len(out)), k, p, out)
     return CipherMessage(params, len(plaintext), stack)
 
 
@@ -217,15 +217,15 @@ def decrypt_message(key: SessionKey, message: CipherMessage) -> bytes:
     range (corruption or a wrong key).
     """
     params = message.params
-    if key.k.params != params:
+    if key.params != params:
         raise ParamsMismatchError("key and message parameters differ")
     p, d = params.p, params.d
     bpb, length = _capacity(p, d), message.plaintext_length
-    left, right = key.k.a.astype(np.float64), key.k_inv.a.astype(np.float64)
+    k, k_inv = key.stack.astype(np.float64)
     step = _window(d)
     parts = []
     for i in range(0, len(message.stack), step):
-        window = _conjugate(left, message.stack[i:i + step], right, p)
+        window = _conjugate(k, message.stack[i:i + step], k_inv, p)
         # the length left exceeds step * bpb before the last window, so only the last is cut
         parts.append(_decode(window, params, min(length - i * bpb, step * bpb)))
     return b"".join(parts)

@@ -45,7 +45,7 @@ from .errors import (
     TooFewSamplesError,
     ValueOutOfRangeError,
 )
-from .field_matrix import DiagonalSpec, FieldParams, Matrix, SplitMix64, mat_inverse_many
+from .field_matrix import FieldParams, SplitMix64, _invert
 from .protocol import (
     ROLE_LAYOUT,
     AlicePrivate,
@@ -54,6 +54,7 @@ from .protocol import (
     PublicToken,
     Role,
     SessionKey,
+    _check_eigenvalues,
     alice_keygen,
     alice_shared,
     alice_token,
@@ -115,7 +116,7 @@ def _pack_record(
     params: FieldParams,
     role: Role | None,
     stack: np.ndarray,
-    specs: list[DiagonalSpec] | None = None,
+    eigenvalues: np.ndarray | None = None,
     plaintext_length: int | None = None,
 ) -> bytes:
     """The record bytes of an (n, d, d) stack of entries in [0, p)."""
@@ -128,22 +129,16 @@ def _pack_record(
     out.append(_ROLES.index(role))
     out += len(stack).to_bytes(4, "little")
     if record_type == REC_PRIVATE:
-        out.append(len(specs))
-        for spec in specs:
-            out += bytes(spec.eigenvalues)
+        out.append(len(eigenvalues))
+        out += eigenvalues.astype(np.uint8).tobytes()
     if record_type == REC_CIPHERTEXT:
         out += plaintext_length.to_bytes(8, "little")
     out += stack.astype(np.uint8).tobytes()
     return bytes(out)
 
 
-def _matrices(params: FieldParams, stack: np.ndarray) -> list[Matrix]:
-    return [Matrix(params, m) for m in stack]
-
-
 def _write(path: str, record_type: int, params: FieldParams, role: Role | None,
-           matrices: list[Matrix], **sections) -> None:
-    stack = np.array([m.a for m in matrices])
+           stack: np.ndarray, **sections) -> None:
     _atomic_write(path, _pack_record(record_type, params, role, stack, **sections))
 
 
@@ -152,10 +147,11 @@ def _read(path: str, expect_type: int, build):
 
     stack is the read-only (count, d, d) uint8 array of the record's
     matrices, every entry already checked to be < p; each builder converts
-    only the matrices it keeps.  section is the private record's four
-    eigenvalue lists (bytes) or the ciphertext's plaintext length, else None.
-    Every format violation, and any ValueError that build raises on
-    inconsistent material, is a FileFormatError naming path.
+    it to the int64 stack its object keeps.  section is the private record's
+    four eigenvalue lists as a (4, d) int64 array or the ciphertext's
+    plaintext length, else None.  Every format violation, and any ValueError
+    that build raises on inconsistent material, is a FileFormatError naming
+    path.
     """
     def fail(reason: str):
         raise FileFormatError(f"{path}: {reason}")
@@ -189,13 +185,14 @@ def _read(path: str, expect_type: int, build):
     if record_type == REC_PRIVATE:
         if data[13:14] != b"\x04":
             fail("private key record needs 4 eigenvalue lists")
-        section = [data[14 + i * d:14 + (i + 1) * d] for i in range(4)]
         pos = 14 + 4 * d
     elif record_type == REC_CIPHERTEXT:
         section = int.from_bytes(data[13:21], "little")
         pos = 21
     if len(data) != pos + count * d * d:
         fail(f"length {len(data)} does not match header (expected {pos + count * d * d})")
+    if record_type == REC_PRIVATE:
+        section = np.frombuffer(data, np.uint8, 4 * d, offset=14).reshape(4, d).astype(np.int64)
     entries = np.frombuffer(data, np.uint8, offset=pos).reshape(count, d, d)
     bad = np.flatnonzero((entries >= params.p).any(axis=(1, 2)))
     if bad.size:
@@ -207,59 +204,62 @@ def _read(path: str, expect_type: int, build):
 
 
 def write_setup_file(path: str, setup: PublicSetup) -> None:
-    _write(path, REC_SETUP, setup.params, None, [setup.P, setup.Q, setup.R, setup.S])
+    _write(path, REC_SETUP, setup.params, None, setup.bases)
 
 
 def read_setup_file(path: str) -> PublicSetup:
-    return _read(path, REC_SETUP,
-                 lambda params, role, stack, _: PublicSetup(params, *_matrices(params, stack)))
+    def build(params, role, stack, _):
+        return PublicSetup._from_stacks(params, stack.astype(np.int64))
+
+    return _read(path, REC_SETUP, build)
 
 
 def write_private_file(path: str, priv: AlicePrivate | BobPrivate) -> None:
-    s, layout = priv.setup, ROLE_LAYOUT[priv.role]
-    matrices = [s.P, s.Q, s.R, s.S] + layout.matrices(priv)
-    _write(path, REC_PRIVATE, s.params, priv.role, matrices, specs=layout.specs(priv))
+    stack = np.concatenate([priv.setup.bases, priv.factors])
+    _write(path, REC_PRIVATE, priv.params, priv.role, stack, eigenvalues=priv.eigenvalues)
 
 
 def read_private_file(path: str) -> AlicePrivate | BobPrivate:
-    def build(params, role, stack, lists):
-        layout = ROLE_LAYOUT[role]
-        specs = [DiagonalSpec(params, values) for values in lists]
-        ms = _matrices(params, stack)
-        factors = dict(zip(layout.key + layout.hide, ms[4:]))
+    def build(params, role, stack, eigenvalues):
+        layout, stack = ROLE_LAYOUT[role], stack.astype(np.int64)
+        # the lists come first in the record, so their refusal does too
+        _check_eigenvalues(params, eigenvalues)
         # one elimination for the four bases and the free factor; the
-        # constructors check each inverse as a certificate, and a singular
-        # matrix (None here) is refused there with its own message
-        inverses = mat_inverse_many(ms[:4] + [factors[layout.free]])
-        setup = PublicSetup(params, *ms[:4], basis_inv=dict(zip("PQRS", inverses)))
-        return layout.private(setup, *specs, **factors, free_inv=inverses[4])
+        # constructors check each inverse as a certificate, so a singular
+        # matrix, whose inverse here is garbage, is refused there with its
+        # own message
+        inverses, _ = _invert(stack[[0, 1, 2, 3, 4 + layout.free_index]], params.p)
+        setup = PublicSetup._from_stacks(params, stack[:4], inverses[:4])
+        return layout.private._from_stacks(setup, eigenvalues, stack[4:], inverses[4])
 
     return _read(path, REC_PRIVATE, build)
 
 
 def write_token_file(path: str, token: PublicToken) -> None:
-    _write(path, REC_TOKEN, token.params, token.role, [token.t1, token.t2, token.t3])
+    _write(path, REC_TOKEN, token.params, token.role, token.stack)
 
 
 def read_token_file(path: str) -> PublicToken:
     def build(params, role, stack, _):
-        ms = _matrices(params, stack)
-        inverses = mat_inverse_many(ms)
+        stack = stack.astype(np.int64)
+        inverses, dets = _invert(stack, params.p)
         # every token matrix is a product of invertible factors
-        if any(x is None for x in inverses):
+        if not all(dets):
             raise SingularMatrixError("token has a singular matrix")
-        return PublicToken(role, *ms, inverses=np.array([x.a for x in inverses]))
+        return PublicToken._from_stacks(role, params, stack, inverses)
 
     return _read(path, REC_TOKEN, build)
 
 
 def write_session_key_file(path: str, key: SessionKey) -> None:
-    _write(path, REC_SESSION_KEY, key.k.params, None, [key.k])
+    _write(path, REC_SESSION_KEY, key.params, None, key.stack[:1])
 
 
 def read_session_key_file(path: str) -> SessionKey:
-    return _read(path, REC_SESSION_KEY,
-                 lambda params, role, stack, _: SessionKey(Matrix(params, stack[0])))
+    def build(params, role, stack, _):
+        return SessionKey._from_stacks(params, stack[0].astype(np.int64))
+
+    return _read(path, REC_SESSION_KEY, build)
 
 
 def write_ciphertext_file(path: str, message: CipherMessage) -> None:
@@ -361,7 +361,7 @@ def cmd_token(args) -> int:
 def cmd_shared(args) -> int:
     priv = read_private_file(args.key)
     token = read_token_file(args.peer)
-    if token.params != priv.setup.params:
+    if token.params != priv.params:
         raise ParamsMismatchError(
             f"{args.peer}: token parameters {token.params} differ from private key"
         )
@@ -381,7 +381,7 @@ def cmd_encrypt(args) -> int:
 def cmd_decrypt(args) -> int:
     key = read_session_key_file(args.key)
     message = read_ciphertext_file(args.infile)
-    if message.params != key.k.params:
+    if message.params != key.params:
         raise ParamsMismatchError(f"{args.infile}: ciphertext parameters differ from key")
     _atomic_write(args.out, decrypt_message(key, message))
     return 0

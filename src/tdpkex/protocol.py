@@ -18,6 +18,15 @@ a1 b1 a2 b2 a3 b3, which is the session key.  Keygen, token and key
 derivation are one algorithm for both parties; ROLE_LAYOUT says which of a
 party's factors plays which part.
 
+Every protocol object holds read-only int64 stacks, as CipherMessage does:
+the setup its bases and their inverses, a private key its eigenvalue lists,
+its five factors and the free factor's inverse, a token its triple, and a
+session key k and k^-1.  A named member (``setup.P``, ``alice.a2``,
+``alice.d_a2``, ``token.t1``, ``key.k``) is a Matrix or DiagonalSpec built
+when it is read.  The constructors take Matrix and DiagonalSpec arguments;
+``run_session`` and the CLI readers build the same objects from stacks
+(``_from_stacks``), and both routes run the same checks once on the stack.
+
 All protocol objects are immutable; sessions on distinct random sources may
 run concurrently.
 """
@@ -26,8 +35,8 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
-from typing import ClassVar, Sequence
+from dataclasses import FrozenInstanceError, dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -39,10 +48,10 @@ from .field_matrix import (
     Matrix,
     NonsingularDraws,
     UniformDraws,
+    _invert,
     _inverse_table,
     commutator,
     draw_segments,
-    mat_inverse_many,
 )
 
 
@@ -56,135 +65,248 @@ def _require_protocol_params(params: FieldParams) -> None:
         raise ValueError("key agreement needs p > 2 (nonzero eigenvalue choices)")
 
 
-def _inverses(ms: list[Matrix], supplied: list[Matrix | None], names: list[str]) -> list[Matrix]:
-    """The inverses of same-params ms; SingularMatrixError naming the first that has none.
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d, dtype=np.int64)
+    eye.flags.writeable = False
+    return eye
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _certify(ms: np.ndarray, inverses: np.ndarray | None, names, p: int) -> np.ndarray:
+    """The inverses of the (k, d, d) stack ms; SingularMatrixError naming the first that has none.
 
     Supplied inverses are checked with one stacked m x == I mod p, which
     proves m invertible with inverse x, so they are certificates, not taken
-    on trust.  If any is missing, ms are inverted in one stacked reduction.
+    on trust.  Without them ms are inverted in one stacked reduction.
     """
-    params = ms[0].params
-    if any(x is None for x in supplied):
-        inverses = mat_inverse_many(ms)
+    if inverses is None:
+        inverses, ok = _invert(ms, p)
     else:
-        if any(x.params != params for x in supplied):
-            raise ParamsMismatchError("supplied inverse has foreign parameters")
-        prod = np.array([m.a for m in ms]) @ np.array([x.a for x in supplied]) % params.p
-        ok = (prod == np.eye(params.d, dtype=np.int64)).all(axis=(1, 2))
-        inverses = [x if good else None for x, good in zip(supplied, ok.tolist())]
-    for name, inv in zip(names, inverses):
-        if inv is None:
+        ok = (ms @ inverses % p == _identity(ms.shape[-1])).all(axis=(1, 2)).tolist()
+    for name, good in zip(names, ok):
+        if not good:
             raise SingularMatrixError(f"{name} is singular")
     return inverses
 
 
+def _check_eigenvalues(params: FieldParams, eigenvalues: np.ndarray) -> None:
+    """DiagonalSpec's refusals, run once over a (k, d) stack of eigenvalue lists."""
+    if eigenvalues.shape[-1] != params.d:
+        raise ValueError(f"expected {params.d} eigenvalues, got {eigenvalues.shape[-1]}")
+    bad = (eigenvalues < 1) | (eigenvalues >= params.p)
+    if bad.any():
+        raise ValueError(f"eigenvalue {eigenvalues[bad][0]} outside [1, p-1]")
+
+
+class _Stacked:
+    """Attributes set once by the constructor; assigning one later raises, as on a frozen dataclass.
+
+    The public constructor checks its Matrix arguments' parameters, stacks
+    them and hands the stacks to ``_init``, which runs every other check
+    and keeps them.  ``_from_stacks`` is the route of ``run_session`` and
+    the CLI readers: it hands int64 stacks with entries in [0, p) to the
+    same ``_init``, which keeps them uncopied (a session key stacks k with
+    its inverse) and read-only.  Two objects of one class are equal when
+    the attributes named in ``_compared`` are: arrays entry by entry,
+    anything else by ``==``.
+    """
+
+    __slots__ = ()
+    _compared: ClassVar[tuple[str, ...]]
+
+    @classmethod
+    def _from_stacks(cls, *args):
+        obj = cls.__new__(cls)
+        obj._init(*args)
+        return obj
+
+    def _set(self, **attributes) -> None:
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore slots through here, not through __setattr__
+        self._set(**state[1])
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for name in self._compared:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            same = np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            if not same:
+                return False
+        return True
+
+
+class _Member:
+    """Row ``index`` of the object's ``stack`` attribute, wrapped as a ``kind`` when read."""
+
+    def __init__(self, stack: str, index: int, kind: type = Matrix):
+        self.stack, self.index, self.kind = stack, index, kind
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return self.kind(obj.params, getattr(obj, self.stack)[self.index])
+
+
 _BASES = ("P", "Q", "R", "S")
+_BASIS_NAMES = tuple(f"basis {name}" for name in _BASES)
 
 
-@dataclass(frozen=True)
-class PublicSetup:
+class PublicSetup(_Stacked):
     """The four public eigenvector bases; all invertible, all same params.
 
-    basis_inv maps each basis name to its inverse, so every family member and
-    member inverse is one matmul (see ``member``).  A caller that already
-    holds the inverses, as the setup draw does, passes them in and the
-    constructor checks all four with one stacked matmul; otherwise it
-    inverts the four bases with one stacked reduction.
+    bases is the (4, d, d) stack of P, Q, R, S and inverses theirs, so every
+    family member and member inverse is one matmul (see ``member``).  A
+    caller that already holds the inverses, as the setup draw does, passes
+    them in and the constructor checks all four with one stacked matmul;
+    otherwise it inverts the four bases with one stacked reduction.
+    ``basis_inv`` maps each basis name to its inverse as a Matrix.
     """
 
-    params: FieldParams
-    P: Matrix
-    Q: Matrix
-    R: Matrix
-    S: Matrix
-    basis_inv: dict[str, Matrix] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("params", "bases", "inverses")
+    _compared = ("params", "bases")
+    P, Q, R, S = (_Member("bases", i) for i in range(4))
 
-    def __post_init__(self):
-        _require_protocol_params(self.params)
-        bases = [getattr(self, name) for name in _BASES]
+    def __init__(self, params: FieldParams, P: Matrix, Q: Matrix, R: Matrix, S: Matrix,
+                 basis_inv: dict[str, Matrix] | None = None):
+        _require_protocol_params(params)  # _init checks it too; here it comes first
+        bases = (P, Q, R, S)
         for name, m in zip(_BASES, bases):
-            if m.params != self.params:
+            if m.params != params:
                 raise ParamsMismatchError(f"basis {name} has foreign parameters")
-        supplied = [None] * 4 if self.basis_inv is None else [self.basis_inv[name] for name in _BASES]
-        inverses = _inverses(bases, supplied, [f"basis {name}" for name in _BASES])
-        object.__setattr__(self, "basis_inv", dict(zip(_BASES, inverses)))
+        inverses = None
+        if basis_inv is not None:
+            supplied = [basis_inv[name] for name in _BASES]
+            if any(x.params != params for x in supplied):
+                raise ParamsMismatchError("supplied inverse has foreign parameters")
+            inverses = np.array([x.a for x in supplied])
+        self._init(params, np.array([m.a for m in bases]), inverses)
 
-    def member(self, basis_name: str, eigenvalues: Sequence[int]) -> Matrix:
+    def _init(self, params: FieldParams, bases: np.ndarray, inverses: np.ndarray | None = None):
+        _require_protocol_params(params)
+        inverses = _certify(bases, inverses, _BASIS_NAMES, params.p)
+        self._set(params=params, bases=_readonly(bases), inverses=_readonly(inverses))
+
+    @property
+    def basis_inv(self) -> dict[str, Matrix]:
+        return {name: Matrix(self.params, x) for name, x in zip(_BASES, self.inverses)}
+
+    def member(self, basis_name: str, eigenvalues) -> Matrix:
         """basis^-1 diag(eigenvalues) basis for the named basis, with no elimination."""
-        return Matrix(self.params, self._members([basis_name], [eigenvalues])[0])
-
-    def _members(self, basis_names: Sequence[str], eigenvalues) -> np.ndarray:
-        """One family member per named basis and eigenvalue row, as one (k, d, d) broadcast."""
-        b = np.array([getattr(self, name).a for name in basis_names])
-        b_inv = np.array([self.basis_inv[name].a for name in basis_names])
-        return family_member(b, b_inv, eigenvalues, self.params.p)
+        i = _BASES.index(basis_name)
+        member = family_member(self.bases[i], self.inverses[i], eigenvalues, self.params.p)
+        return Matrix(self.params, member)
 
 
-@dataclass(frozen=True)
-class _Private:
-    """Shared checks of a party's secret material; the layout comes from ROLE_LAYOUT.
+class _Private(_Stacked):
+    """A party's secret material over one setup; the layout comes from ROLE_LAYOUT.
 
-    free_inv is the free factor's inverse: checked with one matmul when the
-    caller supplies it (keygen's draw computed it), else computed here.
+    eigenvalues is the (4, d) stack of the eigenvalue lists in ``families``
+    order, factors the (5, d, d) stack of the factors in record order (``key``
+    then ``hide``), and free_inverse the free factor's inverse: checked with
+    one matmul when the caller supplies it (keygen's draw computed it), else
+    computed here.  ``free_inv`` is that inverse as a Matrix, and
+    ``inverses`` all five factors' inverses, built on first use.
     """
 
+    __slots__ = ("setup", "params", "eigenvalues", "factors", "free_inverse", "_inverses")
+    _compared = ("setup", "eigenvalues", "factors")
     role: ClassVar[Role]
-    setup: PublicSetup
-    free_inv: Matrix | None = field(default=None, kw_only=True, compare=False, repr=False)
 
-    def __post_init__(self):
-        layout = ROLE_LAYOUT[self.role]
-        params = self.setup.params
-        names = [name for name, _ in layout.families]
-        derived = [getattr(self, name) for name in names]
-        specs = [getattr(self, "d_" + name) for name in names]
-        for name, m, spec in zip(names, derived, specs):
-            if m.params != params or spec.params != params:
+    def _from_material(self, setup: PublicSetup, specs, factors, free_inv: Matrix | None) -> None:
+        """The Matrix route: each argument's parameters checked, then the stack checks."""
+        layout, params = ROLE_LAYOUT[self.role], setup.params
+        for (name, _), spec in zip(layout.families, specs):
+            if factors[layout.record.index(name)].params != params or spec.params != params:
                 raise ParamsMismatchError(f"{name} has foreign parameters")
-        free = getattr(self, layout.free)
-        if free.params != params:
+        if factors[layout.free_index].params != params:
             raise ParamsMismatchError(f"{layout.free} has foreign parameters")
-        b = np.array([getattr(self.setup, basis_name).a for _, basis_name in layout.families])
-        f = np.array([m.a for m in derived])
-        eigenvalues = np.array([spec.eigenvalues for spec in specs])
+        if free_inv is not None and free_inv.params != params:
+            raise ParamsMismatchError("supplied inverse has foreign parameters")
+        eigenvalues = np.array([spec.eigenvalues for spec in specs], dtype=np.int64)
+        self._init(setup, eigenvalues, np.array([m.a for m in factors]),
+                   None if free_inv is None else free_inv.a)
+
+    def _init(self, setup: PublicSetup, eigenvalues: np.ndarray, factors: np.ndarray,
+              free_inverse: np.ndarray | None = None):
+        layout, params = ROLE_LAYOUT[self.role], setup.params
+        p = params.p
+        _check_eigenvalues(params, eigenvalues)
+        b = setup.bases[layout.basis_index]
         # B F == diag(eigenvalues) B for all four families at once: F == B^-1 diag B,
         # tested inversion-free
-        if not np.array_equal(b @ f % params.p, eigenvalues[:, :, None] * b % params.p):
+        f = factors[layout.family_index]
+        if not np.array_equal(b @ f % p, eigenvalues[:, :, None] * b % p):
             raise ValueError("derived matrix does not match its basis and eigenvalues")
-        (free_inv,) = _inverses([free], [self.free_inv], [layout.free])
-        object.__setattr__(self, "free_inv", free_inv)
+        free = factors[layout.free_index, None]
+        supplied = None if free_inverse is None else free_inverse[None]
+        (free_inverse,) = _certify(free, supplied, [layout.free], p)
+        self._set(setup=setup, params=params, eigenvalues=_readonly(eigenvalues),
+                  factors=_readonly(factors), free_inverse=_readonly(free_inverse), _inverses=None)
+
+    @property
+    def free_inv(self) -> Matrix:
+        return Matrix(self.params, self.free_inverse)
+
+    @property
+    def inverses(self) -> np.ndarray:
+        """The five factors' inverses as one (5, d, d) stack in record order, with no elimination.
+
+        A family factor's inverse is its family member on the inverted
+        eigenvalues, exact because the constructor checked each family factor
+        against its basis; the free factor's is the certified free_inverse.
+        Built on first use and kept, for the token and the session key alike.
+        """
+        if self._inverses is None:
+            layout = ROLE_LAYOUT[self.role]
+            out = np.empty_like(self.factors)
+            inverted = _inverse_table(self.params.p)[self.eigenvalues]
+            out[layout.family_index] = layout.members(self.setup, inverted)
+            out[layout.free_index] = self.free_inverse
+            self._set(_inverses=_readonly(out))
+        return self._inverses
 
 
-@dataclass(frozen=True)
 class AlicePrivate(_Private):
     """Alice's secret material: four eigenvalue lists, one free matrix, derived factors."""
 
+    __slots__ = ()
     role = Role.ALICE
-    d_a2: DiagonalSpec
-    d_a3: DiagonalSpec
-    d_x1: DiagonalSpec
-    d_x2: DiagonalSpec
-    a1: Matrix
-    a2: Matrix
-    a3: Matrix
-    x1: Matrix
-    x2: Matrix
+    d_a2, d_a3, d_x1, d_x2 = (_Member("eigenvalues", i, DiagonalSpec) for i in range(4))
+    a1, a2, a3, x1, x2 = (_Member("factors", i) for i in range(5))
+
+    def __init__(self, setup: PublicSetup, d_a2: DiagonalSpec, d_a3: DiagonalSpec,
+                 d_x1: DiagonalSpec, d_x2: DiagonalSpec, a1: Matrix, a2: Matrix, a3: Matrix,
+                 x1: Matrix, x2: Matrix, *, free_inv: Matrix | None = None):
+        self._from_material(setup, (d_a2, d_a3, d_x1, d_x2), (a1, a2, a3, x1, x2), free_inv)
 
 
-@dataclass(frozen=True)
 class BobPrivate(_Private):
     """Bob's secret material; mirror image of Alice's with bases swapped."""
 
+    __slots__ = ()
     role = Role.BOB
-    d_b1: DiagonalSpec
-    d_b2: DiagonalSpec
-    d_y1: DiagonalSpec
-    d_y2: DiagonalSpec
-    b1: Matrix
-    b2: Matrix
-    b3: Matrix
-    y1: Matrix
-    y2: Matrix
+    d_b1, d_b2, d_y1, d_y2 = (_Member("eigenvalues", i, DiagonalSpec) for i in range(4))
+    b1, b2, b3, y1, y2 = (_Member("factors", i) for i in range(5))
+
+    def __init__(self, setup: PublicSetup, d_b1: DiagonalSpec, d_b2: DiagonalSpec,
+                 d_y1: DiagonalSpec, d_y2: DiagonalSpec, b1: Matrix, b2: Matrix, b3: Matrix,
+                 y1: Matrix, y2: Matrix, *, free_inv: Matrix | None = None):
+        self._from_material(setup, (d_b1, d_b2, d_y1, d_y2), (b1, b2, b3, y1, y2), free_inv)
 
 
 @dataclass(frozen=True)
@@ -196,7 +318,10 @@ class RoleLayout:
     three factors (f1, f2, f3) that enter the session key, ``hide`` the two
     (h1, h2) that mask them in the token (f1 h1, h1^-1 f2 h2, h2^-1 f3), and
     ``free`` names the factor drawn from the whole group.  The record stores
-    the eigenvalue lists in ``families`` order, then ``key`` and ``hide``.
+    the eigenvalue lists in ``families`` order, then ``key`` and ``hide``,
+    which is the order of a private key's factor stack: ``record``.  In
+    ``families`` order, ``family_index`` gives each family factor's place in
+    that stack and ``basis_index`` its basis's place in the setup's.
     """
 
     private: type
@@ -204,27 +329,22 @@ class RoleLayout:
     key: tuple[str, str, str]
     hide: tuple[str, str]
     free: str
+    record: tuple[str, ...] = field(init=False, repr=False)
+    family_index: list[int] = field(init=False, repr=False)
+    basis_index: list[int] = field(init=False, repr=False)
+    free_index: int = field(init=False, repr=False)
 
-    def specs(self, priv: _Private) -> list[DiagonalSpec]:
-        return [getattr(priv, "d_" + name) for name, _ in self.families]
+    def __post_init__(self):
+        record = self.key + self.hide
+        object.__setattr__(self, "record", record)
+        object.__setattr__(self, "family_index", [record.index(name) for name, _ in self.families])
+        object.__setattr__(self, "basis_index", [_BASES.index(basis) for _, basis in self.families])
+        object.__setattr__(self, "free_index", record.index(self.free))
 
-    def matrices(self, priv: _Private) -> list[Matrix]:
-        return [getattr(priv, name) for name in self.key + self.hide]
-
-    def inverses(self, priv: _Private, names: Sequence[str]) -> np.ndarray:
-        """The named factors' inverses as one (k, d, d) array, with no elimination.
-
-        A family factor's inverse is its family member on the inverted
-        eigenvalues, exact because _Private checked each family factor
-        against its basis; the free factor's is the certified ``free_inv``.
-        """
-        family = [name for name in names if name != self.free]
-        basis = dict(self.families)
-        eigenvalues = np.array([getattr(priv, "d_" + name).eigenvalues for name in family])
-        inverted = _inverse_table(priv.setup.params.p)[eigenvalues]
-        found = dict(zip(family, priv.setup._members([basis[name] for name in family], inverted)))
-        found[self.free] = priv.free_inv.a
-        return np.array([found[name] for name in names])
+    def members(self, setup: PublicSetup, eigenvalues) -> np.ndarray:
+        """The four family members on (4, d) eigenvalue lists, in ``families`` order."""
+        i = self.basis_index
+        return family_member(setup.bases[i], setup.inverses[i], eigenvalues, setup.params.p)
 
 
 ROLE_LAYOUT = {
@@ -245,47 +365,54 @@ ROLE_LAYOUT = {
 }
 
 
-@dataclass(frozen=True)
-class PublicToken:
+class PublicToken(_Stacked):
     """The published triple: (u, v, w) from Alice or (p, q, r) from Bob.
 
-    inverses, when a reader that eliminated the triple supplies it, is the
-    (3, d, d) array of t1^-1, t2^-1, t3^-1.  It is not checked here: a
-    session key derived from the token builds its own inverse from it, and
-    ``SessionKey`` certifies that product.
+    stack is the (3, d, d) stack of t1, t2, t3.  inverses, when a reader that
+    eliminated the triple supplies it, is the (3, d, d) array of t1^-1,
+    t2^-1, t3^-1.  It is not checked here: a session key derived from the
+    token builds its own inverse from it, and ``SessionKey`` certifies that
+    product.  It takes no part in equality.
     """
 
-    role: Role
-    t1: Matrix
-    t2: Matrix
-    t3: Matrix
-    inverses: np.ndarray | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("role", "params", "stack", "inverses")
+    _compared = ("role", "params", "stack")
+    t1, t2, t3 = (_Member("stack", i) for i in range(3))
 
-    @property
-    def params(self) -> FieldParams:
-        return self.t1.params
-
-    def __post_init__(self):
-        if not (self.t1.params == self.t2.params == self.t3.params):
+    def __init__(self, role: Role, t1: Matrix, t2: Matrix, t3: Matrix,
+                 inverses: np.ndarray | None = None):
+        if not (t1.params == t2.params == t3.params):
             raise ParamsMismatchError("token matrices have mixed parameters")
+        self._init(role, t1.params, np.array([t1.a, t2.a, t3.a]), inverses)
+
+    def _init(self, role: Role, params: FieldParams, stack: np.ndarray,
+              inverses: np.ndarray | None = None):
+        self._set(role=role, params=params, stack=_readonly(stack), inverses=inverses)
 
 
-@dataclass(frozen=True)
-class SessionKey:
+class SessionKey(_Stacked):
     """The agreed key matrix; invertible because all six factors are.
 
-    k_inv is held here, so the cipher conjugates every block with no further
-    elimination.  A supplied k_inv is checked with one matmul; ``run_session``
-    builds it from the six factors' inverses, and a shared key from a token
-    that carries its inverses.  Without one it is computed here.
+    stack is the (2, d, d) stack of k and k^-1, so the cipher conjugates
+    every block with no further elimination.  A supplied k_inv is checked
+    with one matmul; ``run_session`` builds it from the six factors'
+    inverses, and a shared key from a token that carries its inverses.
+    Without one it is computed here.
     """
 
-    k: Matrix
-    k_inv: Matrix | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("params", "stack")
+    _compared = ("params", "stack")
+    k, k_inv = _Member("stack", 0), _Member("stack", 1)
 
-    def __post_init__(self):
-        (k_inv,) = _inverses([self.k], [self.k_inv], ["session key"])
-        object.__setattr__(self, "k_inv", k_inv)
+    def __init__(self, k: Matrix, k_inv: Matrix | None = None):
+        if k_inv is not None and k_inv.params != k.params:
+            raise ParamsMismatchError("supplied inverse has foreign parameters")
+        self._init(k.params, k.a, None if k_inv is None else k_inv.a)
+
+    def _init(self, params: FieldParams, k: np.ndarray, k_inv: np.ndarray | None = None):
+        supplied = None if k_inv is None else k_inv[None]
+        (k_inv,) = _certify(k[None], supplied, ["session key"], params.p)
+        self._set(params=params, stack=_readonly(np.array([k, k_inv])))
 
 
 _SETUP_DRAWS = (NonsingularDraws(len(_BASES)),)
@@ -299,8 +426,7 @@ def _keygen_draws(params: FieldParams) -> tuple[UniformDraws, NonsingularDraws]:
 def _setup(params: FieldParams, drawn: list) -> PublicSetup:
     """The setup from the draws of ``_SETUP_DRAWS``, their inverses passed on."""
     ((bases, inverses),) = drawn
-    basis_inv = {name: Matrix(params, x) for name, x in zip(_BASES, inverses)}
-    return PublicSetup(params, *(Matrix(params, b) for b in bases), basis_inv=basis_inv)
+    return PublicSetup._from_stacks(params, bases, inverses)
 
 
 def _private(setup: PublicSetup, role: Role, drawn: list) -> _Private:
@@ -308,14 +434,13 @@ def _private(setup: PublicSetup, role: Role, drawn: list) -> _Private:
 
     The four family members are one broadcast product basis^-1 diag basis.
     """
-    layout, params = ROLE_LAYOUT[role], setup.params
+    layout, d = ROLE_LAYOUT[role], setup.params.d
     eigenvalues, ((free,), (free_inv,)) = drawn
-    eigenvalues = eigenvalues.reshape(-1, params.d)
-    specs = [DiagonalSpec(params, row) for row in eigenvalues.tolist()]
-    members = setup._members([basis_name for _, basis_name in layout.families], eigenvalues)
-    factors = {name: Matrix(params, m) for (name, _), m in zip(layout.families, members)}
-    factors[layout.free] = Matrix(params, free)
-    return layout.private(setup, *specs, **factors, free_inv=Matrix(params, free_inv))
+    eigenvalues = eigenvalues.reshape(-1, d)
+    factors = np.empty((len(layout.record), d, d), dtype=np.int64)
+    factors[layout.family_index] = layout.members(setup, eigenvalues)
+    factors[layout.free_index] = free
+    return layout.private._from_stacks(setup, eigenvalues, factors, free_inv)
 
 
 def gen_setup(rs, params: FieldParams) -> PublicSetup:
@@ -329,53 +454,45 @@ def _keygen(rs, setup: PublicSetup, role: Role) -> _Private:
 
 def _token(priv: _Private) -> PublicToken:
     """(f1 h1, h1^-1 f2 h2, h2^-1 f3): one stacked product, then one matmul by h2."""
-    layout, params = ROLE_LAYOUT[priv.role], priv.setup.params
-    f1, f2, f3, h1, h2 = (m.a for m in layout.matrices(priv))
-    h1_inv, h2_inv = layout.inverses(priv, layout.hide)
-    t1, t2, t3 = np.array([f1, h1_inv, h2_inv]) @ np.array([h1, f2, f3]) % params.p
-    return PublicToken(priv.role, *(Matrix(params, t) for t in (t1, t2 @ h2, t3)))
+    p = priv.params.p
+    f1, f2, f3, h1, h2 = priv.factors
+    stack = np.array([f1, priv.inverses[3], priv.inverses[4]]) @ np.array([h1, f2, f3]) % p
+    stack[1] = stack[1] @ h2 % p
+    return PublicToken._from_stacks(priv.role, priv.params, stack)
 
 
-def _chain(alice, bob, p: int) -> np.ndarray:
-    """a1 b1 a2 b2 a3 b3 from Alice's and Bob's factor triples: hers sit left of his."""
-    factors = [m for pair in zip(alice, bob) for m in pair]
-    return functools.reduce(lambda k, f: k @ f % p, factors)
-
-
-def _chain_inverse(alice_inv, bob_inv, p: int) -> np.ndarray:
-    """(a1 b1 a2 b2 a3 b3)^-1 = b3^-1 a3^-1 b2^-1 a2^-1 b1^-1 a1^-1 from the factors' inverses."""
-    return _chain(bob_inv[::-1], alice_inv[::-1], p)
+def _chain(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """l1 r1 l2 r2 l3 r3 for triples stacked on axis -3, batched over any leading axes."""
+    k = left[..., 0, :, :]
+    for i in range(3):
+        if i:
+            k = k @ left[..., i, :, :] % p
+        k = k @ right[..., i, :, :] % p
+    return k
 
 
 def _by_role(role: Role, own, peer) -> tuple:
-    """A party's own and its peer's triples, ordered (Alice's, Bob's)."""
+    """A party's own and its peer's triples, ordered (Alice's, Bob's): hers sit left of his."""
     return (own, peer) if role is Role.ALICE else (peer, own)
 
 
-def _key_inverses(priv: _Private) -> np.ndarray:
-    layout = ROLE_LAYOUT[priv.role]
-    return layout.inverses(priv, layout.key)
+def _shared(priv: _Private, token: PublicToken) -> SessionKey:
+    """The session key; its inverse comes with no elimination when the token carries its own.
 
-
-def _key_product(priv: _Private, token: PublicToken) -> Matrix:
+    K^-1 = b3^-1 a3^-1 b2^-1 a2^-1 b1^-1 a1^-1 is the chain of Bob's and
+    Alice's inverse triples, each reversed.
+    """
     if token.role is priv.role:
         raise ValueError(f"{priv.role.value} needs the peer's token, not a {token.role.value} token")
-    params = priv.setup.params
+    params = priv.params
     if token.params != params:
         raise ParamsMismatchError("token parameters differ from private key")
-    own = [getattr(priv, name).a for name in ROLE_LAYOUT[priv.role].key]
-    peer = [token.t1.a, token.t2.a, token.t3.a]
-    return Matrix(params, _chain(*_by_role(priv.role, own, peer), params.p))
-
-
-def _shared(priv: _Private, token: PublicToken) -> SessionKey:
-    """The session key; its inverse comes with no elimination when the token carries its own."""
-    k = _key_product(priv, token)
+    k = _chain(*_by_role(priv.role, priv.factors[:3], token.stack), params.p)
     k_inv = None
     if token.inverses is not None:
-        pair = _by_role(priv.role, _key_inverses(priv), token.inverses)
-        k_inv = Matrix(k.params, _chain_inverse(*pair, k.params.p))
-    return SessionKey(k, k_inv)
+        alice_inv, bob_inv = _by_role(priv.role, priv.inverses[:3], token.inverses)
+        k_inv = _chain(bob_inv[::-1], alice_inv[::-1], params.p)
+    return SessionKey._from_stacks(params, k, k_inv)
 
 
 def alice_keygen(rs, setup: PublicSetup) -> AlicePrivate:
@@ -408,17 +525,22 @@ def bob_shared(priv: BobPrivate, token: PublicToken) -> SessionKey:
     return _shared(priv, token)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckResult:
-    """One checked pair (a, b) of private factors.
+    """One checked pair (a, b) of private factors, held as one (2, d, d) stack.
 
     ``passed`` says a b == b a for a required pair, a b != b a for a pitfall.
-    ``commutator`` (a^-1 b^-1 a b) costs an elimination, so it is computed
-    on access, never by the check.
+    ``pair`` and ``commutator`` (a^-1 b^-1 a b, which costs an elimination)
+    are computed on access, never by the check.
     """
 
     passed: bool
-    pair: tuple[Matrix, Matrix]
+    params: FieldParams
+    stack: np.ndarray
+
+    @property
+    def pair(self) -> tuple[Matrix, Matrix]:
+        return Matrix(self.params, self.stack[0]), Matrix(self.params, self.stack[1])
 
     @property
     def commutator(self) -> Matrix:
@@ -459,6 +581,10 @@ class ValidationReport:
 # and x*, Bob's b* and y*
 _REQUIRED = ("[a2,y1]", "[a3,y2]", "[b1,x1]", "[b2,x2]")
 _PITFALLS = ("[x1,y1]", "[x2,y1]", "[x2,y2]", "[a2,b1]", "[a3,b2]", "[a3,b1]", "[x2,b1]", "[a3,y1]")
+# each check's two places in Alice's factor stack followed by Bob's
+_SESSION_FACTORS = ROLE_LAYOUT[Role.ALICE].record + ROLE_LAYOUT[Role.BOB].record
+_CHECK_INDEX = np.array([[_SESSION_FACTORS.index(f) for f in name[1:-1].split(",")]
+                         for name in _REQUIRED + _PITFALLS])
 
 
 def validate_session(setup: PublicSetup, alice: AlicePrivate, bob: BobPrivate) -> ValidationReport:
@@ -469,16 +595,14 @@ def validate_session(setup: PublicSetup, alice: AlicePrivate, bob: BobPrivate) -
     """
     if alice.setup != setup or bob.setup != setup:
         raise ParamsMismatchError("private keys built on a different setup")
-    pairs = {
-        name: tuple(getattr(alice if f[0] in "ax" else bob, f) for f in name[1:-1].split(","))
-        for name in _REQUIRED + _PITFALLS
-    }
-    a, b = (np.array([pair[i].a for pair in pairs.values()]) for i in (0, 1))
-    p = setup.params.p
-    commute = dict(zip(pairs, (a @ b % p == b @ a % p).all(axis=(1, 2)).tolist()))
+    params, names = setup.params, _REQUIRED + _PITFALLS
+    pairs = np.concatenate([alice.factors, bob.factors])[_CHECK_INDEX]
+    a, b = pairs[:, 0], pairs[:, 1]
+    commute = dict(zip(names, (a @ b % params.p == b @ a % params.p).all(axis=(1, 2)).tolist()))
+    pair = dict(zip(names, pairs))
     return ValidationReport(
-        required={name: CheckResult(commute[name], pairs[name]) for name in _REQUIRED},
-        pitfalls={name: CheckResult(not commute[name], pairs[name]) for name in _PITFALLS},
+        required={name: CheckResult(commute[name], params, pair[name]) for name in _REQUIRED},
+        pitfalls={name: CheckResult(not commute[name], params, pair[name]) for name in _PITFALLS},
     )
 
 
@@ -497,7 +621,7 @@ class SessionResult:
 
     @property
     def agreed(self) -> bool:
-        return self.alice_key.k == self.bob_key.k
+        return bool(np.array_equal(self.alice_key.stack[0], self.bob_key.stack[0]))
 
 
 def run_session(rs, params: FieldParams) -> SessionResult:
@@ -505,9 +629,10 @@ def run_session(rs, params: FieldParams) -> SessionResult:
 
     The setup and both parties' material are one ``draw_segments`` call, so
     every nonsingular draw comes with its inverse and a session makes one
-    elimination kernel call plus one per re-parse round.  The session key's
-    inverse is b3^-1 a3^-1 b2^-1 a2^-1 b1^-1 a1^-1, built from the factors'
-    inverses with no elimination, and both keys certify it.
+    elimination kernel call plus one per re-parse round.  Each party's
+    factor inverses are built once, for its token and for the session key's
+    inverse b3^-1 a3^-1 b2^-1 a2^-1 b1^-1 a1^-1; both keys and that inverse
+    are one batched chain, with no elimination, and both keys certify it.
     """
     keygen = _keygen_draws(params)
     drawn, redraws = draw_segments(rs, params, _SETUP_DRAWS + keygen + keygen)
@@ -515,14 +640,19 @@ def run_session(rs, params: FieldParams) -> SessionResult:
     alice = _private(setup, Role.ALICE, drawn[1:3])
     bob = _private(setup, Role.BOB, drawn[3:])
     tok_a, tok_b = alice_token(alice), bob_token(bob)
-    k_inv = Matrix(params, _chain_inverse(_key_inverses(alice), _key_inverses(bob), params.p))
+    # rows: Alice's a1 p a2 q a3 r, Bob's u b1 v b2 w b3, and K^-1
+    k_a, k_b, k_inv = _chain(
+        np.array([alice.factors[:3], tok_a.stack, bob.inverses[2::-1]]),
+        np.array([tok_b.stack, bob.factors[:3], alice.inverses[2::-1]]),
+        params.p,
+    )
     return SessionResult(
         setup=setup,
         alice=alice,
         bob=bob,
         alice_pub=tok_a,
         bob_pub=tok_b,
-        alice_key=SessionKey(_key_product(alice, tok_b), k_inv),
-        bob_key=SessionKey(_key_product(bob, tok_a), k_inv),
+        alice_key=SessionKey._from_stacks(params, k_a, k_inv),
+        bob_key=SessionKey._from_stacks(params, k_b, k_inv),
         singular_redraws=redraws,
     )

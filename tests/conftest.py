@@ -40,6 +40,20 @@ def row_reductions(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def built_matrices(monkeypatch):
+    """One entry per Matrix constructed, so ``len`` counts the wrappers a call builds."""
+    built = []
+    post_init = Matrix.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counted)
+    return built
+
+
 def identity_privates(setup):
     """Degenerate all-identity key pair on a given setup (valid but weak)."""
     params = setup.params

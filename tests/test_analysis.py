@@ -39,7 +39,7 @@ from tdpkex import (
     uniformity_stats,
 )
 
-from tdpkex.analysis import _chi2_sf
+from tdpkex.analysis import _POOL_CHUNK, _chi2_sf
 
 from conftest import identity_privates
 from oracles import chi2_sf_even_decimal
@@ -157,11 +157,12 @@ def test_constant_matrices_fail():
 
 
 def test_pooled_counts_span_chunks():
-    # 10,000 matrices take three pooling chunks; the counts are those of one
+    # two full pooling chunks and a partial third; the counts are those of one
     # bincount over every entry
+    n = 2 * _POOL_CHUNK + 17
     rs = SplitMix64(6)
-    draws = uniform_array(rs, 0, 250, 10_000 * 64)
-    matrices = [Matrix(P251, draws[i * 64:(i + 1) * 64].reshape(8, 8)) for i in range(10_000)]
+    draws = uniform_array(rs, 0, 250, n * 64)
+    matrices = [Matrix(P251, draws[i * 64:(i + 1) * 64].reshape(8, 8)) for i in range(n)]
     report = uniformity_stats(matrices)
     assert report.samples == draws.size
     assert report.frequencies.tolist() == np.bincount(draws, minlength=251).tolist()

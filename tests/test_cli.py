@@ -528,7 +528,7 @@ def test_encrypt_command_matches_library_route(tmp_path, params, size):
 
 @pytest.mark.parametrize("blocks", [1, 1000])
 def test_cli_round_trip_builds_no_per_block_objects(tmp_path, monkeypatch, blocks):
-    """Each command builds only the key matrix and its inverse; blocks stay one array."""
+    """No command builds a Matrix or a CipherBlock: the key and the blocks stay stacks."""
     key_path = _key_file(tmp_path, run_session(SplitMix64(19), P251).alice_key)
     plain, cipher, out = tmp_path / "m.bin", tmp_path / "m.tdp", tmp_path / "m.out"
     plain.write_bytes(SplitMix64(20).read(blocks * 63))
@@ -548,7 +548,22 @@ def test_cli_round_trip_builds_no_per_block_objects(tmp_path, monkeypatch, block
     assert main(["encrypt", "--key", str(key_path), "--in", str(plain), "--out", str(cipher)]) == 0
     assert main(["decrypt", "--key", str(key_path), "--in", str(cipher), "--out", str(out)]) == 0
     assert out.read_bytes() == plain.read_bytes()
-    assert built == {Matrix: 4, CipherBlock: 0}
+    assert built == {Matrix: 0, CipherBlock: 0}
+
+
+def test_cli_token_and_shared_build_no_matrix(tmp_path, built_matrices):
+    """The readers hand their checked stacks to the constructors and the writers pack the
+    objects' stacks, so neither command wraps a Matrix."""
+    files = _pipeline(tmp_path, "run1")
+    token, key = tmp_path / "a.tok", tmp_path / "a.sk"
+    built_matrices.clear()
+    assert main(["token", "--key", str(files["alice_key"]), "--out", str(token)]) == 0
+    assert len(built_matrices) == 0
+    assert main(["shared", "--key", str(files["alice_key"]), "--peer", str(files["bob_tok"]),
+                 "--out", str(key)]) == 0
+    assert len(built_matrices) == 0
+    assert token.read_bytes() == files["alice_tok"].read_bytes()
+    assert key.read_bytes() == files["alice_sk"].read_bytes()
 
 
 def test_cli_cipher_goes_through_the_library_route(tmp_path, monkeypatch):

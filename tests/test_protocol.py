@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -10,6 +11,7 @@ from tdpkex import (
     Matrix,
     ParamsMismatchError,
     PublicSetup,
+    PublicToken,
     Role,
     SessionKey,
     SingularMatrixError,
@@ -21,12 +23,16 @@ from tdpkex import (
     bob_shared,
     bob_token,
     commutator,
+    decrypt_message,
+    encode_block,
+    encrypt_message,
     gen_setup,
     mat_det,
     mat_inverse,
     mat_mul,
     random_nonsingular,
     run_session,
+    similarity_leak_check,
     validate_session,
 )
 
@@ -178,9 +184,9 @@ def test_private_checks_supplied_free_inverse(keygen, free):
     rs = SplitMix64(16)
     setup = gen_setup(rs, P251)
     priv = keygen(rs, setup)
-    build = type(priv)
-    material = {f.name: getattr(priv, f.name) for f in dataclasses.fields(priv)}
-    del material["free_inv"]
+    build, layout = type(priv), ROLE_LAYOUT[priv.role]
+    names = ["setup"] + ["d_" + name for name, _ in layout.families] + list(layout.record)
+    material = {name: getattr(priv, name) for name in names}
     plain = build(**material)
     supplied = build(**material, free_inv=priv.free_inv)
     assert plain == supplied == priv
@@ -402,11 +408,11 @@ def test_shared_certifies_the_key_inverse_built_from_token_inverses():
     result = run_session(SplitMix64(42), P251)
     token = result.bob_pub
     inverses = np.array([mat_inverse(t).a for t in (token.t1, token.t2, token.t3)])
-    key = alice_shared(result.alice, dataclasses.replace(token, inverses=inverses))
+    key = alice_shared(result.alice, PublicToken(token.role, token.t1, token.t2, token.t3, inverses))
     assert key == result.alice_key
     assert key.k_inv == result.alice_key.k_inv
     with pytest.raises(SingularMatrixError, match="session key is singular"):
-        alice_shared(result.alice, dataclasses.replace(token, inverses=inverses[::-1]))
+        alice_shared(result.alice, PublicToken(token.role, token.t1, token.t2, token.t3, inverses[::-1]))
 
 
 def test_session_counters():
@@ -426,9 +432,8 @@ def test_cached_inverses_match_mat_inverse(params):
         assert setup.basis_inv[name] == mat_inverse(getattr(setup, name))
     for priv in (result.alice, result.bob):
         layout = ROLE_LAYOUT[priv.role]
-        for names in (layout.hide, layout.key):
-            expected = [mat_inverse(getattr(priv, name)).a for name in names]
-            assert np.array_equal(layout.inverses(priv, names), expected)
+        expected = [mat_inverse(getattr(priv, name)).a for name in layout.record]
+        assert np.array_equal(priv.inverses, expected)
         assert priv.free_inv == mat_inverse(getattr(priv, layout.free))
     for key in (result.alice_key, result.bob_key):
         assert key.k_inv == mat_inverse(key.k)
@@ -500,3 +505,160 @@ def test_tokens_do_no_elimination(row_reductions):
     assert alice_token(result.alice) == result.alice_pub
     assert bob_token(result.bob) == result.bob_pub
     assert row_reductions == []
+
+
+# ---------------------------------------------------------------------------
+# stacks: objects wrap a Matrix only when a member is read
+# ---------------------------------------------------------------------------
+
+def test_session_builds_matrices_only_when_asked(built_matrices):
+    # the session tail the benchmark runs wraps its cipher block and its plain block
+    result = run_session(SplitMix64(31), P251)
+    assert result.agreed
+    assert built_matrices == []
+    plaintext = SplitMix64(32).read(63)
+    message = encrypt_message(result.alice_key, plaintext)
+    assert decrypt_message(result.bob_key, message) == plaintext
+    leak = similarity_leak_check(encode_block(plaintext, P251), message.blocks[0])
+    assert leak.all_equal
+    assert len(built_matrices) <= 2
+
+
+def _stack(*ms):
+    return np.array([m.a for m in ms])
+
+
+def _same_refusal(matrix_route, stack_route) -> Exception:
+    """The error both routes raise, after checking that its type and message agree."""
+    with pytest.raises(ValueError) as by_matrix:
+        matrix_route()
+    with pytest.raises(ValueError) as by_stack:
+        stack_route()
+    assert type(by_stack.value) is type(by_matrix.value)
+    assert str(by_stack.value) == str(by_matrix.value)
+    return by_matrix.value
+
+
+def test_setup_routes_refuse_alike():
+    singular, ident = Matrix.from_rows(P5, [[1, 1], [1, 1]]), Matrix.identity(P5)
+    setup = gen_setup(SplitMix64(15), P5)
+    bases, inv = [setup.P, setup.Q, setup.R, setup.S], setup.basis_inv
+    cases = [
+        ((singular, ident, ident, ident), None, "basis P is singular"),
+        ((ident, ident, ident, singular), None, "basis S is singular"),
+        ((ident, singular, singular, ident), None, "basis Q is singular"),
+        (bases, {**inv, "P": setup.P}, "basis P is singular"),
+        (bases, {**inv, "S": ident}, "basis S is singular"),
+        ((setup.P, singular, setup.R, setup.S), {**inv, "Q": ident}, "basis Q is singular"),
+    ]
+    for ms, basis_inv, message in cases:
+        inverses = None if basis_inv is None else _stack(*(basis_inv[n] for n in "PQRS"))
+        error = _same_refusal(lambda: PublicSetup(P5, *ms, basis_inv=basis_inv),
+                              lambda: PublicSetup._from_stacks(P5, _stack(*ms), inverses))
+        assert isinstance(error, SingularMatrixError) and str(error) == message
+    p2 = FieldParams(p=2, d=2)
+    ident2 = Matrix.identity(p2)
+    error = _same_refusal(lambda: PublicSetup(p2, ident2, ident2, ident2, ident2),
+                          lambda: PublicSetup._from_stacks(p2, _stack(*[ident2] * 4)))
+    assert "needs p > 2" in str(error)
+
+
+@pytest.mark.parametrize("keygen", [alice_keygen, bob_keygen])
+def test_private_routes_refuse_alike(keygen):
+    rs = SplitMix64(13)
+    setup = gen_setup(rs, P251)
+    priv = keygen(rs, setup)
+    build, layout = type(priv), ROLE_LAYOUT[priv.role]
+    lists = priv.eigenvalues.tolist()
+    factors = [getattr(priv, name) for name in layout.record]
+    first, free = layout.family_index[0], layout.free_index
+    last_member = setup.member(layout.families[-1][1], [1] * (P251.d - 1) + [2])
+    ident, zero = Matrix.identity(P251), Matrix.zero(P251)
+    cases = [
+        # a family factor replaced by the identity, or by another member of its family
+        (lists, {first: ident}, None, ValueError, "derived matrix does not match its basis and eigenvalues"),
+        (lists, {layout.family_index[-1]: last_member}, None, ValueError, "derived matrix does not match"),
+        (lists, {free: zero}, None, SingularMatrixError, f"{layout.free} is singular"),
+        (lists, {}, getattr(priv, layout.free), SingularMatrixError, f"{layout.free} is singular"),
+        (lists, {}, ident, SingularMatrixError, f"{layout.free} is singular"),
+        ([[0] + lists[0][1:]] + lists[1:], {}, None, ValueError, "eigenvalue 0 outside [1, p-1]"),
+        (lists[:3] + [[P251.p] * P251.d], {}, None, ValueError, "eigenvalue 251 outside [1, p-1]"),
+    ]
+    for values, swapped, free_inv, kind, message in cases:
+        ms = [swapped.get(i, m) for i, m in enumerate(factors)]
+        inverse = None if free_inv is None else free_inv.a
+
+        def by_matrix():
+            specs = [DiagonalSpec(P251, row) for row in values]
+            return build(setup, *specs, *ms, free_inv=free_inv)
+
+        def by_stack():
+            return build._from_stacks(setup, np.array(values), _stack(*ms), inverse)
+
+        error = _same_refusal(by_matrix, by_stack)
+        assert type(error) is kind and message in str(error)
+
+
+def test_key_and_token_routes_refuse_alike():
+    result = run_session(SplitMix64(29), P251)
+    k, k_inv = result.alice_key.k, result.alice_key.k_inv
+    zero = Matrix.zero(P251)
+    for key, inverse in ((k, k), (k, Matrix.identity(P251)), (zero, k_inv), (zero, None)):
+        error = _same_refusal(
+            lambda: SessionKey(key, inverse),
+            lambda: SessionKey._from_stacks(P251, key.a, None if inverse is None else inverse.a),
+        )
+        assert type(error) is SingularMatrixError and str(error) == "session key is singular"
+    token = result.bob_pub
+    inverses = np.array([mat_inverse(t).a for t in (token.t1, token.t2, token.t3)])[::-1]
+    error = _same_refusal(
+        lambda: alice_shared(result.alice, PublicToken(token.role, token.t1, token.t2, token.t3, inverses)),
+        lambda: alice_shared(result.alice, PublicToken._from_stacks(token.role, P251, token.stack, inverses)),
+    )
+    assert type(error) is SingularMatrixError and str(error) == "session key is singular"
+    foreign = run_session(SplitMix64(29), FieldParams(p=7, d=8)).bob_pub
+    error = _same_refusal(
+        lambda: alice_shared(result.alice, PublicToken(foreign.role, foreign.t1, foreign.t2, foreign.t3)),
+        lambda: alice_shared(result.alice, PublicToken._from_stacks(foreign.role, foreign.params, foreign.stack)),
+    )
+    assert type(error) is ParamsMismatchError
+
+
+def test_routes_build_equal_objects():
+    result = run_session(SplitMix64(44), P251)
+    setup = result.setup
+    by_matrix = PublicSetup(P251, setup.P, setup.Q, setup.R, setup.S)
+    by_stack = PublicSetup._from_stacks(P251, setup.bases.copy())
+    assert by_matrix == by_stack == setup
+    for name in "PQRS":
+        assert getattr(by_matrix, name) == getattr(by_stack, name) == getattr(setup, name)
+    assert by_matrix.basis_inv == by_stack.basis_inv == setup.basis_inv
+    for priv in (result.alice, result.bob):
+        layout = ROLE_LAYOUT[priv.role]
+        names = ["d_" + name for name, _ in layout.families] + list(layout.record)
+        build = type(priv)
+        by_matrix = build(setup, *(getattr(priv, name) for name in names))
+        by_stack = build._from_stacks(setup, priv.eigenvalues.copy(), priv.factors.copy())
+        assert by_matrix == by_stack == priv
+        for name in names + ["free_inv"]:
+            assert getattr(by_matrix, name) == getattr(by_stack, name) == getattr(priv, name), name
+    for token in (result.alice_pub, result.bob_pub):
+        by_matrix = PublicToken(token.role, token.t1, token.t2, token.t3)
+        by_stack = PublicToken._from_stacks(token.role, P251, token.stack.copy())
+        assert by_matrix == by_stack == token
+        for name in ("t1", "t2", "t3"):
+            assert getattr(by_matrix, name) == getattr(by_stack, name) == getattr(token, name)
+    key = result.alice_key
+    by_matrix, by_stack = SessionKey(key.k), SessionKey._from_stacks(P251, key.k.a.copy())
+    assert by_matrix == by_stack == key == result.bob_key
+    assert by_matrix.k_inv == by_stack.k_inv == key.k_inv
+
+
+def test_objects_are_immutable_and_copy_equal():
+    result = run_session(SplitMix64(45), P251)
+    for obj in (result.setup, result.alice, result.bob, result.alice_pub, result.alice_key):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            obj.params = P5
+        assert copy.deepcopy(obj) == obj
+    for stack in (result.setup.bases, result.alice.factors, result.alice_pub.stack, result.alice_key.stack):
+        assert not stack.flags.writeable

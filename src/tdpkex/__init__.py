@@ -30,16 +30,13 @@ from .field_matrix import (
     conjugate,
     field_uniform,
     mat_det,
-    mat_det_many,
     mat_inverse,
-    mat_inverse_many,
     mat_mul,
     mat_pow,
     mat_trace,
     random_diagonal,
     random_matrix,
     random_nonsingular,
-    random_nonsingular_many,
     uniform_array,
 )
 from .poly_tools import (

@@ -40,7 +40,6 @@ from .field_matrix import (
     _inverse_table,
     mat_inverse,
     mat_mul,
-    mat_trace,
 )
 from .poly_tools import char_poly_many
 from .protocol import PublicSetup, PublicToken, Role, SessionKey, run_session
@@ -105,11 +104,9 @@ class PseudoKey:
     candidates_tested: int
 
 
-def _family_tables(setup: PublicSetup, basis_name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Every member of the family on one setup basis, and their inverses, as two stacks."""
-    p = setup.params.p
-    diags = np.array(list(itertools.product(range(1, p), repeat=setup.params.d)))
-    basis, basis_inv = getattr(setup, basis_name).a, setup.basis_inv[basis_name].a
+def _family_tables(basis: np.ndarray, basis_inv: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every member of the family on one basis, and their inverses, as two stacks."""
+    diags = np.array(list(itertools.product(range(1, p), repeat=len(basis))))
     inverted = _inverse_table(p)[diags]
     return family_member(basis, basis_inv, diags, p), family_member(basis, basis_inv, inverted, p)
 
@@ -143,12 +140,10 @@ def brute_force_pseudo_key(
     if space > limit:
         raise SearchSpaceTooLargeError(f"search space {space} exceeds limit {limit}")
 
-    u, v, w = alice_token.t1.a, alice_token.t2.a, alice_token.t3.a
-    pm, qm, rm = bob_token.t1, bob_token.t2, bob_token.t3
-    p_mat, p_inv = setup.P.a, setup.basis_inv["P"].a
-    q_mat, q_inv = setup.Q.a, setup.basis_inv["Q"].a
-    r_family = _family_tables(setup, "R")
-    s_family = _family_tables(setup, "S")
+    u, v, w = alice_token.stack
+    (p_mat, q_mat, r_mat, s_mat), (p_inv, q_inv, r_inv, s_inv) = setup.bases, setup.inverses
+    r_family = _family_tables(r_mat, r_inv, p)
+    s_family = _family_tables(s_mat, s_inv, p)
     off_diag = ~np.eye(d, dtype=bool)
 
     tested = 0
@@ -288,9 +283,9 @@ def similarity_leak_check(plain: PlainBlock, cipher: CipherBlock) -> SimilarityR
     if m.params != c.params:
         raise ValueError("blocks have mixed parameters")
     cp_m, cp_c = char_poly_many(np.array([m.a, c.a]), m.params.p).tolist()
+    # c_{d-1} = -trace and c_0 = (-1)^d det, and both blocks share d
     return SimilarityReport(
-        trace_equal=mat_trace(m) == mat_trace(c),
-        # det(m) = (-1)^d cp_m(0), and both blocks share d
+        trace_equal=cp_m[-1] == cp_c[-1],
         det_equal=cp_m[0] == cp_c[0],
         charpoly_equal=cp_m == cp_c,
     )

@@ -92,6 +92,8 @@ _KINDS = {
 def _check_file_params(params: FieldParams) -> None:
     if params.p > 251:
         raise ValueError("prime must be <= 251 for the one-byte-per-entry file format")
+    if params.d > 255:
+        raise ValueError("dimension must be <= 255 for the file format's one-byte dimension field")
 
 
 def _atomic_write(path: str, data: bytes) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParamsMismatchError
 from .field_matrix import DiagonalSpec, Matrix, mat_inverse
 
 
@@ -28,6 +29,6 @@ def family_member(basis: np.ndarray, basis_inv: np.ndarray, eigenvalues, p: int)
 def commuting_from_basis(basis: Matrix, spec: DiagonalSpec) -> Matrix:
     """basis^-1 diag(spec) basis; invertible, eigenvalues are exactly spec."""
     if basis.params != spec.params:
-        raise ValueError("basis and spec parameters differ")
+        raise ParamsMismatchError("basis and spec parameters differ")
     basis_inv = mat_inverse(basis)
     return Matrix(basis.params, family_member(basis.a, basis_inv.a, spec.eigenvalues, basis.params.p))

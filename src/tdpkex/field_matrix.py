@@ -6,17 +6,15 @@ deterministic byte-stream RNG, and one Gauss-Jordan row reduction
 (``_row_reduce``) behind every determinant and inverse.  The reduction works
 on an (n, d, k) stack, so n matrices cost one pass of numpy calls over the d
 columns: at d = 8 the cost is call overhead, not arithmetic.  ``mat_det`` and
-``mat_inverse`` are its n = 1 case; ``mat_det_many`` and
-``mat_inverse_many`` hand it several matrices at once.  ``draw_segments`` is
-the one draw rule for nonsingular matrices: it parses a list of segments
-(nonsingular matrices, uniform values) ahead as if no candidate were
-singular and reduces every candidate in one call per round, and
-``random_nonsingular_many`` is its one-segment case.  A nonsingular draw
-reduces [a | I], so the one elimination that accepts a draw also yields its
-inverse, which the protocol layer passes on instead of inverting the draw
-again.  All arithmetic is integer-exact; there is no
-floating point anywhere in this module.  Field elements are plain Python
-ints in [0, p-1].
+``mat_inverse`` are its n = 1 case, and ``_invert`` reduces a whole stack
+beside the identity.  ``draw_segments`` is the one draw rule for nonsingular
+matrices: it parses a list of segments (nonsingular matrices, uniform values)
+ahead as if no candidate were singular and reduces every candidate in one
+call per round; ``random_nonsingular`` is its one-draw case.  A nonsingular
+draw reduces [a | I], so the one elimination that accepts a draw also yields
+its inverse, which the protocol layer passes on instead of inverting the
+draw again.  All arithmetic is integer-exact; there is no floating point
+anywhere in this module.  Field elements are plain Python ints in [0, p-1].
 
 Matrices, params and specs are immutable values, safe to share across
 threads; the operations are pure.  A random source instance is stateful and
@@ -372,11 +370,6 @@ def _row_reduce(m: np.ndarray, p: int) -> list[int]:
     return [math.prod(col) % p for col in pivots.T.tolist()]
 
 
-def _stack(ms: Sequence[Matrix]) -> tuple[FieldParams, np.ndarray]:
-    params = _check_same_params(*ms)
-    return params, np.array([m.a for m in ms])
-
-
 def _invert(stack: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Inverses and determinants of an (n, d, d) stack; a singular one's inverse is garbage."""
     n, d, _ = stack.shape
@@ -391,14 +384,6 @@ def mat_det(a: Matrix) -> int:
     return _row_reduce(a.a[None].copy(), a.params.p)[0]
 
 
-def mat_det_many(ms: Sequence[Matrix]) -> list[int]:
-    """Determinants of several same-params matrices with one stacked reduction."""
-    if not ms:
-        return []
-    params, stack = _stack(ms)
-    return _row_reduce(stack, params.p)
-
-
 def mat_inverse(a: Matrix) -> Matrix:
     """Inverse over F_p by row-reducing [a | I].
 
@@ -410,15 +395,6 @@ def mat_inverse(a: Matrix) -> Matrix:
     if det == 0:
         raise SingularMatrixError(f"matrix has no inverse mod {a.params.p}")
     return Matrix(a.params, inv[0])
-
-
-def mat_inverse_many(ms: Sequence[Matrix]) -> list[Matrix | None]:
-    """Inverses of several same-params matrices with one stacked reduction; None if singular."""
-    if not ms:
-        return []
-    params, stack = _stack(ms)
-    inv, det = _invert(stack, params.p)
-    return [Matrix(params, m) if dt else None for m, dt in zip(inv, det)]
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -533,19 +509,6 @@ def draw_segments(
     return out, rejections
 
 
-def random_nonsingular_many(rs, params: FieldParams, n: int) -> tuple[list[Matrix], list[Matrix], int]:
-    """n uniform draws from GL(d, F_p) by whole-matrix rejection: (draws, inverses, rejections).
-
-    The one-segment case of ``draw_segments``: each round draws every
-    still-missing matrix and row-reduces them all beside the identity in one
-    kernel call, so an accepted draw comes with its inverse.  Draws, count
-    and stream position equal those of n successive ``random_nonsingular``
-    calls.
-    """
-    ((ms, xs),), rejections = draw_segments(rs, params, [NonsingularDraws(n)])
-    return [Matrix(params, m) for m in ms], [Matrix(params, x) for x in xs], rejections
-
-
 def random_nonsingular(rs, params: FieldParams) -> tuple[Matrix, int]:
     """Uniform draw from GL(d, F_p) by whole-matrix rejection.
 
@@ -553,8 +516,8 @@ def random_nonsingular(rs, params: FieldParams) -> tuple[Matrix, int]:
     redraws; never patches individual entries.  Returns the accepted matrix
     and the number of rejected draws (observable for rate statistics).
     """
-    (m,), _, rejections = random_nonsingular_many(rs, params, 1)
-    return m, rejections
+    (((m,), _),), rejections = draw_segments(rs, params, [NonsingularDraws(1)])
+    return Matrix(params, m), rejections
 
 
 def random_diagonal(rs, params: FieldParams) -> DiagonalSpec:

@@ -170,10 +170,11 @@ class PublicSetup(_Stacked):
     """The four public eigenvector bases; all invertible, all same params.
 
     bases is the (4, d, d) stack of P, Q, R, S and inverses theirs, so every
-    family member and member inverse is one matmul (see ``member``).  A
-    caller that already holds the inverses, as the setup draw does, passes
-    them in and the constructor checks all four with one stacked matmul;
-    otherwise it inverts the four bases with one stacked reduction.
+    family member and member inverse is one matmul (see
+    ``RoleLayout.members``).  A caller that already holds the inverses, as the
+    setup draw does, passes them in and the constructor checks all four with
+    one stacked matmul; otherwise it inverts the four bases with one stacked
+    reduction.
     ``basis_inv`` maps each basis name to its inverse as a Matrix.
     """
 
@@ -204,12 +205,6 @@ class PublicSetup(_Stacked):
     @property
     def basis_inv(self) -> dict[str, Matrix]:
         return {name: Matrix(self.params, x) for name, x in zip(_BASES, self.inverses)}
-
-    def member(self, basis_name: str, eigenvalues) -> Matrix:
-        """basis^-1 diag(eigenvalues) basis for the named basis, with no elimination."""
-        i = _BASES.index(basis_name)
-        member = family_member(self.bases[i], self.inverses[i], eigenvalues, self.params.p)
-        return Matrix(self.params, member)
 
 
 class _Private(_Stacked):

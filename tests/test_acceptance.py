@@ -45,7 +45,6 @@ from tdpkex import (
     random_diagonal,
     random_matrix,
     random_nonsingular,
-    random_nonsingular_many,
     run_session,
     session_statistics,
     similarity_leak_check,
@@ -55,6 +54,7 @@ from tdpkex import (
 )
 from tdpkex.cipher import CipherBlock
 from tdpkex.cli import main
+from tdpkex.field_matrix import NonsingularDraws, draw_segments
 
 import vectors
 from oracles import count_irreducible_brute, gl_order_brute
@@ -145,13 +145,13 @@ def test_criterion_6_toy_attack_twenty_seeds():
 
 
 def test_criterion_7_singularity_rate():
-    # stacked batches of 10^4 give the draws, and the count, of 10^5
+    # nonsingular segments of 10^4 give the draws, and the count, of 10^5
     # successive random_nonsingular calls
     rs = SplitMix64(7777)
     accepted = 100_000
     rejections = 0
     for _ in range(accepted // 10_000):
-        _, _, rej = random_nonsingular_many(rs, P251, 10_000)
+        _, rej = draw_segments(rs, P251, [NonsingularDraws(10_000)])
         rejections += rej
     assert rejections == 399
     fraction = rejections / (accepted + rejections)

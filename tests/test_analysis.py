@@ -30,6 +30,7 @@ from tdpkex import (
     mat_det,
     mat_inverse,
     mat_mul,
+    mat_trace,
     pseudo_key_reproduces,
     random_matrix,
     run_session,
@@ -291,6 +292,7 @@ def test_leak_check_determinant_from_char_poly(params):
         assert det == (-1) ** d * char_poly(m).coeffs[0] % p
         report = similarity_leak_check(PlainBlock(m), CipherBlock(prev))
         assert report.det_equal == (det == mat_det(prev))
+        assert report.trace_equal == (mat_trace(m) == mat_trace(prev))
         prev = m
     assert singular >= 50
 

@@ -347,6 +347,19 @@ def test_exit_2_prime_too_large_for_files(tmp_path):
                  "--seed", "1", "--out", str(tmp_path / "s.tdp")]) == 2
 
 
+def test_exit_2_dimension_too_large_for_files(tmp_path, capsys, monkeypatch):
+    # the header stores d in one byte; the refusal comes before any draw
+    def no_draw(*args):
+        raise AssertionError("setup drew before refusing the dimension")
+
+    monkeypatch.setattr(cli, "gen_setup", no_draw)
+    out = tmp_path / "s.tdp"
+    assert main(["setup", "--prime", "5", "--dim", "256", "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: dimension must be <= 255 for the file format's one-byte dimension field\n")
+    assert not out.exists()
+
+
 def test_exit_2_out_in_missing_directory(tmp_path, capsys):
     target = tmp_path / "missing" / "x"
     assert main(["setup", "--seed", "1", "--out", str(target)]) == 2

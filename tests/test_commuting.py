@@ -7,6 +7,7 @@ from tdpkex import (
     DiagonalSpec,
     FieldParams,
     Matrix,
+    ParamsMismatchError,
     SingularMatrixError,
     SplitMix64,
     commutator,
@@ -52,6 +53,12 @@ def test_determinant_is_product_of_eigenvalues():
 def test_singular_basis_rejected():
     with pytest.raises(SingularMatrixError):
         commuting_from_basis(Matrix.from_rows(P5, [[1, 1], [1, 1]]), DiagonalSpec(P5, (2, 3)))
+
+
+def test_mixed_parameters_rejected():
+    # a ValueError subclass, like every other mixed-parameter refusal
+    with pytest.raises(ParamsMismatchError, match="basis and spec parameters differ"):
+        commuting_from_basis(Matrix.identity(P5), DiagonalSpec(FieldParams(p=7, d=2), (2, 3)))
 
 
 def test_known_commuting_pair_products():

@@ -15,16 +15,13 @@ from tdpkex import (
     commutator,
     conjugate,
     mat_det,
-    mat_det_many,
     mat_inverse,
-    mat_inverse_many,
     mat_mul,
     mat_pow,
     mat_trace,
     random_diagonal,
     random_matrix,
     random_nonsingular,
-    random_nonsingular_many,
 )
 from tdpkex import field_matrix
 
@@ -114,7 +111,7 @@ def test_det_hand_values():
 @pytest.mark.parametrize("p,d", [(2, 2), (3, 2), (2, 3)])
 def test_det_and_inverse_exhaustive(p, d):
     # the 512 F_2 3x3 matrices take up to two row swaps and hit pivotless
-    # columns at every depth; the stacked calls mix all of them in one stack
+    # columns at every depth; the stacked reduction mixes all of them in one stack
     params = FieldParams(p=p, d=d)
     matrices, dets, inverses = [], [], []
     for entries in itertools.product(range(p), repeat=d * d):
@@ -132,8 +129,9 @@ def test_det_and_inverse_exhaustive(p, d):
         matrices.append(m)
         dets.append(expected_det)
         inverses.append(expected_inv)
-    assert mat_det_many(matrices) == dets
-    assert mat_inverse_many(matrices) == inverses
+    stacked_inv, stacked_dets = field_matrix._invert(np.array([m.a for m in matrices]), p)
+    assert stacked_dets == dets
+    assert [Matrix(params, x) if det else None for x, det in zip(stacked_inv, dets)] == inverses
 
 
 def test_stacked_det_and_inverse_at_largest_prime():
@@ -149,16 +147,13 @@ def test_stacked_det_and_inverse_at_largest_prime():
     a = matrices[29].a.copy()
     a[:, 0] = 0
     matrices[29] = Matrix(params, a)
-    dets = mat_det_many(matrices)
+    inverses, dets = field_matrix._invert(np.array([m.a for m in matrices]), params.p)
     assert dets == [mat_det(m) for m in matrices]
     assert [i for i, det in enumerate(dets) if det == 0] == [3, 17, 29]
-    inverses = mat_inverse_many(matrices)
     for m, inv, det in zip(matrices, inverses, dets):
         if det:
-            assert inv == mat_inverse(m)
-            assert mat_mul(m, inv).is_identity()
-        else:
-            assert inv is None
+            assert Matrix(params, inv) == mat_inverse(m)
+            assert mat_mul(m, Matrix(params, inv)).is_identity()
 
 
 @pytest.mark.parametrize("p", [2, 3, 251, 65521])
@@ -166,15 +161,6 @@ def test_pivot_inverse_table(p):
     table = field_matrix._inverse_table(p)
     assert table[0] == 0
     assert (table[1:] * np.arange(1, p) % p == 1).all()
-
-
-def test_stacked_calls_check_params():
-    assert mat_det_many([]) == [] and mat_inverse_many([]) == []
-    mixed = [Matrix.identity(P5), Matrix.identity(FieldParams(p=7, d=2))]
-    with pytest.raises(ParamsMismatchError):
-        mat_det_many(mixed)
-    with pytest.raises(ParamsMismatchError):
-        mat_inverse_many(mixed)
 
 
 def test_inverse_hand_examples():
@@ -285,8 +271,8 @@ def test_random_nonsingular_never_returns_singular():
 
 
 @pytest.mark.parametrize("p,d,n", [(251, 8, 30), (5, 2, 60), (3, 3, 60), (2, 3, 60)])
-def test_random_nonsingular_many_equals_sequential_draws(p, d, n):
-    # the small fields reject about half their draws, so the batch takes
+def test_nonsingular_segment_equals_sequential_draws(p, d, n):
+    # the small fields reject about half their draws, so the segment takes
     # several redraw rounds
     params = FieldParams(p=p, d=d)
     seq_rs, batch_rs = SplitMix64(p * 100 + d), SplitMix64(p * 100 + d)
@@ -295,9 +281,11 @@ def test_random_nonsingular_many_equals_sequential_draws(p, d, n):
         m, rej = random_nonsingular(seq_rs, params)
         expected.append(m)
         expected_rejections += rej
-    matrices, inverses, rejections = random_nonsingular_many(batch_rs, params, n)
+    ((stack, inverses),), rejections = field_matrix.draw_segments(
+        batch_rs, params, [field_matrix.NonsingularDraws(n)])
+    matrices = [Matrix(params, m) for m in stack]
     assert matrices == expected
-    assert inverses == [mat_inverse(m) for m in matrices]
+    assert [Matrix(params, x) for x in inverses] == [mat_inverse(m) for m in matrices]
     assert rejections == expected_rejections
     assert batch_rs.read(16) == seq_rs.read(16)
     if p < 251:

@@ -23,6 +23,7 @@ from tdpkex import (
     bob_shared,
     bob_token,
     commutator,
+    commuting_from_basis,
     decrypt_message,
     encode_block,
     encrypt_message,
@@ -164,7 +165,7 @@ def test_private_constructor_rejects_inconsistent_material():
     with pytest.raises(ValueError):
         AlicePrivate(setup, *fields[:5], wrong, *fields[6:])
     # the last family's factor swapped for another member of the same family
-    other = setup.member("S", [1] * (P251.d - 1) + [2])
+    other = commuting_from_basis(setup.S, DiagonalSpec(P251, [1] * (P251.d - 1) + [2]))
     with pytest.raises(ValueError, match="does not match"):
         AlicePrivate(setup, *fields[:8], other)
     foreign = FieldParams(p=7, d=8)
@@ -524,7 +525,7 @@ def test_session_builds_matrices_only_when_asked(built_matrices):
     assert len(built_matrices) <= 2
 
 
-def _stack(*ms):
+def _arrays(*ms):
     return np.array([m.a for m in ms])
 
 
@@ -552,14 +553,14 @@ def test_setup_routes_refuse_alike():
         ((setup.P, singular, setup.R, setup.S), {**inv, "Q": ident}, "basis Q is singular"),
     ]
     for ms, basis_inv, message in cases:
-        inverses = None if basis_inv is None else _stack(*(basis_inv[n] for n in "PQRS"))
+        inverses = None if basis_inv is None else _arrays(*(basis_inv[n] for n in "PQRS"))
         error = _same_refusal(lambda: PublicSetup(P5, *ms, basis_inv=basis_inv),
-                              lambda: PublicSetup._from_stacks(P5, _stack(*ms), inverses))
+                              lambda: PublicSetup._from_stacks(P5, _arrays(*ms), inverses))
         assert isinstance(error, SingularMatrixError) and str(error) == message
     p2 = FieldParams(p=2, d=2)
     ident2 = Matrix.identity(p2)
     error = _same_refusal(lambda: PublicSetup(p2, ident2, ident2, ident2, ident2),
-                          lambda: PublicSetup._from_stacks(p2, _stack(*[ident2] * 4)))
+                          lambda: PublicSetup._from_stacks(p2, _arrays(*[ident2] * 4)))
     assert "needs p > 2" in str(error)
 
 
@@ -572,7 +573,8 @@ def test_private_routes_refuse_alike(keygen):
     lists = priv.eigenvalues.tolist()
     factors = [getattr(priv, name) for name in layout.record]
     first, free = layout.family_index[0], layout.free_index
-    last_member = setup.member(layout.families[-1][1], [1] * (P251.d - 1) + [2])
+    last_basis = getattr(setup, layout.families[-1][1])
+    last_member = commuting_from_basis(last_basis, DiagonalSpec(P251, [1] * (P251.d - 1) + [2]))
     ident, zero = Matrix.identity(P251), Matrix.zero(P251)
     cases = [
         # a family factor replaced by the identity, or by another member of its family
@@ -593,7 +595,7 @@ def test_private_routes_refuse_alike(keygen):
             return build(setup, *specs, *ms, free_inv=free_inv)
 
         def by_stack():
-            return build._from_stacks(setup, np.array(values), _stack(*ms), inverse)
+            return build._from_stacks(setup, np.array(values), _arrays(*ms), inverse)
 
         error = _same_refusal(by_matrix, by_stack)
         assert type(error) is kind and message in str(error)

@@ -30,26 +30,33 @@ window's float64 temporaries are at most 64 KiB, below glibc's 128 KiB mmap
 threshold, so the allocator reuses them from its heap.  As one 1000-block
 stack they would be 512 KB each, and each would be mapped and faulted in
 afresh from the kernel, which costs about as much as the arithmetic.
-encrypt_message writes every window into one preallocated (n, d, d) output,
-and decrypt_message joins the windows' bytes.  Encoding multiplies
-the blocks' bytes by a table of the limbs of the powers of 256 and carries
-the sums into limbs of k base-p digits (4 at p=251), which one vectorised
-gather splits into digits; decoding multiplies the digits by a table of the
-w-bit words of the powers of p (w = 32 at p=251) and carries the sums into
-bytes; and conjugation is two float64 BLAS products, each reduced mod p.
-Every one of those float64 products sums integers to less than 2^53, so it
-is exact: the codec's tables are sized for that, and a conjugation sum is at
-most d(p-1)^2, below 2^53 for every p <= 65521 at any d that fits in
-memory.  floor(y / m) is exact for integers 0 <= y < 2^53, which makes the
-reductions exact too.  A block whose integer is 256^B or more decodes to a
-ValueOutOfRangeError, never to wrapped bytes.
+encrypt_message writes every window's reduced float64 result into one
+preallocated (n, d, d) uint16 output, and decrypt_message joins the
+windows' bytes.  Encoding multiplies the blocks' bytes by a table of the
+limbs of the powers of 256 and carries the sums into limbs of k base-p
+digits (4 at p=251), which one vectorised gather splits into digits;
+decoding multiplies the digits by a table of the w-bit words of the powers
+of p (w = 32 at p=251) and carries the sums into bytes; and conjugation is
+two float64 BLAS products, the second reduced mod p and the first only
+where the 2^53 bound demands it (the delayed reduction of Dumas, Giorgi and
+Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008).  Unreduced, the first
+product's sums are at most d(p-1)^2, so the second's are at most
+d^2(p-1)^3, which is below 2^53 for d <= 5 at p = 65521 and for any d below
+24,000 at p = 251; past that bound the first product is reduced, and the
+second's sums are at most d(p-1)^2 too.  Every one of those float64
+products sums integers to less than 2^53, so it is exact: the codec's
+tables are sized for that, and d(p-1)^2 is below 2^53 for every p <= 65521
+at any d that fits in memory.  floor(y / m) is exact for integers
+0 <= y < 2^53, which makes the reductions exact too.  A block whose integer
+is 256^B or more decodes to a ValueOutOfRangeError, never to wrapped bytes.
 
 encrypt_message and decrypt_message are the one encrypt and decrypt route,
 for the library and the CLI alike.  CipherMessage holds its blocks as one
-read-only (n, d, d) stack, checked for framing and range when it is built,
-and wraps them as CipherBlocks only when asked.  The single-block functions
-are the n = 1 case of the same helpers.  check_framing holds the one rule
-tying a plaintext length to its block count.
+read-only (n, d, d) uint16 stack, two bytes per entry because p <= 65521,
+checked for framing and range when it is built, and wraps them as
+CipherBlocks only when asked.  The single-block functions are the n = 1
+case of the same helpers.  check_framing holds the one rule tying a
+plaintext length to its block count.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ class CipherMessage:
     """A framed byte message: its cipher blocks as one stack, plus the true length.
 
     stack is an (n, d, d) or (n, d*d) array or a sequence of d x d arrays, kept
-    as a read-only (n, d, d) int64 copy.  Raises ValueError when the blocks do
+    as a read-only (n, d, d) uint16 copy.  Raises ValueError when the blocks do
     not frame plaintext_length bytes or an entry lies outside [0, p).
     """
 
@@ -106,11 +113,14 @@ class CipherMessage:
 
     def __post_init__(self):
         d, p = self.params.d, self.params.p
-        stack = np.array(self.stack, dtype=np.int64).reshape(-1, d, d)
+        stack = np.asarray(self.stack)
+        if stack.dtype.kind != "u":  # widened: a negative entry viewed as uint64 is >= 2^63
+            stack = np.asarray(stack, np.int64).view(np.uint64)
+        stack = stack.reshape(-1, d, d)
         check_framing(self.params, self.plaintext_length, len(stack))
-        # one reduction checks both ends: a negative entry viewed as uint64 is >= 2^63
-        if stack.view(np.uint64).max(initial=0) >= p:
+        if stack.max(initial=0) >= p:
             raise ValueError(f"cipher block entries must lie in [0, {p})")
+        stack = stack.astype(np.uint16)  # p <= 65521 always fits
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
 
@@ -200,12 +210,12 @@ def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:
     n = -(-len(plaintext) // max(bpb, 1))
     check_framing(params, len(plaintext), n)  # before _encode, which cannot cut zero-byte chunks
     k, k_inv = key.stack.astype(np.float64)
-    stack = np.empty((n, d, d))
+    stack = np.empty((n, d, d), np.uint16)
     step = _window(d)
     for i in range(0, n, step):
         out = stack[i:i + step]
         chunk = plaintext[i * bpb:(i + step) * bpb]
-        _conjugate(k_inv, _encode(chunk, params, len(out)), k, p, out)
+        out[...] = _conjugate(k_inv, _encode(chunk, params, len(out)), k, p)
     return CipherMessage(params, len(plaintext), stack)
 
 
@@ -312,16 +322,18 @@ def _decode(stack: np.ndarray, params: FieldParams, length: int) -> bytes:
     return data[:cut] + data[cut + n * bpb - length:]
 
 
-def _conjugate(left: np.ndarray, stack: np.ndarray, right: np.ndarray, p: int,
-               out: np.ndarray | None = None) -> np.ndarray:
-    """left m right mod p for every m of an (n, d, d) stack, into out or a new float64 stack.
+def _conjugate(left: np.ndarray, stack: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
+    """left m right mod p for every m of an (n, d, d) stack, as a new float64 stack.
 
     left and right are float64 d x d arrays with entries in [0, p).  Two
-    float64 BLAS products, each reduced mod p; their sums stay at most
-    d(p-1)^2 < 2^53, so both are exact.
+    float64 BLAS products; the first is reduced mod p only when d^2(p-1)^3,
+    the bound on the second's sums if it is not, reaches 2^53 (d >= 6 at
+    p = 65521).  Reduced, the sums stay at most d(p-1)^2 < 2^53.
     """
-    product = _reduce(left @ stack, p)
-    return _reduce(np.matmul(product, right, out=out), p)
+    product = left @ stack
+    if stack.shape[-1] ** 2 * (p - 1) ** 3 >= 1 << 53:
+        _reduce(product, p)
+    return _reduce(product @ right, p)
 
 
 def _reduce(y: np.ndarray, p: int) -> np.ndarray:

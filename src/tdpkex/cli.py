@@ -149,11 +149,11 @@ def _read(path: str, expect_type: int, build):
 
     stack is the read-only (count, d, d) uint8 array of the record's
     matrices, every entry already checked to be < p; each builder converts
-    it to the int64 stack its object keeps.  section is the private record's
-    four eigenvalue lists as a (4, d) int64 array or the ciphertext's
-    plaintext length, else None.  Every format violation, and any ValueError
-    that build raises on inconsistent material, is a FileFormatError naming
-    path.
+    it to the stack its object keeps (uint16 for a ciphertext, else int64).
+    section is the private record's four eigenvalue lists as a (4, d) int64
+    array or the ciphertext's plaintext length, else None.  Every format
+    violation, and any ValueError that build raises on inconsistent
+    material, is a FileFormatError naming path.
     """
     def fail(reason: str):
         raise FileFormatError(f"{path}: {reason}")

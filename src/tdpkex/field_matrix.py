@@ -399,7 +399,7 @@ def mat_inverse(a: Matrix) -> Matrix:
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     """Multiplicative commutator a^-1 b^-1 a b; the identity iff a and b commute."""
-    params = _check_same_params(a, b)
+    _check_same_params(a, b)
     ba_inv = mat_inverse(mat_mul(b, a))
     return mat_mul(ba_inv, mat_mul(a, b))
 

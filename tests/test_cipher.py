@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,10 +243,24 @@ def test_cipher_message_frames_the_blocks_it_holds():
 
 @pytest.mark.parametrize("entry", [-1, 251])
 def test_cipher_message_refuses_entries_outside_the_field(entry):
-    stack = encrypt_message(_golden_key(), bytes(100)).stack.copy()
+    stack = encrypt_message(_golden_key(), bytes(100)).stack.astype(np.int64)
     stack[1, 7, 7] = entry
     with pytest.raises(ValueError, match=r"\[0, 251\)"):
         CipherMessage(P251, 100, stack)
+
+
+def test_cipher_message_range_check_before_the_uint16_cast():
+    # signed input is checked at both ends, unsigned input at the top, before entries narrow
+    stack = encrypt_message(_golden_key(), bytes(5 * 63)).stack
+    signed = stack.astype(np.int64)
+    signed[4, 3, 2] = -7
+    with pytest.raises(ValueError, match=r"\[0, 251\)"):
+        CipherMessage(P251, 5 * 63, signed)
+    for entry in (251, 65535):
+        unsigned = stack.copy()
+        unsigned[3, 0, 5] = entry
+        with pytest.raises(ValueError, match=r"\[0, 251\)"):
+            CipherMessage(P251, 5 * 63, unsigned)
 
 
 def test_cipher_message_refuses_a_stack_of_the_wrong_shape():
@@ -304,7 +319,7 @@ def test_bulk_message_is_one_stack(row_reductions, monkeypatch):
     assert products == []
 
 
-@pytest.mark.parametrize("p, d", [(251, 8), (251, 2), (5, 2), (7, 3), (3, 3), (65521, 4), (65521, 8), (2, 8), (3, 2), (7, 8), (3, 8)])
+@pytest.mark.parametrize("p, d", [(251, 8), (251, 2), (5, 2), (7, 3), (3, 3), (65521, 4), (65521, 5), (65521, 6), (65521, 8), (2, 8), (3, 2), (7, 8), (3, 8)])
 def test_stacked_path_matches_per_block_oracle(p, d):
     # one block to 40, the edges of a block and the edges of a window all meet the oracle
     params = FieldParams(p=p, d=d)
@@ -325,6 +340,7 @@ def test_stacked_path_matches_per_block_oracle(p, d):
         expected = oracles.encrypt_message_per_block(k, k_inv, plaintext, p, d, bpb)
         message = encrypt_message(key, plaintext)
         assert message.stack.shape == (len(expected), d, d)
+        assert message.stack.dtype == np.uint16 and not message.stack.flags.writeable
         assert message.stack.tolist() == [c.tolist() for c in expected]
         assert decrypt_message(key, message) == plaintext
         assert oracles.decrypt_message_per_block(k, k_inv, expected, p, bpb, length) == plaintext
@@ -357,10 +373,10 @@ def test_every_helper_call_holds_one_window_at_most(p, d, blocks, monkeypatch):
         chunks.append(chunk)
         return encode(chunk, params, n)
 
-    def spy_conjugate(left, stack, right, p, out=None):
+    def spy_conjugate(left, stack, right, p):
         sizes["_conjugate"].append(len(stack))
         conjugated.append(np.array(stack, dtype=np.int64))
-        return conjugate(left, stack, right, p, out)
+        return conjugate(left, stack, right, p)
 
     def spy_decode(stack, params, length):
         sizes["_decode"].append(len(stack))
@@ -440,6 +456,35 @@ def test_bulk_path_exact_at_the_float_bound():
     expected = (near[0] @ near[2:] % p) @ near[1] % p
     conjugated = cipher._conjugate(near[0].astype(np.float64), near[2:], near[1].astype(np.float64), p)
     assert np.array_equal(conjugated, expected)
+
+
+@pytest.mark.parametrize("p, d, reductions", [(65521, 5, 1), (65521, 6, 2), (251, 8, 1)])
+def test_conjugate_reduces_the_first_product_only_past_the_bound(p, d, reductions, monkeypatch):
+    # entries near p - 1: d^2 (p-1)^3 is about 7.0e15 < 2^53 at (65521, 5), so the first
+    # product needs no reduction, and 1.01e16 at (65521, 6), where unreduced it would lose low bits
+    near = field_matrix.uniform_array(SplitMix64(p + d), p - 100, p - 1, 42 * d * d).reshape(42, d, d)
+    calls = []
+    reduce = cipher._reduce
+    monkeypatch.setattr(cipher, "_reduce", lambda y, p: calls.append(len(y)) or reduce(y, p))
+    conjugated = cipher._conjugate(near[0].astype(np.float64), near[2:], near[1].astype(np.float64), p)
+    assert calls == [40] * reductions
+    assert np.array_equal(conjugated, (near[0] @ near[2:] % p) @ near[1] % p)
+
+
+def test_encrypt_message_peak_memory():
+    # the 1000-block output is a 125 KiB uint16 stack, and each window's float64 temporaries
+    # stay below 64 KiB; an (n, d, d) float64 or int64 stack alone would be 500 KiB
+    key = _golden_key()
+    data = SplitMix64(16).read(1000 * 63)
+    encrypt_message(key, data[:63])  # the codec tables are built once per (p, d)
+    tracemalloc.start()
+    try:
+        message = encrypt_message(key, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert message.stack.nbytes == 1000 * 64 * 2
+    assert peak < 512 * 1024
 
 
 def test_scalar_blocks_are_fixed_points():

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,21 @@ def test_ciphertext_file_roundtrip(tmp_path):
     back = read_ciphertext_file(path)
     assert back.plaintext_length == 200
     assert back.blocks == message.blocks
+
+
+def test_ciphertext_reader_peak_memory(tmp_path):
+    # the 62.5 KiB of file entries widen once, to a 125 KiB uint16 stack
+    key = run_session(SplitMix64(5), P251).alice_key
+    path = tmp_path / "c.tdp"
+    write_ciphertext_file(path, encrypt_message(key, SplitMix64(17).read(1000 * 63)))
+    tracemalloc.start()
+    try:
+        message = read_ciphertext_file(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert message.stack.dtype == np.uint16 and len(message.stack) == 1000
+    assert peak < 256 * 1024
 
 
 def test_ciphertext_record_with_any_field_entries_roundtrips(tmp_path):

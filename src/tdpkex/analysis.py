@@ -44,6 +44,11 @@ from .field_matrix import (
 from .poly_tools import char_poly_many
 from .protocol import PublicSetup, PublicToken, Role, SessionKey, run_session
 
+# brute_force_pseudo_key's toy-scale bound on its (p-1)^(2d) candidate pairs
+SEARCH_SPACE_LIMIT = 10**7
+# uniformity_stats's significance level: a uniform source fails one run in a thousand
+SIGNIFICANCE = 0.001
+
 
 @dataclass(frozen=True)
 class KeyspaceReport:
@@ -116,7 +121,6 @@ def brute_force_pseudo_key(
     alice_token: PublicToken,
     bob_token: PublicToken,
     true_key: SessionKey,
-    limit: int = 10_000_000,
 ) -> PseudoKey:
     """Exhaustively search the commuting families for a working pseudo-key.
 
@@ -128,7 +132,7 @@ def brute_force_pseudo_key(
     true session key exactly.
 
     Raises:
-        SearchSpaceTooLargeError: (p-1)^(2d) exceeds ``limit``.
+        SearchSpaceTooLargeError: (p-1)^(2d) exceeds ``SEARCH_SPACE_LIMIT``.
         PseudoKeyNotFoundError: search exhausted (cannot happen for tokens
             produced by a genuine session, whose private key is in the space).
     """
@@ -137,8 +141,8 @@ def brute_force_pseudo_key(
     params = setup.params
     p, d = params.p, params.d
     space = (p - 1) ** (2 * d)
-    if space > limit:
-        raise SearchSpaceTooLargeError(f"search space {space} exceeds limit {limit}")
+    if space > SEARCH_SPACE_LIMIT:
+        raise SearchSpaceTooLargeError(f"search space {space} exceeds limit {SEARCH_SPACE_LIMIT}")
 
     u, v, w = alice_token.stack
     (p_mat, q_mat, r_mat, s_mat), (p_inv, q_inv, r_inv, s_inv) = setup.bases, setup.inverses
@@ -198,11 +202,10 @@ class StatsReport:
     chi_square: float
     dof: int
     p_value: float
-    significance: float
 
     @property
     def passed(self) -> bool:
-        return self.p_value > self.significance
+        return self.p_value > SIGNIFICANCE
 
 
 def _chi2_sf(x: float, dof: int) -> float:
@@ -226,7 +229,7 @@ def _chi2_sf(x: float, dof: int) -> float:
 _POOL_CHUNK = 256
 
 
-def uniformity_stats(matrices: Sequence[Matrix], significance: float = 0.001) -> StatsReport:
+def uniformity_stats(matrices: Sequence[Matrix]) -> StatsReport:
     """Chi-square test of pooled matrix entries against uniform on [0, p-1].
 
     Entries of one matrix are identically distributed under the null, so
@@ -254,7 +257,6 @@ def uniformity_stats(matrices: Sequence[Matrix], significance: float = 0.001) ->
         chi_square=stat,
         dof=dof,
         p_value=_chi2_sf(stat, dof),
-        significance=significance,
     )
 
 

@@ -103,8 +103,9 @@ class CipherMessage:
     """A framed byte message: its cipher blocks as one stack, plus the true length.
 
     stack is an (n, d, d) or (n, d*d) array or a sequence of d x d arrays, kept
-    as a read-only (n, d, d) uint16 copy.  Raises ValueError when the blocks do
-    not frame plaintext_length bytes or an entry lies outside [0, p).
+    as a read-only (n, d, d) uint16 copy.  Raises ValueError when a nonempty
+    stack has any other shape, the blocks do not frame plaintext_length bytes
+    or an entry lies outside [0, p).
     """
 
     params: FieldParams
@@ -113,11 +114,13 @@ class CipherMessage:
 
     def __post_init__(self):
         d, p = self.params.d, self.params.p
-        stack = np.asarray(self.stack)
+        stack = shaped = np.asarray(self.stack)
         if stack.dtype.kind != "u":  # widened: a negative entry viewed as uint64 is >= 2^63
             stack = np.asarray(stack, np.int64).view(np.uint64)
         stack = stack.reshape(-1, d, d)
         check_framing(self.params, self.plaintext_length, len(stack))
+        if len(stack) and shaped.shape[1:] not in ((d, d), (d * d,)):
+            raise ValueError(f"a stack of shape {shaped.shape} does not hold {d} x {d} blocks")
         if stack.max(initial=0) >= p:
             raise ValueError(f"cipher block entries must lie in [0, {p})")
         stack = stack.astype(np.uint16)  # p <= 65521 always fits

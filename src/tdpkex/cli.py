@@ -45,7 +45,7 @@ from .errors import (
     TooFewSamplesError,
     ValueOutOfRangeError,
 )
-from .field_matrix import FieldParams, SplitMix64, _invert
+from .field_matrix import FieldParams, SplitMix64, _check_eigenvalues, _invert
 from .protocol import (
     ROLE_LAYOUT,
     AlicePrivate,
@@ -54,7 +54,6 @@ from .protocol import (
     PublicToken,
     Role,
     SessionKey,
-    _check_eigenvalues,
     alice_keygen,
     alice_shared,
     alice_token,
@@ -196,8 +195,8 @@ def _read(path: str, expect_type: int, build):
     if record_type == REC_PRIVATE:
         section = np.frombuffer(data, np.uint8, 4 * d, offset=14).reshape(4, d).astype(np.int64)
     entries = np.frombuffer(data, np.uint8, offset=pos).reshape(count, d, d)
-    bad = np.flatnonzero((entries >= params.p).any(axis=(1, 2)))
-    if bad.size:
+    if entries.max(initial=0) >= params.p:
+        bad = np.flatnonzero((entries >= params.p).any(axis=(1, 2)))
         fail(f"matrix {bad[0]} has an entry >= p")
     try:
         return build(params, _ROLES[role_code], entries, section)
@@ -428,9 +427,10 @@ def cmd_stats(args) -> int:
 def cmd_attack(args) -> int:
     params = _params_from_args(args)
     space = (params.p - 1) ** (2 * params.d)
-    if space > 10_000_000:
+    if space > analysis.SEARCH_SPACE_LIMIT:
         raise ValueError(
-            f"search space {space} exceeds the 10^7 toy-scale bound; use smaller --prime/--dim"
+            f"search space {space} exceeds the toy-scale bound {analysis.SEARCH_SPACE_LIMIT}; "
+            "use smaller --prime/--dim"
         )
     rs = SplitMix64(_seed_from_args(args))
     from .protocol import run_session

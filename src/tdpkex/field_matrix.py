@@ -168,11 +168,17 @@ class DiagonalSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", tuple(int(v) for v in self.eigenvalues))
-        if len(self.eigenvalues) != self.params.d:
-            raise ValueError(f"expected {self.params.d} eigenvalues, got {len(self.eigenvalues)}")
-        for v in self.eigenvalues:
-            if not (1 <= v < self.params.p):
-                raise ValueError(f"eigenvalue {v} outside [1, p-1]")
+        # object dtype keeps ints beyond int64 exact, and the message names them as given
+        _check_eigenvalues(self.params, np.array(self.eigenvalues, dtype=object))
+
+
+def _check_eigenvalues(params: FieldParams, eigenvalues: np.ndarray) -> None:
+    """DiagonalSpec's refusals, run once over a (..., d) stack of eigenvalue lists."""
+    if eigenvalues.shape[-1] != params.d:
+        raise ValueError(f"expected {params.d} eigenvalues, got {eigenvalues.shape[-1]}")
+    bad = (eigenvalues < 1) | (eigenvalues >= params.p)
+    if bad.any():
+        raise ValueError(f"eigenvalue {eigenvalues[bad][0]} outside [1, p-1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,11 +249,12 @@ def field_uniform(rs, lo: int, hi: int) -> int:
 
 
 def uniform_array(rs, lo: int, hi: int, count: int) -> np.ndarray:
-    """Vector of ``count`` uniform draws on [lo, hi].
+    """Vector of ``count`` uniform draws on [lo, hi], for spans below 2^16.
 
     Consumes the byte stream exactly as ``count`` successive field_uniform
     calls would (same bytes, same rejections, same results); it just batches
-    the scan through numpy and pushes unused read-ahead bytes back.
+    the scan through numpy and pushes unused read-ahead bytes back.  A span
+    of 2^16 or more, never a field element's, raises ValueError.
     """
     span = hi - lo
     if span < 0:
@@ -256,7 +263,9 @@ def uniform_array(rs, lo: int, hi: int, count: int) -> np.ndarray:
     if span == 0:
         out[:] = lo
         return out
-    nbytes = (span.bit_length() + 7) // 8
+    if span >= 1 << 16:
+        raise ValueError(f"span {span} needs more than two bytes a draw; use field_uniform")
+    nbytes = 1 if span < 256 else 2
     filled = 0
     first_round = True
     while filled < count:
@@ -270,11 +279,7 @@ def uniform_array(rs, lo: int, hi: int, count: int) -> np.ndarray:
             # rejections happened: size further reads by the acceptance rate
             n_vals = min(need * ((1 << (8 * nbytes)) // (span + 1) + 1), 1 << 16)
         raw = rs.read(nbytes * n_vals)
-        if nbytes == 1:
-            vals = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-        else:
-            chunks = np.frombuffer(raw, dtype=np.uint8).reshape(n_vals, nbytes).astype(np.int64)
-            vals = chunks @ (np.int64(1) << (8 * np.arange(nbytes, dtype=np.int64)))
+        vals = np.frombuffer(raw, dtype="<u2" if nbytes == 2 else np.uint8).astype(np.int64)
         good = np.nonzero(vals <= span)[0]
         if good.size >= need:
             last = good[need - 1]

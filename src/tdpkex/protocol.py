@@ -23,9 +23,10 @@ the setup its bases and their inverses, a private key its eigenvalue lists,
 its five factors and the free factor's inverse, a token its triple, and a
 session key k and k^-1.  A named member (``setup.P``, ``alice.a2``,
 ``alice.d_a2``, ``token.t1``, ``key.k``) is a Matrix or DiagonalSpec built
-when it is read.  The constructors take Matrix and DiagonalSpec arguments;
-``run_session`` and the CLI readers build the same objects from stacks
-(``_from_stacks``), and both routes run the same checks once on the stack.
+when it is read.  The constructors take Matrix and DiagonalSpec arguments
+and compute every inverse; ``run_session`` and the CLI readers build the
+same objects from stacks and the inverses they hold (``_from_stacks``), and
+both routes run the same checks once on the stack.
 
 All protocol objects are immutable; sessions on distinct random sources may
 run concurrently.
@@ -48,6 +49,7 @@ from .field_matrix import (
     Matrix,
     NonsingularDraws,
     UniformDraws,
+    _check_eigenvalues,
     _invert,
     _inverse_table,
     commutator,
@@ -94,13 +96,11 @@ def _certify(ms: np.ndarray, inverses: np.ndarray | None, names, p: int) -> np.n
     return inverses
 
 
-def _check_eigenvalues(params: FieldParams, eigenvalues: np.ndarray) -> None:
-    """DiagonalSpec's refusals, run once over a (k, d) stack of eigenvalue lists."""
-    if eigenvalues.shape[-1] != params.d:
-        raise ValueError(f"expected {params.d} eigenvalues, got {eigenvalues.shape[-1]}")
-    bad = (eigenvalues < 1) | (eigenvalues >= params.p)
-    if bad.any():
-        raise ValueError(f"eigenvalue {eigenvalues[bad][0]} outside [1, p-1]")
+def _check_params(params: FieldParams, named: dict) -> None:
+    """The Matrix route's parameter check: ParamsMismatchError naming the first foreign argument."""
+    for name, arg in named.items():
+        if arg.params != params:
+            raise ParamsMismatchError(f"{name} has foreign parameters")
 
 
 class _Stacked:
@@ -109,11 +109,11 @@ class _Stacked:
     The public constructor checks its Matrix arguments' parameters, stacks
     them and hands the stacks to ``_init``, which runs every other check
     and keeps them.  ``_from_stacks`` is the route of ``run_session`` and
-    the CLI readers: it hands int64 stacks with entries in [0, p) to the
-    same ``_init``, which keeps them uncopied (a session key stacks k with
-    its inverse) and read-only.  Two objects of one class are equal when
-    the attributes named in ``_compared`` are: arrays entry by entry,
-    anything else by ``==``.
+    the CLI readers: it hands int64 stacks with entries in [0, p), and the
+    inverses it holds, to the same ``_init``, which keeps them uncopied (a
+    session key stacks k with its inverse) and read-only.  Two objects of
+    one class are equal when the attributes named in ``_compared`` are:
+    arrays entry by entry, anything else by ``==``.
     """
 
     __slots__ = ()
@@ -171,10 +171,10 @@ class PublicSetup(_Stacked):
 
     bases is the (4, d, d) stack of P, Q, R, S and inverses theirs, so every
     family member and member inverse is one matmul (see
-    ``RoleLayout.members``).  A caller that already holds the inverses, as the
-    setup draw does, passes them in and the constructor checks all four with
-    one stacked matmul; otherwise it inverts the four bases with one stacked
-    reduction.
+    ``RoleLayout.members``).  The constructor inverts the four bases with
+    one stacked reduction.  On the stack route a caller that already holds
+    the inverses, as the setup draw does, passes them in, and all four are
+    checked with one stacked matmul.
     ``basis_inv`` maps each basis name to its inverse as a Matrix.
     """
 
@@ -182,20 +182,11 @@ class PublicSetup(_Stacked):
     _compared = ("params", "bases")
     P, Q, R, S = (_Member("bases", i) for i in range(4))
 
-    def __init__(self, params: FieldParams, P: Matrix, Q: Matrix, R: Matrix, S: Matrix,
-                 basis_inv: dict[str, Matrix] | None = None):
+    def __init__(self, params: FieldParams, P: Matrix, Q: Matrix, R: Matrix, S: Matrix):
         _require_protocol_params(params)  # _init checks it too; here it comes first
         bases = (P, Q, R, S)
-        for name, m in zip(_BASES, bases):
-            if m.params != params:
-                raise ParamsMismatchError(f"basis {name} has foreign parameters")
-        inverses = None
-        if basis_inv is not None:
-            supplied = [basis_inv[name] for name in _BASES]
-            if any(x.params != params for x in supplied):
-                raise ParamsMismatchError("supplied inverse has foreign parameters")
-            inverses = np.array([x.a for x in supplied])
-        self._init(params, np.array([m.a for m in bases]), inverses)
+        _check_params(params, dict(zip(_BASIS_NAMES, bases)))
+        self._init(params, np.array([m.a for m in bases]))
 
     def _init(self, params: FieldParams, bases: np.ndarray, inverses: np.ndarray | None = None):
         _require_protocol_params(params)
@@ -212,29 +203,23 @@ class _Private(_Stacked):
 
     eigenvalues is the (4, d) stack of the eigenvalue lists in ``families``
     order, factors the (5, d, d) stack of the factors in record order (``key``
-    then ``hide``), and free_inverse the free factor's inverse: checked with
-    one matmul when the caller supplies it (keygen's draw computed it), else
-    computed here.  ``free_inv`` is that inverse as a Matrix, and
-    ``inverses`` all five factors' inverses, built on first use.
+    then ``hide``), and free_inverse the free factor's inverse: computed by
+    the constructor, or supplied on the stack route (keygen's draw computed
+    it) and checked with one matmul.  ``free_inv`` is that inverse as a
+    Matrix, and ``inverses`` all five factors' inverses, built on first use.
     """
 
     __slots__ = ("setup", "params", "eigenvalues", "factors", "free_inverse", "_inverses")
     _compared = ("setup", "eigenvalues", "factors")
     role: ClassVar[Role]
 
-    def _from_material(self, setup: PublicSetup, specs, factors, free_inv: Matrix | None) -> None:
+    def _from_material(self, setup: PublicSetup, specs: tuple, factors: tuple) -> None:
         """The Matrix route: each argument's parameters checked, then the stack checks."""
-        layout, params = ROLE_LAYOUT[self.role], setup.params
-        for (name, _), spec in zip(layout.families, specs):
-            if factors[layout.record.index(name)].params != params or spec.params != params:
-                raise ParamsMismatchError(f"{name} has foreign parameters")
-        if factors[layout.free_index].params != params:
-            raise ParamsMismatchError(f"{layout.free} has foreign parameters")
-        if free_inv is not None and free_inv.params != params:
-            raise ParamsMismatchError("supplied inverse has foreign parameters")
+        layout = ROLE_LAYOUT[self.role]
+        names = ["d_" + name for name, _ in layout.families] + list(layout.record)
+        _check_params(setup.params, dict(zip(names, specs + factors)))
         eigenvalues = np.array([spec.eigenvalues for spec in specs], dtype=np.int64)
-        self._init(setup, eigenvalues, np.array([m.a for m in factors]),
-                   None if free_inv is None else free_inv.a)
+        self._init(setup, eigenvalues, np.array([m.a for m in factors]))
 
     def _init(self, setup: PublicSetup, eigenvalues: np.ndarray, factors: np.ndarray,
               free_inverse: np.ndarray | None = None):
@@ -286,8 +271,8 @@ class AlicePrivate(_Private):
 
     def __init__(self, setup: PublicSetup, d_a2: DiagonalSpec, d_a3: DiagonalSpec,
                  d_x1: DiagonalSpec, d_x2: DiagonalSpec, a1: Matrix, a2: Matrix, a3: Matrix,
-                 x1: Matrix, x2: Matrix, *, free_inv: Matrix | None = None):
-        self._from_material(setup, (d_a2, d_a3, d_x1, d_x2), (a1, a2, a3, x1, x2), free_inv)
+                 x1: Matrix, x2: Matrix):
+        self._from_material(setup, (d_a2, d_a3, d_x1, d_x2), (a1, a2, a3, x1, x2))
 
 
 class BobPrivate(_Private):
@@ -300,8 +285,8 @@ class BobPrivate(_Private):
 
     def __init__(self, setup: PublicSetup, d_b1: DiagonalSpec, d_b2: DiagonalSpec,
                  d_y1: DiagonalSpec, d_y2: DiagonalSpec, b1: Matrix, b2: Matrix, b3: Matrix,
-                 y1: Matrix, y2: Matrix, *, free_inv: Matrix | None = None):
-        self._from_material(setup, (d_b1, d_b2, d_y1, d_y2), (b1, b2, b3, y1, y2), free_inv)
+                 y1: Matrix, y2: Matrix):
+        self._from_material(setup, (d_b1, d_b2, d_y1, d_y2), (b1, b2, b3, y1, y2))
 
 
 @dataclass(frozen=True)
@@ -363,22 +348,20 @@ ROLE_LAYOUT = {
 class PublicToken(_Stacked):
     """The published triple: (u, v, w) from Alice or (p, q, r) from Bob.
 
-    stack is the (3, d, d) stack of t1, t2, t3.  inverses, when a reader that
-    eliminated the triple supplies it, is the (3, d, d) array of t1^-1,
-    t2^-1, t3^-1.  It is not checked here: a session key derived from the
-    token builds its own inverse from it, and ``SessionKey`` certifies that
-    product.  It takes no part in equality.
+    stack is the (3, d, d) stack of t1, t2, t3.  inverses is None, or, when
+    a reader that eliminated the triple supplies it on the stack route, the
+    (3, d, d) array of t1^-1, t2^-1, t3^-1.  It is not checked here: a
+    session key derived from the token builds its own inverse from it, and
+    ``SessionKey`` certifies that product.  It takes no part in equality.
     """
 
     __slots__ = ("role", "params", "stack", "inverses")
     _compared = ("role", "params", "stack")
     t1, t2, t3 = (_Member("stack", i) for i in range(3))
 
-    def __init__(self, role: Role, t1: Matrix, t2: Matrix, t3: Matrix,
-                 inverses: np.ndarray | None = None):
-        if not (t1.params == t2.params == t3.params):
-            raise ParamsMismatchError("token matrices have mixed parameters")
-        self._init(role, t1.params, np.array([t1.a, t2.a, t3.a]), inverses)
+    def __init__(self, role: Role, t1: Matrix, t2: Matrix, t3: Matrix):
+        _check_params(t1.params, {"t2": t2, "t3": t3})
+        self._init(role, t1.params, np.array([t1.a, t2.a, t3.a]))
 
     def _init(self, role: Role, params: FieldParams, stack: np.ndarray,
               inverses: np.ndarray | None = None):
@@ -389,20 +372,18 @@ class SessionKey(_Stacked):
     """The agreed key matrix; invertible because all six factors are.
 
     stack is the (2, d, d) stack of k and k^-1, so the cipher conjugates
-    every block with no further elimination.  A supplied k_inv is checked
-    with one matmul; ``run_session`` builds it from the six factors'
-    inverses, and a shared key from a token that carries its inverses.
-    Without one it is computed here.
+    every block with no further elimination.  The constructor computes k^-1.
+    On the stack route ``run_session`` supplies it, built from the six
+    factors' inverses, and so does a shared key from a token that carries
+    its inverses; a supplied one is checked with one matmul.
     """
 
     __slots__ = ("params", "stack")
     _compared = ("params", "stack")
     k, k_inv = _Member("stack", 0), _Member("stack", 1)
 
-    def __init__(self, k: Matrix, k_inv: Matrix | None = None):
-        if k_inv is not None and k_inv.params != k.params:
-            raise ParamsMismatchError("supplied inverse has foreign parameters")
-        self._init(k.params, k.a, None if k_inv is None else k_inv.a)
+    def __init__(self, k: Matrix):
+        self._init(k.params, k.a)
 
     def _init(self, params: FieldParams, k: np.ndarray, k_inv: np.ndarray | None = None):
         supplied = None if k_inv is None else k_inv[None]

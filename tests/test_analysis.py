@@ -121,11 +121,10 @@ def test_identity_session_recovers_identity_pseudo_key():
 
 
 def test_search_space_guard():
-    result = run_session(SplitMix64(3), P5)
+    # (p-1)^(2d) = 4^12 is past the 10^7 bound
+    result = run_session(SplitMix64(3), FieldParams(p=5, d=6))
     with pytest.raises(SearchSpaceTooLargeError):
-        brute_force_pseudo_key(
-            result.setup, result.alice_pub, result.bob_pub, result.alice_key, limit=100
-        )
+        brute_force_pseudo_key(result.setup, result.alice_pub, result.bob_pub, result.alice_key)
 
 
 def test_true_private_material_is_in_search_space():

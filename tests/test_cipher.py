@@ -267,6 +267,9 @@ def test_cipher_message_refuses_a_stack_of_the_wrong_shape():
     # 8 rows of 8 x 9 entries reshape to 9 blocks, and 504 bytes frame 8
     with pytest.raises(ValueError, match="9 blocks inconsistent with length 504"):
         CipherMessage(P251, 8 * 63, np.zeros((8, 8, 9), np.int64))
+    # 567 bytes frame all 9, and the shape is refused
+    with pytest.raises(ValueError, match=r"shape \(8, 8, 9\) does not hold 8 x 8 blocks"):
+        CipherMessage(P251, 9 * 63, np.zeros((8, 8, 9), np.int64))
     with pytest.raises(ValueError):  # 3 rows of 8 x 9 entries are no whole number of blocks
         CipherMessage(P251, 3 * 63, np.zeros((3, 8, 9), np.int64))
 

@@ -53,6 +53,12 @@ def test_diagonal_spec_validation():
         DiagonalSpec(P5, (1, 5))  # out of range
     with pytest.raises(ValueError):
         DiagonalSpec(P5, (1, 2, 3))  # wrong length
+    # past int64 the messages name each value as given
+    with pytest.raises(ValueError, match=r"^expected 2 eigenvalues, got 3$"):
+        DiagonalSpec(P5, (1, 2**70, 3))
+    for value in (2**70, -2**70, 2**63, -1):
+        with pytest.raises(ValueError, match=rf"^eigenvalue {value} outside \[1, p-1\]$"):
+            DiagonalSpec(P5, (1, value))
 
 
 def test_matrix_entries_reduced_and_frozen():

@@ -99,25 +99,30 @@ def test_setup_rejects_singular_basis():
         PublicSetup(P5, ident, ident, Matrix.identity(FieldParams(p=7, d=2)), singular)
 
 
+def _swapped(stack: np.ndarray, index: int, m: Matrix) -> np.ndarray:
+    """A copy of stack with row index replaced by m's entries."""
+    out = stack.copy()
+    out[index] = m.a
+    return out
+
+
 def test_setup_checks_supplied_inverses():
+    # inverses are supplied on the stack route only
     setup = gen_setup(SplitMix64(15), P5)
     bases = [setup.P, setup.Q, setup.R, setup.S]
-    supplied = PublicSetup(P5, *bases, basis_inv=setup.basis_inv)
+    supplied = PublicSetup._from_stacks(P5, setup.bases.copy(), setup.inverses.copy())
     assert supplied == setup == PublicSetup(P5, *bases)
     assert supplied.basis_inv == setup.basis_inv == PublicSetup(P5, *bases).basis_inv
     # a wrong inverse for an invertible basis is refused like a singular basis
     with pytest.raises(SingularMatrixError, match="basis P is singular"):
-        PublicSetup(P5, *bases, basis_inv={**setup.basis_inv, "P": setup.P})
+        PublicSetup._from_stacks(P5, setup.bases.copy(), _swapped(setup.inverses, 0, setup.P))
     with pytest.raises(SingularMatrixError, match="basis S is singular"):
-        PublicSetup(P5, *bases, basis_inv={**setup.basis_inv, "S": Matrix.identity(P5)})
+        PublicSetup._from_stacks(P5, setup.bases.copy(), _swapped(setup.inverses, 3, Matrix.identity(P5)))
     # no inverse can certify a singular basis
     singular = Matrix.from_rows(P5, [[1, 1], [1, 1]])
     with pytest.raises(SingularMatrixError, match="basis Q is singular"):
-        PublicSetup(P5, setup.P, singular, setup.R, setup.S,
-                    basis_inv={**setup.basis_inv, "Q": Matrix.identity(P5)})
-    foreign = Matrix.identity(FieldParams(7, 2))
-    with pytest.raises(ParamsMismatchError):
-        PublicSetup(P5, *bases, basis_inv={**setup.basis_inv, "R": foreign})
+        PublicSetup._from_stacks(P5, _swapped(setup.bases, 1, singular),
+                                 _swapped(setup.inverses, 1, Matrix.identity(P5)))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +176,12 @@ def test_private_constructor_rejects_inconsistent_material():
     foreign = FieldParams(p=7, d=8)
     with pytest.raises(ParamsMismatchError):
         AlicePrivate(setup, *fields[:7], Matrix.identity(foreign), priv.x2)
-    with pytest.raises(ParamsMismatchError):
+    with pytest.raises(ParamsMismatchError, match="d_x2 has foreign parameters"):
         AlicePrivate(setup, *fields[:3], DiagonalSpec(foreign, [1] * 8), *fields[4:])
+    # with several foreign arguments the first in record order is named
+    with pytest.raises(ParamsMismatchError, match="d_x1 has foreign parameters"):
+        AlicePrivate(setup, *fields[:2], DiagonalSpec(foreign, [1] * 8), fields[3],
+                     Matrix.identity(foreign), *fields[5:])
     with pytest.raises(SingularMatrixError, match="a1 is singular"):
         AlicePrivate(setup, *fields[:4], Matrix.zero(P251), *fields[5:])
     # the free factor's parameters are checked with the family factors'
@@ -189,14 +198,16 @@ def test_private_checks_supplied_free_inverse(keygen, free):
     names = ["setup"] + ["d_" + name for name, _ in layout.families] + list(layout.record)
     material = {name: getattr(priv, name) for name in names}
     plain = build(**material)
-    supplied = build(**material, free_inv=priv.free_inv)
+    # the free factor's inverse is supplied on the stack route only
+    supplied = build._from_stacks(setup, priv.eigenvalues, priv.factors, priv.free_inverse)
     assert plain == supplied == priv
     assert plain.free_inv == supplied.free_inv == mat_inverse(getattr(priv, free))
     for wrong in (getattr(priv, free), Matrix.identity(P251)):
         with pytest.raises(SingularMatrixError, match=f"{free} is singular"):
-            build(**material, free_inv=wrong)
+            build._from_stacks(setup, priv.eigenvalues, priv.factors, wrong.a)
+    zero_free = _swapped(priv.factors, layout.free_index, Matrix.zero(P251))
     with pytest.raises(SingularMatrixError, match=f"{free} is singular"):
-        build(**{**material, free: Matrix.zero(P251)}, free_inv=priv.free_inv)
+        build._from_stacks(setup, priv.eigenvalues, zero_free, priv.free_inverse)
 
 
 def test_cross_family_commutation_by_construction():
@@ -392,15 +403,17 @@ def test_validation_rejects_foreign_setup():
 
 
 def test_session_key_checks_supplied_inverse():
+    # k^-1 is supplied on the stack route only
     result = run_session(SplitMix64(29), P251)
     k, k_inv = result.alice_key.k, result.alice_key.k_inv
-    assert SessionKey(k, k_inv) == SessionKey(k) == result.alice_key
-    assert SessionKey(k, k_inv).k_inv == SessionKey(k).k_inv == mat_inverse(k)
+    supplied = SessionKey._from_stacks(P251, k.a, k_inv.a)
+    assert supplied == SessionKey(k) == result.alice_key
+    assert supplied.k_inv == SessionKey(k).k_inv == mat_inverse(k)
     for wrong in (k, Matrix.identity(P251)):
         with pytest.raises(SingularMatrixError, match="session key is singular"):
-            SessionKey(k, wrong)
+            SessionKey._from_stacks(P251, k.a, wrong.a)
     with pytest.raises(SingularMatrixError, match="session key is singular"):
-        SessionKey(Matrix.zero(P251), k_inv)
+        SessionKey._from_stacks(P251, Matrix.zero(P251).a, k_inv.a)
     with pytest.raises(SingularMatrixError, match="session key is singular"):
         SessionKey(Matrix.zero(P251))
 
@@ -409,11 +422,11 @@ def test_shared_certifies_the_key_inverse_built_from_token_inverses():
     result = run_session(SplitMix64(42), P251)
     token = result.bob_pub
     inverses = np.array([mat_inverse(t).a for t in (token.t1, token.t2, token.t3)])
-    key = alice_shared(result.alice, PublicToken(token.role, token.t1, token.t2, token.t3, inverses))
+    key = alice_shared(result.alice, PublicToken._from_stacks(token.role, P251, token.stack, inverses))
     assert key == result.alice_key
     assert key.k_inv == result.alice_key.k_inv
     with pytest.raises(SingularMatrixError, match="session key is singular"):
-        alice_shared(result.alice, PublicToken(token.role, token.t1, token.t2, token.t3, inverses[::-1]))
+        alice_shared(result.alice, PublicToken._from_stacks(token.role, P251, token.stack, inverses[::-1]))
 
 
 def test_session_counters():
@@ -530,31 +543,35 @@ def _arrays(*ms):
 
 
 def _same_refusal(matrix_route, stack_route) -> Exception:
-    """The error both routes raise, after checking that its type and message agree."""
-    with pytest.raises(ValueError) as by_matrix:
-        matrix_route()
+    """The error both routes raise, after checking that its type and message agree.
+
+    matrix_route is None for a case that supplies an inverse, which only the
+    stack route takes.
+    """
     with pytest.raises(ValueError) as by_stack:
         stack_route()
-    assert type(by_stack.value) is type(by_matrix.value)
-    assert str(by_stack.value) == str(by_matrix.value)
-    return by_matrix.value
+    if matrix_route is not None:
+        with pytest.raises(ValueError) as by_matrix:
+            matrix_route()
+        assert type(by_stack.value) is type(by_matrix.value)
+        assert str(by_stack.value) == str(by_matrix.value)
+    return by_stack.value
 
 
 def test_setup_routes_refuse_alike():
     singular, ident = Matrix.from_rows(P5, [[1, 1], [1, 1]]), Matrix.identity(P5)
     setup = gen_setup(SplitMix64(15), P5)
-    bases, inv = [setup.P, setup.Q, setup.R, setup.S], setup.basis_inv
+    bases, inv = [setup.P, setup.Q, setup.R, setup.S], setup.inverses
     cases = [
         ((singular, ident, ident, ident), None, "basis P is singular"),
         ((ident, ident, ident, singular), None, "basis S is singular"),
         ((ident, singular, singular, ident), None, "basis Q is singular"),
-        (bases, {**inv, "P": setup.P}, "basis P is singular"),
-        (bases, {**inv, "S": ident}, "basis S is singular"),
-        ((setup.P, singular, setup.R, setup.S), {**inv, "Q": ident}, "basis Q is singular"),
+        (bases, _swapped(inv, 0, setup.P), "basis P is singular"),
+        (bases, _swapped(inv, 3, ident), "basis S is singular"),
+        ((setup.P, singular, setup.R, setup.S), _swapped(inv, 1, ident), "basis Q is singular"),
     ]
-    for ms, basis_inv, message in cases:
-        inverses = None if basis_inv is None else _arrays(*(basis_inv[n] for n in "PQRS"))
-        error = _same_refusal(lambda: PublicSetup(P5, *ms, basis_inv=basis_inv),
+    for ms, inverses, message in cases:
+        error = _same_refusal((lambda: PublicSetup(P5, *ms)) if inverses is None else None,
                               lambda: PublicSetup._from_stacks(P5, _arrays(*ms), inverses))
         assert isinstance(error, SingularMatrixError) and str(error) == message
     p2 = FieldParams(p=2, d=2)
@@ -592,12 +609,12 @@ def test_private_routes_refuse_alike(keygen):
 
         def by_matrix():
             specs = [DiagonalSpec(P251, row) for row in values]
-            return build(setup, *specs, *ms, free_inv=free_inv)
+            return build(setup, *specs, *ms)
 
         def by_stack():
             return build._from_stacks(setup, np.array(values), _arrays(*ms), inverse)
 
-        error = _same_refusal(by_matrix, by_stack)
+        error = _same_refusal(by_matrix if free_inv is None else None, by_stack)
         assert type(error) is kind and message in str(error)
 
 
@@ -607,14 +624,14 @@ def test_key_and_token_routes_refuse_alike():
     zero = Matrix.zero(P251)
     for key, inverse in ((k, k), (k, Matrix.identity(P251)), (zero, k_inv), (zero, None)):
         error = _same_refusal(
-            lambda: SessionKey(key, inverse),
+            (lambda: SessionKey(key)) if inverse is None else None,
             lambda: SessionKey._from_stacks(P251, key.a, None if inverse is None else inverse.a),
         )
         assert type(error) is SingularMatrixError and str(error) == "session key is singular"
     token = result.bob_pub
     inverses = np.array([mat_inverse(t).a for t in (token.t1, token.t2, token.t3)])[::-1]
     error = _same_refusal(
-        lambda: alice_shared(result.alice, PublicToken(token.role, token.t1, token.t2, token.t3, inverses)),
+        None,
         lambda: alice_shared(result.alice, PublicToken._from_stacks(token.role, P251, token.stack, inverses)),
     )
     assert type(error) is SingularMatrixError and str(error) == "session key is singular"
@@ -624,6 +641,8 @@ def test_key_and_token_routes_refuse_alike():
         lambda: alice_shared(result.alice, PublicToken._from_stacks(foreign.role, foreign.params, foreign.stack)),
     )
     assert type(error) is ParamsMismatchError
+    with pytest.raises(ParamsMismatchError, match="t2 has foreign parameters"):
+        PublicToken(token.role, token.t1, foreign.t2, token.t3)
 
 
 def test_routes_build_equal_objects():

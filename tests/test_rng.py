@@ -120,6 +120,17 @@ def test_uniform_array_matches_sequential_draws(lo, hi):
     assert batch_src.read(32) == seq_src.read(32)
 
 
+def test_uniform_array_refuses_spans_past_two_bytes():
+    # an eight-byte draw: ff x 8 is rejected, then 1 accepted.  Summed in
+    # int64 the first read as -1, which passed the rejection test
+    data = [0xFF] * 8 + [0x01] + [0x00] * 7
+    assert field_uniform(StubSource(data), 0, 2**60) == 1
+    for hi in (2**60, 1 << 16):
+        with pytest.raises(ValueError, match="field_uniform"):
+            uniform_array(StubSource(data), 0, hi, 1)
+    assert uniform_array(StubSource([0xFF, 0xFF]), 0, (1 << 16) - 1, 1).tolist() == [65535]
+
+
 def test_uniform_array_on_stub_consumes_exact_bytes():
     stub = StubSource([1, 0, 0, 1, 0xEE])
     assert uniform_array(stub, 0, 250, 4).tolist() == [1, 0, 0, 1]

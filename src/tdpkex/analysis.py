@@ -29,6 +29,7 @@ from .cipher import (
 )
 from .commuting import family_member
 from .errors import (
+    ParamsMismatchError,
     PseudoKeyNotFoundError,
     SearchSpaceTooLargeError,
     TooFewSamplesError,
@@ -283,7 +284,7 @@ def similarity_leak_check(plain: PlainBlock, cipher: CipherBlock) -> SimilarityR
     """
     m, c = plain.m, cipher.c
     if m.params != c.params:
-        raise ValueError("blocks have mixed parameters")
+        raise ParamsMismatchError("blocks have mixed parameters")
     cp_m, cp_c = char_poly_many(np.array([m.a, c.a]), m.params.p).tolist()
     # c_{d-1} = -trace and c_0 = (-1)^d det, and both blocks share d
     return SimilarityReport(

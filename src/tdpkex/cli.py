@@ -45,7 +45,7 @@ from .errors import (
     TooFewSamplesError,
     ValueOutOfRangeError,
 )
-from .field_matrix import FieldParams, SplitMix64, _check_eigenvalues, _invert
+from .field_matrix import FieldParams, SplitMix64, _check_eigenvalues, _invert, _SystemSource
 from .protocol import (
     ROLE_LAYOUT,
     AlicePrivate,
@@ -330,23 +330,24 @@ def cmd_params(args) -> int:
     return 0
 
 
-def _seed_from_args(args) -> int:
+def _source_from_args(args):
+    """SplitMix64 on --seed, for reproducible output; without one, the operating system's CSPRNG."""
     if args.seed is not None:
-        return args.seed
-    return int.from_bytes(os.urandom(8), "little")
+        return SplitMix64(args.seed)
+    return _SystemSource()
 
 
 def cmd_setup(args) -> int:
     params = _params_from_args(args)
     _check_file_params(params)
-    rs = SplitMix64(_seed_from_args(args))
+    rs = _source_from_args(args)
     write_setup_file(args.out, gen_setup(rs, params))
     return 0
 
 
 def cmd_keygen(args) -> int:
     setup = read_setup_file(args.infile)
-    rs = SplitMix64(_seed_from_args(args))
+    rs = _source_from_args(args)
     priv = alice_keygen(rs, setup) if args.role == "alice" else bob_keygen(rs, setup)
     write_private_file(args.out, priv)
     return 0
@@ -392,7 +393,7 @@ def cmd_stats(args) -> int:
     if args.sessions < 1:
         raise ValueError("--sessions must be >= 1")
     params = _params_from_args(args)
-    rs = SplitMix64(_seed_from_args(args))
+    rs = _source_from_args(args)
     st = analysis.session_statistics(rs, params, args.sessions)
     pairs = [
         ("sessions", str(st.sessions)),
@@ -432,7 +433,7 @@ def cmd_attack(args) -> int:
             f"search space {space} exceeds the toy-scale bound {analysis.SEARCH_SPACE_LIMIT}; "
             "use smaller --prime/--dim"
         )
-    rs = SplitMix64(_seed_from_args(args))
+    rs = _source_from_args(args)
     from .protocol import run_session
 
     result = run_session(rs, params)
@@ -464,7 +465,7 @@ def cmd_irreducible(args) -> int:
         FieldParams(p=args.prime, d=max(2, args.degree))
     except ValueError as exc:
         raise ValueError(f"invalid parameters: {exc}") from exc
-    rs = SplitMix64(_seed_from_args(args))
+    rs = _source_from_args(args)
     f, trials = poly_tools.random_irreducible(rs, args.degree, args.prime)
     print(f"prime {args.prime}")
     print(f"degree {args.degree}")

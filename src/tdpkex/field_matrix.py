@@ -2,10 +2,11 @@
 
 Everything downstream (key agreement, cipher, attack harness) is built on the
 types and operations here: immutable matrices with entries reduced mod p, a
-deterministic byte-stream RNG, and one Gauss-Jordan row reduction
-(``_row_reduce``) behind every determinant and inverse.  The reduction works
-on an (n, d, k) stack, so n matrices cost one pass of numpy calls over the d
-columns: at d = 8 the cost is call overhead, not arithmetic.  ``mat_det`` and
+deterministic byte-stream RNG (and an ``os.urandom`` stream for unseeded
+use), and one Gauss-Jordan row reduction (``_row_reduce``) behind every
+determinant and inverse.  The reduction works on an (n, d, k) stack, so n
+matrices cost one pass of numpy calls over the d columns: at d = 8 the cost
+is call overhead, not arithmetic.  ``mat_det`` and
 ``mat_inverse`` are its n = 1 case, and ``_invert`` reduces a whole stack
 beside the identity.  ``draw_segments`` is the one draw rule for nonsingular
 matrices: it parses a list of segments (nonsingular matrices, uniform values)
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -65,6 +67,11 @@ class _BufferedSource:
 class SplitMix64(_BufferedSource):
     """Deterministic byte stream backed by the SplitMix64 generator.
 
+    It exists for reproducibility: seeded runs, golden vectors and tests.
+    It is not a CSPRNG.  Its output mix is invertible, so outputs reveal its
+    state and with it every later byte; unseeded commands draw from the
+    operating system instead (``_SystemSource``).
+
     Each step adds the 64-bit golden-ratio constant to the state and applies
     the standard xor-shift/multiply output mix; every output word is emitted
     as 8 little-endian bytes.  The same seed therefore produces the identical
@@ -94,6 +101,13 @@ class SplitMix64(_BufferedSource):
         z *= np.uint64(_MIX2)
         z ^= z >> np.uint64(31)
         self._buf += z.astype("<u8").tobytes()
+
+
+class _SystemSource(_BufferedSource):
+    """Byte stream read from ``os.urandom``, the operating system's CSPRNG, 512 bytes a refill."""
+
+    def _refill(self) -> None:
+        self._buf += os.urandom(512)
 
 
 class StubSource(_BufferedSource):

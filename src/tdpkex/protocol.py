@@ -28,6 +28,12 @@ and compute every inverse; ``run_session`` and the CLI readers build the
 same objects from stacks and the inverses they hold (``_from_stacks``), and
 both routes run the same checks once on the stack.
 
+Each step takes a leading party axis: ``run_session`` runs Alice and Bob
+through it at once (one ``family_member`` call, one pass of each private-key
+check, one token product, one key product tree, one key certificate), and
+the single-party functions, the constructors and the CLI readers are its
+k = 1 case.
+
 All protocol objects are immutable; sessions on distinct random sources may
 run concurrently.
 """
@@ -111,7 +117,10 @@ class _Stacked:
     and keeps them.  ``_from_stacks`` is the route of ``run_session`` and
     the CLI readers: it hands int64 stacks with entries in [0, p), and the
     inverses it holds, to the same ``_init``, which keeps them uncopied (a
-    session key stacks k with its inverse) and read-only.  Two objects of
+    session key stacks k with its inverse) and read-only.  Where the checks
+    run over k objects at once (``_privates``, ``_key_stacks``), ``_init``
+    runs them for k = 1 and keeps the result with ``_hold``, and ``_held``
+    builds each of the k objects with no further check.  Two objects of
     one class are equal when the attributes named in ``_compared`` are:
     arrays entry by entry, anything else by ``==``.
     """
@@ -123,6 +132,13 @@ class _Stacked:
     def _from_stacks(cls, *args):
         obj = cls.__new__(cls)
         obj._init(*args)
+        return obj
+
+    @classmethod
+    def _held(cls, *args):
+        """An object of material checked over k objects at once: ``_hold`` with no check."""
+        obj = cls.__new__(cls)
+        obj._hold(*args)
         return obj
 
     def _set(self, **attributes) -> None:
@@ -170,11 +186,10 @@ class PublicSetup(_Stacked):
     """The four public eigenvector bases; all invertible, all same params.
 
     bases is the (4, d, d) stack of P, Q, R, S and inverses theirs, so every
-    family member and member inverse is one matmul (see
-    ``RoleLayout.members``).  The constructor inverts the four bases with
-    one stacked reduction.  On the stack route a caller that already holds
-    the inverses, as the setup draw does, passes them in, and all four are
-    checked with one stacked matmul.
+    family member and member inverse is one matmul (see ``_fill``).  The
+    constructor inverts the four bases with one stacked reduction.  On the
+    stack route a caller that already holds the inverses, as the setup draw
+    does, passes them in, and all four are checked with one stacked matmul.
     ``basis_inv`` maps each basis name to its inverse as a Matrix.
     """
 
@@ -223,20 +238,15 @@ class _Private(_Stacked):
 
     def _init(self, setup: PublicSetup, eigenvalues: np.ndarray, factors: np.ndarray,
               free_inverse: np.ndarray | None = None):
-        layout, params = ROLE_LAYOUT[self.role], setup.params
-        p = params.p
-        _check_eigenvalues(params, eigenvalues)
-        b = setup.bases[layout.basis_index]
-        # B F == diag(eigenvalues) B for all four families at once: F == B^-1 diag B,
-        # tested inversion-free
-        f = factors[layout.family_index]
-        if not np.array_equal(b @ f % p, eigenvalues[:, :, None] * b % p):
-            raise ValueError("derived matrix does not match its basis and eigenvalues")
-        free = factors[layout.free_index, None]
         supplied = None if free_inverse is None else free_inverse[None]
-        (free_inverse,) = _certify(free, supplied, [layout.free], p)
-        self._set(setup=setup, params=params, eigenvalues=_readonly(eigenvalues),
-                  factors=_readonly(factors), free_inverse=_readonly(free_inverse), _inverses=None)
+        (free_inverse,) = _check_parties(setup, (self.role,), eigenvalues[None], factors[None], supplied)
+        self._hold(setup, eigenvalues, factors, free_inverse)
+
+    def _hold(self, setup: PublicSetup, eigenvalues: np.ndarray, factors: np.ndarray,
+              free_inverse: np.ndarray, inverses: np.ndarray | None = None) -> None:
+        self._set(setup=setup, params=setup.params, eigenvalues=_readonly(eigenvalues),
+                  factors=_readonly(factors), free_inverse=_readonly(free_inverse),
+                  _inverses=None if inverses is None else _readonly(inverses))
 
     @property
     def free_inv(self) -> Matrix:
@@ -249,14 +259,12 @@ class _Private(_Stacked):
         A family factor's inverse is its family member on the inverted
         eigenvalues, exact because the constructor checked each family factor
         against its basis; the free factor's is the certified free_inverse.
-        Built on first use and kept, for the token and the session key alike.
+        Built on first use by the one-party call of ``_fill`` and kept, for the
+        token and the session key alike (``run_session`` builds them with the factors).
         """
         if self._inverses is None:
-            layout = ROLE_LAYOUT[self.role]
-            out = np.empty_like(self.factors)
             inverted = _inverse_table(self.params.p)[self.eigenvalues]
-            out[layout.family_index] = layout.members(self.setup, inverted)
-            out[layout.free_index] = self.free_inverse
+            (out,) = _fill(self.setup, (self.role,), inverted[None], self.free_inverse[None])
             self._set(_inverses=_readonly(out))
         return self._inverses
 
@@ -321,11 +329,6 @@ class RoleLayout:
         object.__setattr__(self, "basis_index", [_BASES.index(basis) for _, basis in self.families])
         object.__setattr__(self, "free_index", record.index(self.free))
 
-    def members(self, setup: PublicSetup, eigenvalues) -> np.ndarray:
-        """The four family members on (4, d) eigenvalue lists, in ``families`` order."""
-        i = self.basis_index
-        return family_member(setup.bases[i], setup.inverses[i], eigenvalues, setup.params.p)
-
 
 ROLE_LAYOUT = {
     Role.ALICE: RoleLayout(
@@ -343,6 +346,69 @@ ROLE_LAYOUT = {
         free="b3",
     ),
 }
+_PARTIES = (Role.ALICE, Role.BOB)
+_RECORD_LENGTH = 5
+
+
+@functools.cache
+def _party_index(roles: tuple[Role, ...]) -> tuple:
+    """The k parties' (k, 4) basis rows, and where their family and free factors sit in (k, 5) stacks."""
+    layouts = [ROLE_LAYOUT[role] for role in roles]
+    parties, basis, family, free = (_readonly(np.array(index)) for index in (
+        range(len(roles)),
+        [layout.basis_index for layout in layouts],
+        [layout.family_index for layout in layouts],
+        [layout.free_index for layout in layouts],
+    ))
+    return basis, (parties[:, None], family), (parties, free)
+
+
+def _fill(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray,
+          free: np.ndarray) -> np.ndarray:
+    """The (k, 5, d, d) factor stacks of the k parties in roles, one ``family_member`` call.
+
+    From (k, 4, d) eigenvalue lists and (k, d, d) free factors; on inverted
+    lists and the free factors' inverses, the stacks are the inverses.
+    """
+    basis, family, free_at = _party_index(roles)
+    d = setup.params.d
+    out = np.empty((len(roles), _RECORD_LENGTH, d, d), dtype=np.int64)
+    out[family] = family_member(setup.bases[basis], setup.inverses[basis], eigenvalues, setup.params.p)
+    out[free_at] = free
+    return out
+
+
+def _check_parties(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray,
+                   factors: np.ndarray, free_inverse: np.ndarray | None) -> np.ndarray:
+    """Each private-key check once over k parties; returns the free factors' inverses.
+
+    B F == diag B tests F == B^-1 diag B inversion-free.  A refusal names
+    the first failing party's factor, in roles order.
+    """
+    params = setup.params
+    p = params.p
+    _check_eigenvalues(params, eigenvalues)
+    basis, family, free_at = _party_index(roles)
+    b = setup.bases[basis]
+    if not np.array_equal(b @ factors[family] % p, eigenvalues[..., None] * b % p):
+        raise ValueError("derived matrix does not match its basis and eigenvalues")
+    return _certify(factors[free_at], free_inverse, [ROLE_LAYOUT[role].free for role in roles], p)
+
+
+def _privates(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray,
+              factors: np.ndarray, free_inverse: np.ndarray,
+              inverses: np.ndarray | None = None) -> list[_Private]:
+    """k private keys from (k, ...) stacks, checked in one pass and kept uncopied.
+
+    Row i of each stack is what ``_from_stacks`` takes for party i; inverses
+    is ``_fill``'s stack of the factors' inverses, when built.
+    """
+    free_inverse = _check_parties(setup, roles, eigenvalues, factors, free_inverse)
+    return [
+        ROLE_LAYOUT[role].private._held(setup, eigenvalues[i], factors[i], free_inverse[i],
+                                        None if inverses is None else inverses[i])
+        for i, role in enumerate(roles)
+    ]
 
 
 class PublicToken(_Stacked):
@@ -387,8 +453,16 @@ class SessionKey(_Stacked):
 
     def _init(self, params: FieldParams, k: np.ndarray, k_inv: np.ndarray | None = None):
         supplied = None if k_inv is None else k_inv[None]
-        (k_inv,) = _certify(k[None], supplied, ["session key"], params.p)
-        self._set(params=params, stack=_readonly(np.array([k, k_inv])))
+        self._hold(params, _key_stacks(params, k[None], supplied)[0])
+
+    def _hold(self, params: FieldParams, stack: np.ndarray) -> None:
+        self._set(params=params, stack=stack)
+
+
+def _key_stacks(params: FieldParams, ks: np.ndarray, k_invs: np.ndarray | None) -> np.ndarray:
+    """The read-only (n, 2, d, d) stacks of n keys and their inverses, certified by one ``_certify``."""
+    k_invs = _certify(ks, k_invs, ["session key"] * len(ks), params.p)
+    return _readonly(np.concatenate([ks[:, None], k_invs[:, None]], axis=1))
 
 
 _SETUP_DRAWS = (NonsingularDraws(len(_BASES)),)
@@ -405,18 +479,11 @@ def _setup(params: FieldParams, drawn: list) -> PublicSetup:
     return PublicSetup._from_stacks(params, bases, inverses)
 
 
-def _private(setup: PublicSetup, role: Role, drawn: list) -> _Private:
-    """A party's private key from the draws of ``_keygen_draws``.
-
-    The four family members are one broadcast product basis^-1 diag basis.
-    """
-    layout, d = ROLE_LAYOUT[role], setup.params.d
-    eigenvalues, ((free,), (free_inv,)) = drawn
-    eigenvalues = eigenvalues.reshape(-1, d)
-    factors = np.empty((len(layout.record), d, d), dtype=np.int64)
-    factors[layout.family_index] = layout.members(setup, eigenvalues)
-    factors[layout.free_index] = free
-    return layout.private._from_stacks(setup, eigenvalues, factors, free_inv)
+def _material(drawn: list, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k parties' eigenvalue lists, free factors and their inverses from k runs of ``_keygen_draws``."""
+    eigenvalues = np.array(drawn[::2]).reshape(-1, len(_BASES), d)
+    free, free_inverse = (np.concatenate(part) for part in zip(*drawn[1::2]))
+    return eigenvalues, free, free_inverse
 
 
 def gen_setup(rs, params: FieldParams) -> PublicSetup:
@@ -425,26 +492,36 @@ def gen_setup(rs, params: FieldParams) -> PublicSetup:
 
 
 def _keygen(rs, setup: PublicSetup, role: Role) -> _Private:
-    return _private(setup, role, draw_segments(rs, setup.params, _keygen_draws(setup.params))[0])
+    drawn, _ = draw_segments(rs, setup.params, _keygen_draws(setup.params))
+    eigenvalues, free, free_inverse = _material(drawn, setup.params.d)
+    (priv,) = _privates(setup, (role,), eigenvalues, _fill(setup, (role,), eigenvalues, free),
+                        free_inverse)
+    return priv
+
+
+def _tokens(p: int, factors: np.ndarray, inverses: np.ndarray) -> np.ndarray:
+    """The (k, 3, d, d) triples (f1 h1, h1^-1 f2 h2, h2^-1 f3) from (k, 5, d, d) record-order stacks.
+
+    One stacked product of the 3k pairs, then one of the k middle entries by h2.
+    """
+    left = np.concatenate([factors[:, :1], inverses[:, 3:]], axis=1)
+    stack = left @ factors[:, [3, 1, 2]] % p
+    stack[:, 1] = stack[:, 1] @ factors[:, 4] % p
+    return _readonly(stack)
 
 
 def _token(priv: _Private) -> PublicToken:
-    """(f1 h1, h1^-1 f2 h2, h2^-1 f3): one stacked product, then one matmul by h2."""
-    p = priv.params.p
-    f1, f2, f3, h1, h2 = priv.factors
-    stack = np.array([f1, priv.inverses[3], priv.inverses[4]]) @ np.array([h1, f2, f3]) % p
-    stack[1] = stack[1] @ h2 % p
+    (stack,) = _tokens(priv.params.p, priv.factors[None], priv.inverses[None])
     return PublicToken._from_stacks(priv.role, priv.params, stack)
 
 
 def _chain(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
-    """l1 r1 l2 r2 l3 r3 for triples stacked on axis -3, batched over any leading axes."""
-    k = left[..., 0, :, :]
-    for i in range(3):
-        if i:
-            k = k @ left[..., i, :, :] % p
-        k = k @ right[..., i, :, :] % p
-    return k
+    """l1 r1 l2 r2 l3 r3 for triples stacked on axis -3, batched over any leading axes.
+
+    A product tree: one stacked product of the pairs l_i r_i, then two.
+    """
+    m = left @ right % p
+    return m[..., 0, :, :] @ m[..., 1, :, :] % p @ m[..., 2, :, :] % p
 
 
 def _by_role(role: Role, own, peer) -> tuple:
@@ -605,30 +682,39 @@ def run_session(rs, params: FieldParams) -> SessionResult:
 
     The setup and both parties' material are one ``draw_segments`` call, so
     every nonsingular draw comes with its inverse and a session makes one
-    elimination kernel call plus one per re-parse round.  Each party's
-    factor inverses are built once, for its token and for the session key's
-    inverse b3^-1 a3^-1 b2^-1 a2^-1 b1^-1 a1^-1; both keys and that inverse
-    are one batched chain, with no elimination, and both keys certify it.
+    elimination kernel call plus one per re-parse round.  Both parties then
+    take each step at once: their eight family factors and eight factor
+    inverses are one ``family_member`` call, and both keys and their shared
+    inverse b3^-1 a3^-1 b2^-1 a2^-1 b1^-1 a1^-1 one product tree, with no
+    elimination.
     """
+    p = params.p
     keygen = _keygen_draws(params)
     drawn, redraws = draw_segments(rs, params, _SETUP_DRAWS + keygen + keygen)
     setup = _setup(params, drawn[:1])
-    alice = _private(setup, Role.ALICE, drawn[1:3])
-    bob = _private(setup, Role.BOB, drawn[3:])
-    tok_a, tok_b = alice_token(alice), bob_token(bob)
+    eigenvalues, free, free_inverse = _material(drawn[1:], params.d)
+    # rows: Alice's factors, Bob's, then their inverses
+    stacks = _fill(setup, _PARTIES + _PARTIES,
+                   np.concatenate([eigenvalues, _inverse_table(p)[eigenvalues]]),
+                   np.concatenate([free, free_inverse]))
+    factors, inverses = stacks[:2], stacks[2:]
+    alice, bob = _privates(setup, _PARTIES, eigenvalues, factors, free_inverse, inverses)
+    tok_a, tok_b = _tokens(p, factors, inverses)
     # rows: Alice's a1 p a2 q a3 r, Bob's u b1 v b2 w b3, and K^-1
     k_a, k_b, k_inv = _chain(
-        np.array([alice.factors[:3], tok_a.stack, bob.inverses[2::-1]]),
-        np.array([tok_b.stack, bob.factors[:3], alice.inverses[2::-1]]),
-        params.p,
+        np.array([factors[0, :3], tok_a, inverses[1, 2::-1]]),
+        np.array([tok_b, factors[1, :3], inverses[0, 2::-1]]),
+        p,
     )
+    alice_key, bob_key = (SessionKey._held(params, stack) for stack in
+                          _key_stacks(params, np.array([k_a, k_b]), np.array([k_inv, k_inv])))
     return SessionResult(
         setup=setup,
         alice=alice,
         bob=bob,
-        alice_pub=tok_a,
-        bob_pub=tok_b,
-        alice_key=SessionKey._from_stacks(params, k_a, k_inv),
-        bob_key=SessionKey._from_stacks(params, k_b, k_inv),
+        alice_pub=PublicToken._from_stacks(Role.ALICE, params, tok_a),
+        bob_pub=PublicToken._from_stacks(Role.BOB, params, tok_b),
+        alice_key=alice_key,
+        bob_key=bob_key,
         singular_redraws=redraws,
     )

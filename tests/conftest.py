@@ -26,18 +26,38 @@ def p5d2():
 
 
 @pytest.fixture
-def row_reductions(monkeypatch):
+def spy(monkeypatch):
+    """spy(module, name, record) wraps ``module.name`` for the test and returns its call list.
+
+    Each call appends ``record(*args, **kwargs)`` (the arguments as a tuple
+    when no record is given) and then runs the original function.  The
+    wrapper replaces the name in ``module`` only, so spy on the module that
+    calls the function: ``protocol.family_member``, not
+    ``commuting.family_member``.
+    """
+
+    def install(module, name, record=lambda *args, **kwargs: args):
+        calls = []
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(record(*args, **kwargs))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    return install
+
+
+@pytest.fixture
+def row_reductions(spy):
     """One entry per call of the stacked Gauss-Jordan kernel: the number of matrices it reduced.
 
     ``len`` counts kernel calls, ``sum`` counts eliminated matrices
     (determinants and inverses).
     """
-    calls = []
-    row_reduce = field_matrix._row_reduce
-    monkeypatch.setattr(
-        field_matrix, "_row_reduce", lambda m, p: calls.append(len(m)) or row_reduce(m, p)
-    )
-    return calls
+    return spy(field_matrix, "_row_reduce", lambda m, p: len(m))
 
 
 @pytest.fixture

@@ -176,9 +176,13 @@ def test_too_few_samples_rejected():
 
 
 def test_uniformity_rejects_mixed_parameters():
-    mixed = [Matrix.zero(P5)] * 20 + [Matrix.zero(FieldParams(p=7, d=2))] * 20
+    p7 = FieldParams(p=7, d=2)
+    mixed = [Matrix.zero(P5)] * 20 + [Matrix.zero(p7)] * 20
     with pytest.raises(ParamsMismatchError):
         uniformity_stats(mixed)
+    # the leak check refuses a pair of blocks the same way
+    with pytest.raises(ParamsMismatchError, match="blocks have mixed parameters"):
+        similarity_leak_check(PlainBlock(Matrix.zero(P5)), CipherBlock(Matrix.identity(p7)))
 
 
 def _matrices_from_entries(params, entries):

@@ -462,13 +462,11 @@ def test_bulk_path_exact_at_the_float_bound():
 
 
 @pytest.mark.parametrize("p, d, reductions", [(65521, 5, 1), (65521, 6, 2), (251, 8, 1)])
-def test_conjugate_reduces_the_first_product_only_past_the_bound(p, d, reductions, monkeypatch):
+def test_conjugate_reduces_the_first_product_only_past_the_bound(p, d, reductions, spy):
     # entries near p - 1: d^2 (p-1)^3 is about 7.0e15 < 2^53 at (65521, 5), so the first
     # product needs no reduction, and 1.01e16 at (65521, 6), where unreduced it would lose low bits
     near = field_matrix.uniform_array(SplitMix64(p + d), p - 100, p - 1, 42 * d * d).reshape(42, d, d)
-    calls = []
-    reduce = cipher._reduce
-    monkeypatch.setattr(cipher, "_reduce", lambda y, p: calls.append(len(y)) or reduce(y, p))
+    calls = spy(cipher, "_reduce", lambda y, p: len(y))
     conjugated = cipher._conjugate(near[0].astype(np.float64), near[2:], near[1].astype(np.float64), p)
     assert calls == [40] * reductions
     assert np.array_equal(conjugated, (near[0] @ near[2:] % p) @ near[1] % p)

@@ -17,6 +17,7 @@ from tdpkex import (
     Role,
     SessionKey,
     SplitMix64,
+    StubSource,
     alice_keygen,
     alice_token,
     bob_keygen,
@@ -336,6 +337,24 @@ def test_pipeline_reproducible(tmp_path):
     for name in ("setup", "alice_key", "bob_key", "alice_tok", "bob_tok",
                  "alice_sk", "bob_sk", "cipher", "recovered"):
         assert first[name].read_bytes() == second[name].read_bytes(), name
+
+
+def test_unseeded_setup_draws_every_byte_from_the_os(tmp_path, monkeypatch):
+    # the stub serves a seeded stream and keeps every byte it served, so the
+    # setup must be exactly the one those bytes give
+    stream, served = SplitMix64(5), bytearray()
+
+    def urandom(n):
+        data = stream.read(n)
+        served.extend(data)
+        return data
+
+    monkeypatch.setattr(os, "urandom", urandom)
+    out = tmp_path / "setup.tdp"
+    assert main(["setup", "--out", str(out)]) == 0
+    # four 8 x 8 bases take at least 256 bytes at p = 251
+    assert len(served) >= 4 * P251.d * P251.d
+    assert read_setup_file(str(out)) == gen_setup(StubSource(served), P251)
 
 
 # ---------------------------------------------------------------------------

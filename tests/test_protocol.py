@@ -37,7 +37,7 @@ from tdpkex import (
     validate_session,
 )
 
-from tdpkex import protocol
+from tdpkex import field_matrix, protocol
 from tdpkex.protocol import ROLE_LAYOUT
 
 from conftest import identity_privates
@@ -469,6 +469,68 @@ def test_session_eliminations(params, seed, reparse_rounds, matrices, row_reduct
     assert len(row_reductions) == 1 + reparse_rounds
     assert sum(row_reductions) == matrices
     assert row_reductions[0] == 6
+
+
+def _members(basis, basis_inv, eigenvalues, p):
+    """The number of family members one family_member call builds."""
+    return int(np.prod(np.broadcast_shapes(basis.shape[:-2], np.shape(eigenvalues)[:-1])))
+
+
+def test_session_runs_both_parties_as_one_stack(spy):
+    # both parties' eight factors and eight inverses are one family_member
+    # call; one _certify checks the four bases, one the two free factors
+    # against their drawn inverses, and one both keys against K^-1
+    members = spy(protocol, "family_member", _members)
+    certified = spy(protocol, "_certify", lambda ms, inverses, names, p: (len(ms), list(names)))
+    reductions = spy(field_matrix, "_row_reduce", lambda m, p: len(m))
+    result = run_session(SplitMix64(9), P251)
+    assert result.agreed and result.singular_redraws == 0
+    assert members == [16]
+    assert certified == [
+        (4, ["basis P", "basis Q", "basis R", "basis S"]),
+        (2, ["a1", "b3"]),
+        (2, ["session key", "session key"]),
+    ]
+    assert reductions == [6]
+
+
+def test_single_party_routes_keep_their_calls(spy):
+    # a keygen builds its four family factors, a token the four family
+    # inverses, and a key from a token without inverses inverts the key
+    members = spy(protocol, "family_member", _members)
+    reductions = spy(field_matrix, "_row_reduce", lambda m, p: len(m))
+
+    def taken():
+        calls = members.copy(), reductions.copy()
+        members.clear()
+        reductions.clear()
+        return calls
+
+    rs = SplitMix64(9)
+    setup = gen_setup(rs, P251)
+    bob_tok = bob_token(bob_keygen(SplitMix64(10), setup))
+    taken()
+    alice = alice_keygen(rs, setup)
+    assert taken() == ([4], [1])
+    alice_token(alice)
+    assert taken() == ([4], [])
+    alice_shared(alice, bob_tok)
+    assert taken() == ([], [1])
+
+
+def test_stack_route_refuses_for_the_first_failing_party():
+    result = run_session(SplitMix64(9), P251)
+    parties = (result.alice, result.bob)
+    eigenvalues, factors, free_inverse = (np.array([getattr(priv, name) for priv in parties])
+                                          for name in ("eigenvalues", "factors", "free_inverse"))
+    assert protocol._privates(result.setup, protocol._PARTIES, eigenvalues, factors, free_inverse) == list(parties)
+    bob_wrong = free_inverse.copy()
+    bob_wrong[1] = np.eye(P251.d, dtype=np.int64)
+    with pytest.raises(SingularMatrixError, match="^b3 is singular$"):
+        protocol._privates(result.setup, protocol._PARTIES, eigenvalues, factors, bob_wrong)
+    # swapped, both supplied inverses are wrong, and Alice's is named
+    with pytest.raises(SingularMatrixError, match="^a1 is singular$"):
+        protocol._privates(result.setup, protocol._PARTIES, eigenvalues, factors, free_inverse[::-1])
 
 
 # seeds and the draw segments where they meet a singular candidate: a setup

@@ -294,6 +294,29 @@ def similarity_leak_check(plain: PlainBlock, cipher: CipherBlock) -> SimilarityR
     )
 
 
+def _similarity_preserved(plain_blocks: Sequence[PlainBlock], cipher_blocks: Sequence[CipherBlock]) -> bool:
+    """Whether ``similarity_leak_check(m, c).all_equal`` holds for every pair of the two sequences.
+
+    A characteristic polynomial holds the trace and the determinant, so the
+    polynomials alone decide.  Each stacked Berkowitz pass takes
+    ``_POOL_CHUNK`` matrices, half of them plain and half cipher, so, as in
+    ``uniformity_stats``, no copy of the whole input is held.
+    """
+    pairs = [(plain.m, cipher.c) for plain, cipher in zip(plain_blocks, cipher_blocks)]
+    if not pairs:
+        return True
+    params = pairs[0][0].params
+    if any(m.params != params or c.params != params for m, c in pairs):
+        raise ParamsMismatchError("blocks have mixed parameters")
+    size = _POOL_CHUNK // 2
+    for start in range(0, len(pairs), size):
+        chunk = np.array([(m.a, c.a) for m, c in pairs[start:start + size]])
+        polys = char_poly_many(chunk.reshape(-1, params.d, params.d), params.p)
+        if not np.array_equal(polys[0::2], polys[1::2]):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class SessionStats:
     """Aggregate outcome of n seeded key-agreement + encrypt/decrypt sessions."""

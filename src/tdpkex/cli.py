@@ -416,10 +416,7 @@ def cmd_stats(args) -> int:
             ]
         except TooFewSamplesError as exc:  # tiny runs
             pairs.append(("uniformity", f"SKIPPED ({exc})"))
-        leak_all = all(
-            analysis.similarity_leak_check(m, c).all_equal
-            for m, c in zip(st.plain_blocks, st.cipher_blocks)
-        )
+        leak_all = analysis._similarity_preserved(st.plain_blocks, st.cipher_blocks)
         pairs.append(("leak", f"trace/det/charpoly preserved: {'yes' if leak_all else 'NO'}"))
     _emit(pairs, args.format)
     return 0

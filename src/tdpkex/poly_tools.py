@@ -190,26 +190,53 @@ def char_poly_many(stack: np.ndarray, p: int) -> np.ndarray:
     down), so W <- (A W) masked to the strict upper triangle advances every
     i at once, and diag(A W) is r A_i^k c.  Then d - 1 stacked Toeplitz
     products fold the t_i into the coefficients.
+
+    Every operand is nonnegative, and each phase keeps a bound on its
+    running operand: a product by A multiplies W's bound by d(p-1), and
+    the i-th Toeplitz product, whose rows hold at most i + 1 entries below
+    p, multiplies the coefficients' bound by (i+1)(p-1).  The running
+    operand is reduced mod p only when the next product could reach 2^63,
+    so int64 sums stay exact (the delayed reduction of Dumas, Giorgi and
+    Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008, as in ``cipher``); at
+    (251, 8) that is one reduction in each phase instead of seven.
     """
     stack = np.asarray(stack, dtype=np.int64) % p
     n, d, _ = stack.shape
-    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    upper = _strict_upper(d)
     # t[:, i] is t_i, padded with zeros to length d + 2; the last entry stays 0
     t = np.zeros((n, d, d + 2), dtype=np.int64)
     t[:, :, 0] = 1
-    t[:, :, 1] = -np.diagonal(stack, axis1=1, axis2=2)
+    np.negative(np.diagonal(stack, axis1=1, axis2=2), out=t[:, :, 1])
     w = stack * upper
+    bound = p - 1
     for k in range(d - 1):
-        aw = stack @ w % p
-        t[:, k + 1:, k + 2] = -np.diagonal(aw, axis1=1, axis2=2)[:, k + 1:]
-        w = aw * upper
+        if d * (p - 1) * bound >= 1 << 63:
+            w %= p
+            bound = p - 1
+        w = stack @ w
+        bound *= d * (p - 1)
+        np.negative(np.diagonal(w, axis1=1, axis2=2)[:, k + 1:], out=t[:, k + 1:, k + 2])
+        w *= upper
     t %= p
     # v holds the leading submatrix's coefficients, highest degree first; each
     # step multiplies it by the lower-triangular Toeplitz matrix of t_i
     v = t[:, 0, :2, None]
+    bound = p - 1
     for i, shift in enumerate(_toeplitz_indices(d), 1):
-        v = t[:, i, shift] @ v % p
-    return v[:, :0:-1, 0]
+        if (i + 1) * (p - 1) * bound >= 1 << 63:
+            v %= p
+            bound = p - 1
+        v = t[:, i, shift] @ v
+        bound *= (i + 1) * (p - 1)
+    return v[:, :0:-1, 0] % p
+
+
+@functools.cache
+def _strict_upper(d: int) -> np.ndarray:
+    """The read-only d x d mask of the strict upper triangle."""
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    upper.flags.writeable = False
+    return upper
 
 
 @functools.cache

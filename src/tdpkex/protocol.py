@@ -30,7 +30,8 @@ both routes run the same checks once on the stack.
 
 Each step takes a leading party axis: ``run_session`` runs Alice and Bob
 through it at once (one ``family_member`` call, one pass of each private-key
-check, one token product, one key product tree, one key certificate), and
+check, one token product, one key product tree, and one certificate of the
+bases', free factors' and keys' inverses), and
 the single-party functions, the constructors and the CLI readers are its
 k = 1 case.
 
@@ -118,7 +119,7 @@ class _Stacked:
     the CLI readers: it hands int64 stacks with entries in [0, p), and the
     inverses it holds, to the same ``_init``, which keeps them uncopied (a
     session key stacks k with its inverse) and read-only.  Where the checks
-    run over k objects at once (``_privates``, ``_key_stacks``), ``_init``
+    run over k objects at once (``_privates``, ``run_session``), ``_init``
     runs them for k = 1 and keeps the result with ``_hold``, and ``_held``
     builds each of the k objects with no further check.  Two objects of
     one class are equal when the attributes named in ``_compared`` are:
@@ -205,7 +206,9 @@ class PublicSetup(_Stacked):
 
     def _init(self, params: FieldParams, bases: np.ndarray, inverses: np.ndarray | None = None):
         _require_protocol_params(params)
-        inverses = _certify(bases, inverses, _BASIS_NAMES, params.p)
+        self._hold(params, bases, _certify(bases, inverses, _BASIS_NAMES, params.p))
+
+    def _hold(self, params: FieldParams, bases: np.ndarray, inverses: np.ndarray) -> None:
         self._set(params=params, bases=_readonly(bases), inverses=_readonly(inverses))
 
     @property
@@ -378,37 +381,41 @@ def _fill(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray,
     return out
 
 
+def _check_families(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray,
+                    factors: np.ndarray) -> None:
+    """The eigenvalue and family-factor checks of k parties, each run once.
+
+    B F == diag B tests F == B^-1 diag B inversion-free.
+    """
+    p = setup.params.p
+    _check_eigenvalues(setup.params, eigenvalues)
+    basis, family, _ = _party_index(roles)
+    b = setup.bases[basis]
+    if not np.array_equal(b @ factors[family] % p, eigenvalues[..., None] * b % p):
+        raise ValueError("derived matrix does not match its basis and eigenvalues")
+
+
 def _check_parties(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray,
                    factors: np.ndarray, free_inverse: np.ndarray | None) -> np.ndarray:
     """Each private-key check once over k parties; returns the free factors' inverses.
 
-    B F == diag B tests F == B^-1 diag B inversion-free.  A refusal names
-    the first failing party's factor, in roles order.
+    A refusal names the first failing party's factor, in roles order.
     """
-    params = setup.params
-    p = params.p
-    _check_eigenvalues(params, eigenvalues)
-    basis, family, free_at = _party_index(roles)
-    b = setup.bases[basis]
-    if not np.array_equal(b @ factors[family] % p, eigenvalues[..., None] * b % p):
-        raise ValueError("derived matrix does not match its basis and eigenvalues")
-    return _certify(factors[free_at], free_inverse, [ROLE_LAYOUT[role].free for role in roles], p)
+    _check_families(setup, roles, eigenvalues, factors)
+    _, _, free_at = _party_index(roles)
+    return _certify(factors[free_at], free_inverse, [ROLE_LAYOUT[role].free for role in roles],
+                    setup.params.p)
 
 
 def _privates(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray,
-              factors: np.ndarray, free_inverse: np.ndarray,
-              inverses: np.ndarray | None = None) -> list[_Private]:
+              factors: np.ndarray, free_inverse: np.ndarray) -> list[_Private]:
     """k private keys from (k, ...) stacks, checked in one pass and kept uncopied.
 
-    Row i of each stack is what ``_from_stacks`` takes for party i; inverses
-    is ``_fill``'s stack of the factors' inverses, when built.
+    Row i of each stack is what ``_from_stacks`` takes for party i.
     """
     free_inverse = _check_parties(setup, roles, eigenvalues, factors, free_inverse)
-    return [
-        ROLE_LAYOUT[role].private._held(setup, eigenvalues[i], factors[i], free_inverse[i],
-                                        None if inverses is None else inverses[i])
-        for i, role in enumerate(roles)
-    ]
+    return [ROLE_LAYOUT[role].private._held(setup, *party)
+            for role, party in zip(roles, zip(eigenvalues, factors, free_inverse))]
 
 
 class PublicToken(_Stacked):
@@ -441,7 +448,8 @@ class SessionKey(_Stacked):
     every block with no further elimination.  The constructor computes k^-1.
     On the stack route ``run_session`` supplies it, built from the six
     factors' inverses, and so does a shared key from a token that carries
-    its inverses; a supplied one is checked with one matmul.
+    its inverses; a supplied one is checked with one matmul (``run_session``
+    checks it in its one certificate).
     """
 
     __slots__ = ("params", "stack")
@@ -453,16 +461,16 @@ class SessionKey(_Stacked):
 
     def _init(self, params: FieldParams, k: np.ndarray, k_inv: np.ndarray | None = None):
         supplied = None if k_inv is None else k_inv[None]
-        self._hold(params, _key_stacks(params, k[None], supplied)[0])
+        (k_inv,) = _certify(k[None], supplied, [_KEY_NAME], params.p)
+        self._hold(params, k, k_inv)
 
-    def _hold(self, params: FieldParams, stack: np.ndarray) -> None:
-        self._set(params=params, stack=stack)
+    def _hold(self, params: FieldParams, k: np.ndarray, k_inv: np.ndarray) -> None:
+        self._set(params=params, stack=_readonly(np.array([k, k_inv])))
 
 
-def _key_stacks(params: FieldParams, ks: np.ndarray, k_invs: np.ndarray | None) -> np.ndarray:
-    """The read-only (n, 2, d, d) stacks of n keys and their inverses, certified by one ``_certify``."""
-    k_invs = _certify(ks, k_invs, ["session key"] * len(ks), params.p)
-    return _readonly(np.concatenate([ks[:, None], k_invs[:, None]], axis=1))
+_KEY_NAME = "session key"
+# run_session's one certificate, in this order: the four bases, both free factors, both keys
+_SESSION_CERTIFIED = _BASIS_NAMES + tuple(ROLE_LAYOUT[role].free for role in _PARTIES) + (_KEY_NAME,) * 2
 
 
 _SETUP_DRAWS = (NonsingularDraws(len(_BASES)),)
@@ -473,12 +481,6 @@ def _keygen_draws(params: FieldParams) -> tuple[UniformDraws, NonsingularDraws]:
     return UniformDraws(1, params.p - 1, len(_BASES) * params.d), NonsingularDraws(1)
 
 
-def _setup(params: FieldParams, drawn: list) -> PublicSetup:
-    """The setup from the draws of ``_SETUP_DRAWS``, their inverses passed on."""
-    ((bases, inverses),) = drawn
-    return PublicSetup._from_stacks(params, bases, inverses)
-
-
 def _material(drawn: list, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """k parties' eigenvalue lists, free factors and their inverses from k runs of ``_keygen_draws``."""
     eigenvalues = np.array(drawn[::2]).reshape(-1, len(_BASES), d)
@@ -487,8 +489,9 @@ def _material(drawn: list, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def gen_setup(rs, params: FieldParams) -> PublicSetup:
-    """Draw the four public bases P, Q, R, S independently from GL(d, F_p)."""
-    return _setup(params, draw_segments(rs, params, _SETUP_DRAWS)[0])
+    """Draw the four public bases P, Q, R, S independently from GL(d, F_p); their inverses are passed on."""
+    ((bases, inverses),), _ = draw_segments(rs, params, _SETUP_DRAWS)
+    return PublicSetup._from_stacks(params, bases, inverses)
 
 
 def _keygen(rs, setup: PublicSetup, role: Role) -> _Private:
@@ -686,35 +689,40 @@ def run_session(rs, params: FieldParams) -> SessionResult:
     take each step at once: their eight family factors and eight factor
     inverses are one ``family_member`` call, and both keys and their shared
     inverse b3^-1 a3^-1 b2^-1 a2^-1 b1^-1 a1^-1 one product tree, with no
-    elimination.
+    elimination.  One stacked m x == I certifies every supplied inverse:
+    the four bases', both free factors' and the keys'.
     """
+    _require_protocol_params(params)
     p = params.p
     keygen = _keygen_draws(params)
     drawn, redraws = draw_segments(rs, params, _SETUP_DRAWS + keygen + keygen)
-    setup = _setup(params, drawn[:1])
+    ((bases, basis_inverses),) = drawn[:1]
+    setup = PublicSetup._held(params, bases, basis_inverses)
     eigenvalues, free, free_inverse = _material(drawn[1:], params.d)
     # rows: Alice's factors, Bob's, then their inverses
     stacks = _fill(setup, _PARTIES + _PARTIES,
                    np.concatenate([eigenvalues, _inverse_table(p)[eigenvalues]]),
                    np.concatenate([free, free_inverse]))
     factors, inverses = stacks[:2], stacks[2:]
-    alice, bob = _privates(setup, _PARTIES, eigenvalues, factors, free_inverse, inverses)
+    _check_families(setup, _PARTIES, eigenvalues, factors)
     tok_a, tok_b = _tokens(p, factors, inverses)
     # rows: Alice's a1 p a2 q a3 r, Bob's u b1 v b2 w b3, and K^-1
-    k_a, k_b, k_inv = _chain(
+    keys = _chain(
         np.array([factors[0, :3], tok_a, inverses[1, 2::-1]]),
         np.array([tok_b, factors[1, :3], inverses[0, 2::-1]]),
         p,
     )
-    alice_key, bob_key = (SessionKey._held(params, stack) for stack in
-                          _key_stacks(params, np.array([k_a, k_b]), np.array([k_inv, k_inv])))
+    _certify(np.concatenate([bases, free, keys[:2]]),
+             np.concatenate([basis_inverses, free_inverse, keys[[2, 2]]]), _SESSION_CERTIFIED, p)
+    alice, bob = (ROLE_LAYOUT[role].private._held(setup, *party) for role, party in
+                  zip(_PARTIES, zip(eigenvalues, factors, free_inverse, inverses)))
     return SessionResult(
         setup=setup,
         alice=alice,
         bob=bob,
         alice_pub=PublicToken._from_stacks(Role.ALICE, params, tok_a),
         bob_pub=PublicToken._from_stacks(Role.BOB, params, tok_b),
-        alice_key=alice_key,
-        bob_key=bob_key,
+        alice_key=SessionKey._held(params, keys[0], keys[2]),
+        bob_key=SessionKey._held(params, keys[1], keys[2]),
         singular_redraws=redraws,
     )

@@ -40,7 +40,7 @@ from tdpkex import (
     uniformity_stats,
 )
 
-from tdpkex.analysis import _POOL_CHUNK, _chi2_sf
+from tdpkex.analysis import _POOL_CHUNK, _chi2_sf, _similarity_preserved
 
 from conftest import identity_privates
 from oracles import chi2_sf_even_decimal
@@ -180,9 +180,15 @@ def test_uniformity_rejects_mixed_parameters():
     mixed = [Matrix.zero(P5)] * 20 + [Matrix.zero(p7)] * 20
     with pytest.raises(ParamsMismatchError):
         uniformity_stats(mixed)
-    # the leak check refuses a pair of blocks the same way
+    # the leak check refuses a pair of blocks the same way, and so does its
+    # stacked form when any block's parameters differ from the first's
     with pytest.raises(ParamsMismatchError, match="blocks have mixed parameters"):
         similarity_leak_check(PlainBlock(Matrix.zero(P5)), CipherBlock(Matrix.identity(p7)))
+    plain, cipher = PlainBlock(Matrix.zero(P5)), CipherBlock(Matrix.zero(P5))
+    for plains, ciphers in (([plain, PlainBlock(Matrix.zero(p7))], [cipher] * 2),
+                            ([plain] * 2, [cipher, CipherBlock(Matrix.zero(p7))])):
+        with pytest.raises(ParamsMismatchError, match="blocks have mixed parameters"):
+            _similarity_preserved(plains, ciphers)
 
 
 def _matrices_from_entries(params, entries):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from tdpkex import (
     run_session,
 )
 import tdpkex
-from tdpkex import cli
+from tdpkex import analysis, cli
 from tdpkex.cli import (
     REC_CIPHERTEXT,
     REC_SETUP,
@@ -726,6 +727,23 @@ def test_stats_command(capsys):
     assert out["agreement"] == "25/25"
     assert out["roundtrip"] == "25/25"
     assert out["leak"] == "trace/det/charpoly preserved: yes"
+
+
+def test_stats_leak_line_says_no_for_one_mismatched_pair(capsys, monkeypatch):
+    # 130 sessions fill one 128-pair Berkowitz pass and start a second; the
+    # last pair's plain block is swapped for its neighbour's
+    genuine = analysis.session_statistics(SplitMix64(7), P251, 130)
+    plain = list(genuine.plain_blocks)
+    plain[-1] = plain[-2]
+    runs = {}
+    for name, stats in (("genuine", genuine), ("swapped", replace(genuine, plain_blocks=tuple(plain)))):
+        monkeypatch.setattr(analysis, "session_statistics", lambda rs, params, n, stats=stats: stats)
+        assert main(["stats", "--sessions", "130", "--seed", "7", "--format", "kv"]) == 0
+        runs[name] = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert runs["genuine"]["leak"] == "trace/det/charpoly preserved: yes"
+    assert runs["swapped"].pop("leak") == "trace/det/charpoly preserved: NO"
+    runs["genuine"].pop("leak")
+    assert runs["swapped"] == runs["genuine"]
 
 
 def test_stats_single_session(capsys):

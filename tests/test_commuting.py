@@ -113,3 +113,20 @@ def test_family_is_pairwise_commuting():
         family_member(np.stack([b] * 4), np.stack([b_inv] * 4), eigenvalues, 251),
     ):
         assert [Matrix(P251, m) for m in stacked] == per_member == members
+
+
+# d(p-1)^3, the bound on family_member's sums when the scaled inverse is not
+# reduced, passes 2^63 at d = 8 where p - 1 passes 2^20: p = 1048573 lies
+# below that switch and 1048583 above it (both past FieldParams' cap)
+@pytest.mark.parametrize("p,d", [(65521, 8), (65521, 16), (1048573, 8), (1048583, 8)])
+def test_family_member_matches_exact_products_at_the_bound(p, d):
+    rng = np.random.default_rng(d)
+    # the worst case, every entry p - 1, then random operands
+    basis = np.concatenate([np.full((1, d, d), p - 1), rng.integers(0, p, (3, d, d))])
+    basis_inv = np.concatenate([np.full((1, d, d), p - 1), rng.integers(0, p, (3, d, d))])
+    eigenvalues = np.concatenate([np.full((1, d), p - 1), rng.integers(1, p, (3, d))])
+    expected = [
+        (b_inv.astype(object) * e.astype(object)) @ b.astype(object) % p
+        for b, b_inv, e in zip(basis, basis_inv, eigenvalues)
+    ]
+    assert family_member(basis, basis_inv, eigenvalues, p).tolist() == [m.tolist() for m in expected]

@@ -181,26 +181,40 @@ def test_char_poly_matches_interpolation_oracle(p, d, n):
 
 
 def _mixed_stack(rs, p, d):
-    """Random, nilpotent, scalar, zero and repeated matrices in one stack."""
+    """Random, nilpotent, scalar, zero, all p - 1 and repeated matrices in one stack.
+
+    The all p - 1 matrix has the largest unreduced sums ``char_poly_many`` can meet.
+    """
     params = FieldParams(p=p, d=d)
     randoms = [random_matrix(rs, params).a for _ in range(6)]
     nilpotent = np.triu(random_matrix(rs, params).a, 1)
     scalar = (p - 1) * np.eye(d, dtype=np.int64)
     zero = np.zeros((d, d), dtype=np.int64)
-    return np.stack(randoms + [nilpotent, scalar, zero, randoms[0], nilpotent])
+    full = np.full((d, d), p - 1, dtype=np.int64)
+    return np.stack(randoms + [nilpotent, scalar, zero, full, randoms[0], nilpotent])
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-@pytest.mark.parametrize("d", [2, 3, 5, 8])
+# p <= d: too few distinct points to interpolate, Berkowitz needs no division;
+# at d = 16 the interpolation oracle's cofactor determinants are too slow
+@pytest.mark.parametrize("d,p", [(d, p) for d in (2, 3, 5, 8) for p in (2, 3, 5)] + [(16, 65521)])
 def test_char_poly_many_matches_berkowitz_oracle_at_small_p(p, d):
-    # p <= d: too few distinct points to interpolate, Berkowitz needs no division
     stack = _mixed_stack(SplitMix64(p * 10 + d), p, d)
     got = char_poly_many(stack, p)
     assert got.shape == (len(stack), d)
     assert got.tolist() == [charpoly_berkowitz(m, p) for m in stack]
 
 
-@pytest.mark.parametrize("p,d", [(7, 2), (11, 5), (251, 8), (65521, 3)])
+# at d = 8 the primes on each side of every p where char_poly_many's 2^63
+# bound moves a reduction: (37, 41), (83, 89), (251, 257), (1171, 1181) and
+# (11579, 11587) in the products by A, (61, 67), (151, 157), (479, 487),
+# (2383, 2389), (14461, 14479) and (24889, 24907) in the Toeplitz products
+_SWITCH_PRIMES_D8 = [37, 41, 61, 67, 83, 89, 151, 157, 251, 257, 479, 487, 1171, 1181, 2383, 2389,
+                     11579, 11587, 14461, 14479, 24889, 24907]
+
+
+@pytest.mark.parametrize(
+    "p,d", [(7, 2), (11, 5), (65521, 3)] + [(p, 8) for p in _SWITCH_PRIMES_D8 + [65521]]
+)
 def test_char_poly_many_matches_interpolation_oracle(p, d):
     stack = _mixed_stack(SplitMix64(p + d), p, d)
     assert char_poly_many(stack, p).tolist() == [charpoly_by_interpolation(m, p) for m in stack]

@@ -478,8 +478,8 @@ def _members(basis, basis_inv, eigenvalues, p):
 
 def test_session_runs_both_parties_as_one_stack(spy):
     # both parties' eight factors and eight inverses are one family_member
-    # call; one _certify checks the four bases, one the two free factors
-    # against their drawn inverses, and one both keys against K^-1
+    # call, and one _certify checks the four bases and the two free factors
+    # against their drawn inverses and both keys against K^-1
     members = spy(protocol, "family_member", _members)
     certified = spy(protocol, "_certify", lambda ms, inverses, names, p: (len(ms), list(names)))
     reductions = spy(field_matrix, "_row_reduce", lambda m, p: len(m))
@@ -487,9 +487,7 @@ def test_session_runs_both_parties_as_one_stack(spy):
     assert result.agreed and result.singular_redraws == 0
     assert members == [16]
     assert certified == [
-        (4, ["basis P", "basis Q", "basis R", "basis S"]),
-        (2, ["a1", "b3"]),
-        (2, ["session key", "session key"]),
+        (8, ["basis P", "basis Q", "basis R", "basis S", "a1", "b3", "session key", "session key"]),
     ]
     assert reductions == [6]
 

@@ -6,16 +6,20 @@ deterministic byte-stream RNG (and an ``os.urandom`` stream for unseeded
 use), and one Gauss-Jordan row reduction (``_row_reduce``) behind every
 determinant and inverse.  The reduction works on an (n, d, k) stack, so n
 matrices cost one pass of numpy calls over the d columns: at d = 8 the cost
-is call overhead, not arithmetic.  ``mat_det`` and
-``mat_inverse`` are its n = 1 case, and ``_invert`` reduces a whole stack
-beside the identity.  ``draw_segments`` is the one draw rule for nonsingular
-matrices: it parses a list of segments (nonsingular matrices, uniform values)
-ahead as if no candidate were singular and reduces every candidate in one
-call per round; ``random_nonsingular`` is its one-draw case.  A nonsingular
-draw reduces [a | I], so the one elimination that accepts a draw also yields
-its inverse, which the protocol layer passes on instead of inverting the
-draw again.  All arithmetic is integer-exact; there is no floating point
-anywhere in this module.  Field elements are plain Python ints in [0, p-1].
+is call overhead, not arithmetic.  ``mat_det`` and ``mat_inverse`` are its
+n = 1 case, and ``_invert`` reduces a whole stack beside the identity.
+``draw_segments`` is the one draw rule for nonsingular matrices: it parses a
+list of segments (nonsingular matrices, uniform values) ahead as if no
+candidate were singular and reduces every candidate in one call per round.
+Each round takes its bytes with one ``read`` (more only when rejected values
+run them short) and ends with one ``unread`` of the bytes it does not keep;
+``random_nonsingular`` is its one-draw case.  ``draw_segments`` and
+``uniform_array`` parse through one rejection scan, ``_parse_uniform``.  A
+nonsingular draw reduces [a | I], so the one elimination that accepts a draw
+also yields its inverse, which the protocol layer passes on instead of
+inverting the draw again.  All arithmetic is integer-exact; there is no
+floating point anywhere in this module.  Field elements are plain Python ints
+in [0, p-1].
 
 Matrices, params and specs are immutable values, safe to share across
 threads; the operations are pure.  A random source instance is stateful and
@@ -262,48 +266,60 @@ def field_uniform(rs, lo: int, hi: int) -> int:
             return lo + val
 
 
+def _byte_width(lo: int, hi: int) -> int:
+    """Bytes per draw on [lo, hi]: 0 for one point, 1 below span 256, else 2; wider spans raise."""
+    span = hi - lo
+    if span < 0:
+        raise ValueError(f"empty range [{lo}, {hi}]")
+    if span >= 1 << 16:
+        raise ValueError(f"span {span} needs more than two bytes a draw; use field_uniform")
+    return (span.bit_length() + 7) // 8
+
+
+def _parse_uniform(rs, buf: bytearray, pos: int, lo: int, hi: int,
+                   count: int) -> tuple[np.ndarray, bytearray, int]:
+    """``count`` draws on [lo, hi] parsed from ``buf`` at ``pos`` as ``field_uniform`` parses them.
+
+    Reads on from ``rs``, appending to ``buf``, only when the buffer runs
+    short: first to the fewest bytes the draws could need, so a stub
+    supplying exactly the rejection-free byte count is never over-read, then,
+    once values were rejected, by the acceptance rate.  Returns the draws,
+    the grown buffer and the offset after the last byte used.
+    """
+    nbytes = _byte_width(lo, hi)
+    if nbytes == 0 or count == 0:
+        return np.full(count, lo, dtype=np.int64), buf, pos
+    span = hi - lo
+    dtype = np.uint8 if nbytes == 1 else np.dtype("<u2")
+    out = np.empty(count, dtype=np.int64)
+    filled, n_vals = 0, count
+    while True:
+        end = pos + nbytes * n_vals
+        if len(buf) < end:
+            buf += rs.read(end - len(buf))
+        # a copy, so no view of buf outlives this pass and buf can grow in place
+        vals = np.frombuffer(buf, dtype, n_vals, pos).astype(np.int64)
+        good = np.nonzero(vals <= span)[0][:count - filled]
+        out[filled:filled + len(good)] = vals[good]
+        filled += len(good)
+        if filled == count:
+            out += lo
+            return out, buf, pos + nbytes * (int(good[-1]) + 1)
+        pos = end
+        n_vals = min((count - filled) * ((1 << (8 * nbytes)) // (span + 1) + 1), 1 << 16)
+
+
 def uniform_array(rs, lo: int, hi: int, count: int) -> np.ndarray:
     """Vector of ``count`` uniform draws on [lo, hi], for spans below 2^16.
 
     Consumes the byte stream exactly as ``count`` successive field_uniform
-    calls would (same bytes, same rejections, same results); it just batches
-    the scan through numpy and pushes unused read-ahead bytes back.  A span
-    of 2^16 or more, never a field element's, raises ValueError.
+    calls would (same bytes, same rejections, same results): ``_parse_uniform``
+    batches the scan through numpy over what it reads, and one ``unread``
+    pushes back the bytes after the last draw.  A span of 2^16 or more, never
+    a field element's, raises ValueError.
     """
-    span = hi - lo
-    if span < 0:
-        raise ValueError(f"empty range [{lo}, {hi}]")
-    out = np.empty(count, dtype=np.int64)
-    if span == 0:
-        out[:] = lo
-        return out
-    if span >= 1 << 16:
-        raise ValueError(f"span {span} needs more than two bytes a draw; use field_uniform")
-    nbytes = 1 if span < 256 else 2
-    filled = 0
-    first_round = True
-    while filled < count:
-        need = count - filled
-        if first_round:
-            # the minimum the draws could need, so a stub supplying exactly
-            # the rejection-free byte count is never over-read
-            n_vals = need
-            first_round = False
-        else:
-            # rejections happened: size further reads by the acceptance rate
-            n_vals = min(need * ((1 << (8 * nbytes)) // (span + 1) + 1), 1 << 16)
-        raw = rs.read(nbytes * n_vals)
-        vals = np.frombuffer(raw, dtype="<u2" if nbytes == 2 else np.uint8).astype(np.int64)
-        good = np.nonzero(vals <= span)[0]
-        if good.size >= need:
-            last = good[need - 1]
-            out[filled:count] = vals[good[:need]]
-            filled = count
-            rs.unread(raw[(last + 1) * nbytes:])
-        else:
-            out[filled:filled + good.size] = vals[good]
-            filled += good.size
-    out += lo
+    out, buf, pos = _parse_uniform(rs, bytearray(), 0, lo, hi, count)
+    rs.unread(buf[pos:])
     return out
 
 
@@ -449,23 +465,6 @@ class UniformDraws(NamedTuple):
     count: int
 
 
-class _Tape:
-    """A source's read and unread passed through, keeping the bytes taken net of push-backs."""
-
-    def __init__(self, rs):
-        self.rs = rs
-        self.taken = bytearray()
-
-    def read(self, n: int) -> bytes:
-        data = self.rs.read(n)
-        self.taken += data
-        return data
-
-    def unread(self, data: bytes) -> None:
-        del self.taken[len(self.taken) - len(data):]
-        self.rs.unread(data)
-
-
 def draw_segments(
     rs, params: FieldParams, segments: Sequence[NonsingularDraws | UniformDraws]
 ) -> tuple[list, int]:
@@ -475,42 +474,47 @@ def draw_segments(
     rejected.  A ``NonsingularDraws`` result is (matrices, inverses), two
     (n, d, d) arrays; a ``UniformDraws`` result is its int64 values.
 
-    Each round parses every unfinished segment as if no candidate were
-    singular and row-reduces all their candidate matrices beside the
-    identity in one kernel call: the counter-based parse-ahead of Salmon et
-    al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011).  At the
-    first segment with a singular candidate the round ends: that segment
-    keeps its nonsingular candidates, the bytes the later segments consumed
-    go back to the source through ``unread``, and the next round parses on
-    from that segment's missing matrices.  A singular candidate is discarded
-    entirely, never patched, so draws, rejections and stream position equal
-    those of drawing the segments one after another, each matrix d*d
-    consecutive uniform values on [0, p-1] and a rejected one simply skipped.
+    Each round reads, in one ``read``, the bytes its unfinished segments
+    take if no value is rejected, parses every segment from them in stream
+    order as if no candidate were singular (``_parse_uniform`` reads on only
+    when rejected values run the buffer short), and row-reduces all their
+    candidate matrices beside the identity in one kernel call: the
+    counter-based parse-ahead of Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3" (SC 2011).  At the first segment with a singular
+    candidate the round ends: that segment keeps its nonsingular candidates,
+    and the next round parses on from its missing matrices.  The round's one
+    ``unread`` pushes back the bytes after the last segment it keeps.  A
+    singular candidate is discarded entirely, never patched, so draws,
+    rejections and stream position equal those of drawing the segments one
+    after another, each matrix d*d consecutive uniform values on [0, p-1]
+    and a rejected one simply skipped.
     """
     d, p = params.d, params.p
     out: list = [None] * len(segments)
     missing = {i: seg.n for i, seg in enumerate(segments) if isinstance(seg, NonsingularDraws)}
     kept = {i: ([], []) for i in missing}
+    ranges = [(0, p - 1) if i in missing else (seg.lo, seg.hi) for i, seg in enumerate(segments)]
     rejections = start = 0
     while start < len(segments):
-        tape = _Tape(rs)
-        marks, candidates = {}, {}
-        for i in range(start, len(segments)):
-            marks[i] = len(tape.taken)
+        counts = [missing[i] * d * d if i in missing else segments[i].count
+                  for i in range(start, len(segments))]
+        buf = bytearray(rs.read(sum(n * _byte_width(*ranges[i]) for i, n in enumerate(counts, start))))
+        pos = 0
+        ends, candidates = {}, {}
+        for i, n in enumerate(counts, start):
+            draws, buf, pos = _parse_uniform(rs, buf, pos, *ranges[i], n)
+            ends[i] = pos
             if i in missing:
-                draws = uniform_array(tape, 0, p - 1, missing[i] * d * d)
                 candidates[i] = draws.reshape(missing[i], d, d)
             else:
-                seg = segments[i]
-                out[i] = uniform_array(tape, seg.lo, seg.hi, seg.count)
-        marks[len(segments)] = len(tape.taken)
+                out[i] = draws
         start = len(segments)
         stack = np.concatenate([np.empty((0, d, d), np.int64), *candidates.values()])
         inv, dets = _invert(stack, p) if len(stack) else (stack, [])
-        pos = 0
+        at = 0
         for i, drawn in candidates.items():
-            seg_dets, seg_inv = dets[pos:pos + len(drawn)], inv[pos:pos + len(drawn)]
-            pos += len(drawn)
+            seg_dets, seg_inv = dets[at:at + len(drawn)], inv[at:at + len(drawn)]
+            at += len(drawn)
             if not all(seg_dets):
                 ok = np.array(seg_dets) != 0
                 drawn, seg_inv = drawn[ok], seg_inv[ok]
@@ -520,9 +524,9 @@ def draw_segments(
             if missing[i]:
                 # each still-missing matrix is one rejected candidate
                 rejections += missing[i]
-                rs.unread(bytes(tape.taken[marks[i + 1]:]))
-                start = i
+                pos, start = ends[i], i
                 break
+        rs.unread(buf[pos:])
     for i, (ms, xs) in kept.items():
         out[i] = np.concatenate(ms), np.concatenate(xs)
     return out, rejections

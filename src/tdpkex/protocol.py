@@ -118,12 +118,12 @@ class _Stacked:
     and keeps them.  ``_from_stacks`` is the route of ``run_session`` and
     the CLI readers: it hands int64 stacks with entries in [0, p), and the
     inverses it holds, to the same ``_init``, which keeps them uncopied (a
-    session key stacks k with its inverse) and read-only.  Where the checks
-    run over k objects at once (``_privates``, ``run_session``), ``_init``
-    runs them for k = 1 and keeps the result with ``_hold``, and ``_held``
-    builds each of the k objects with no further check.  Two objects of
-    one class are equal when the attributes named in ``_compared`` are:
-    arrays entry by entry, anything else by ``==``.
+    session key stacks k with its inverse) and read-only.  ``_init`` runs
+    the checks and keeps the result with ``_hold``; ``run_session`` runs
+    them once over both parties and builds each object with ``_held``,
+    which runs no further check.  Two objects of one class are equal when
+    the attributes named in ``_compared`` are: arrays entry by entry,
+    anything else by ``==``.
     """
 
     __slots__ = ()
@@ -241,8 +241,10 @@ class _Private(_Stacked):
 
     def _init(self, setup: PublicSetup, eigenvalues: np.ndarray, factors: np.ndarray,
               free_inverse: np.ndarray | None = None):
+        layout = ROLE_LAYOUT[self.role]
+        _check_families(setup, (self.role,), eigenvalues[None], factors[None])
         supplied = None if free_inverse is None else free_inverse[None]
-        (free_inverse,) = _check_parties(setup, (self.role,), eigenvalues[None], factors[None], supplied)
+        (free_inverse,) = _certify(factors[[layout.free_index]], supplied, [layout.free], setup.params.p)
         self._hold(setup, eigenvalues, factors, free_inverse)
 
     def _hold(self, setup: PublicSetup, eigenvalues: np.ndarray, factors: np.ndarray,
@@ -395,29 +397,6 @@ def _check_families(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np
         raise ValueError("derived matrix does not match its basis and eigenvalues")
 
 
-def _check_parties(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray,
-                   factors: np.ndarray, free_inverse: np.ndarray | None) -> np.ndarray:
-    """Each private-key check once over k parties; returns the free factors' inverses.
-
-    A refusal names the first failing party's factor, in roles order.
-    """
-    _check_families(setup, roles, eigenvalues, factors)
-    _, _, free_at = _party_index(roles)
-    return _certify(factors[free_at], free_inverse, [ROLE_LAYOUT[role].free for role in roles],
-                    setup.params.p)
-
-
-def _privates(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray,
-              factors: np.ndarray, free_inverse: np.ndarray) -> list[_Private]:
-    """k private keys from (k, ...) stacks, checked in one pass and kept uncopied.
-
-    Row i of each stack is what ``_from_stacks`` takes for party i.
-    """
-    free_inverse = _check_parties(setup, roles, eigenvalues, factors, free_inverse)
-    return [ROLE_LAYOUT[role].private._held(setup, *party)
-            for role, party in zip(roles, zip(eigenvalues, factors, free_inverse))]
-
-
 class PublicToken(_Stacked):
     """The published triple: (u, v, w) from Alice or (p, q, r) from Bob.
 
@@ -497,9 +476,8 @@ def gen_setup(rs, params: FieldParams) -> PublicSetup:
 def _keygen(rs, setup: PublicSetup, role: Role) -> _Private:
     drawn, _ = draw_segments(rs, setup.params, _keygen_draws(setup.params))
     eigenvalues, free, free_inverse = _material(drawn, setup.params.d)
-    (priv,) = _privates(setup, (role,), eigenvalues, _fill(setup, (role,), eigenvalues, free),
-                        free_inverse)
-    return priv
+    (factors,) = _fill(setup, (role,), eigenvalues, free)
+    return ROLE_LAYOUT[role].private._from_stacks(setup, eigenvalues[0], factors, free_inverse[0])
 
 
 def _tokens(p: int, factors: np.ndarray, inverses: np.ndarray) -> np.ndarray:

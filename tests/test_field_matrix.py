@@ -339,9 +339,12 @@ def _assert_draws_equal(params, drawn, expected):
 
 
 # p=251 seeds 5 and 1338 draw one and two singular candidates; the small
-# fields reject about half their candidates, across several segments
+# fields reject about half their candidates, across several segments.  At
+# p=257 the UniformDraws(1, p - 1, .) segments read one byte a value and the
+# others two, and each seed draws one singular candidate
 @pytest.mark.parametrize(
-    "p,d,seed", [(251, 8, 5), (251, 8, 1338), (5, 2, 1), (5, 2, 2), (3, 3, 1), (3, 3, 2)]
+    "p,d,seed", [(251, 8, 5), (251, 8, 1338), (5, 2, 1), (5, 2, 2), (3, 3, 1), (3, 3, 2),
+                 (257, 2, 63), (257, 3, 14)]
 )
 def test_draw_segments_equals_per_segment_sequential_draws(p, d, seed, row_reductions):
     params = FieldParams(p=p, d=d)
@@ -358,19 +361,23 @@ def test_draw_segments_equals_per_segment_sequential_draws(p, d, seed, row_reduc
 
 
 @pytest.mark.parametrize("p,d,seed", [(5, 2, 3), (3, 3, 1)])
-def test_draw_segments_reads_exactly_the_sequential_bytes(p, d, seed):
+def test_draw_segments_reads_exactly_the_sequential_bytes(p, d, seed, spy, row_reductions):
     # every byte is below p - 1, so both ranges accept it and the sequential
     # path reads one byte per value: a stub holding exactly those bytes must
-    # serve the parse-ahead, whose push-backs never over-read
+    # serve the parse-ahead, whose push-backs never over-read.  With no value
+    # rejected, each round, one kernel call, makes one read
     params = FieldParams(p=p, d=d)
     pool = bytes(b % (p - 1) for b in SplitMix64(seed).read(4096))
     expected, rejections = _draw_one_by_one(StubSource(pool), params, _segments(p))
     matrices = sum(len(v) for v in expected if v.ndim == 3) + rejections
     used = sum(v.size for v in expected if v.ndim == 1) + matrices * d * d
     stub = StubSource(pool[:used])
+    reads = spy(stub, "read", lambda n: n)
+    row_reductions.clear()
     drawn, batch_rejections = field_matrix.draw_segments(stub, params, _segments(p))
     _assert_draws_equal(params, drawn, expected)
     assert batch_rejections == rejections > 0
+    assert len(reads) == len(row_reductions)
     with pytest.raises(RuntimeError, match="exhausted"):
         stub.read(1)
 

@@ -516,21 +516,6 @@ def test_single_party_routes_keep_their_calls(spy):
     assert taken() == ([], [1])
 
 
-def test_stack_route_refuses_for_the_first_failing_party():
-    result = run_session(SplitMix64(9), P251)
-    parties = (result.alice, result.bob)
-    eigenvalues, factors, free_inverse = (np.array([getattr(priv, name) for priv in parties])
-                                          for name in ("eigenvalues", "factors", "free_inverse"))
-    assert protocol._privates(result.setup, protocol._PARTIES, eigenvalues, factors, free_inverse) == list(parties)
-    bob_wrong = free_inverse.copy()
-    bob_wrong[1] = np.eye(P251.d, dtype=np.int64)
-    with pytest.raises(SingularMatrixError, match="^b3 is singular$"):
-        protocol._privates(result.setup, protocol._PARTIES, eigenvalues, factors, bob_wrong)
-    # swapped, both supplied inverses are wrong, and Alice's is named
-    with pytest.raises(SingularMatrixError, match="^a1 is singular$"):
-        protocol._privates(result.setup, protocol._PARTIES, eigenvalues, factors, free_inverse[::-1])
-
-
 # seeds and the draw segments where they meet a singular candidate: a setup
 # basis, Alice's free factor a1 or Bob's free factor b3
 _SEGMENT_SEEDS = [

@@ -16,9 +16,14 @@ File layout (little-endian multi-byte integers):
 
 Entries must be < p and the file length is fully determined by the header;
 anything else is rejected, as is material its constructor refuses (singular
-bases, keys or token matrices, inconsistent private factors).  Files are
-written to a temp name and renamed, so a crashed run never leaves a partial
-file.
+bases, keys or token matrices, inconsistent private factors).  Each file is
+written to a temp file beside it, owner-only (0600), created exclusively by
+one open, and then renamed, so a crashed run never leaves a partial file.
+
+A line whose first word names a command is parsed by that command's parser
+alone.  Every other line, and one that parser leaves arguments over from,
+goes through the top-level parser, which prints each refusal and its usage.
+--seed takes an integer in [0, 2^64), so no two seeds give one stream.
 
 Exit codes: 0 success, 2 bad flags or parameters or an unusable --in/--out
 path, 3 file-format violation, 4 parameter mismatch between files, 5
@@ -31,7 +36,6 @@ import argparse
 import functools
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -95,13 +99,18 @@ def _check_file_params(params: FieldParams) -> None:
         raise ValueError("dimension must be <= 255 for the file format's one-byte dimension field")
 
 
+# the flags tempfile.mkstemp creates with, where the platform has them
+_CREATE_FLAGS = (os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_NOFOLLOW", 0)
+                 | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0))
+
+
 def _atomic_write(path: str, data: bytes) -> None:
-    """Write through a temp file in path's directory and a rename; an OSError names path."""
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write through an owner-only temp file beside path and a rename; an OSError names path."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tdp-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tdp-")
+        fd = os.open(tmp, _CREATE_FLAGS, 0o600)
         try:
-            with os.fdopen(fd, "wb") as fh:
+            with open(fd, "wb") as fh:
                 fh.write(data)
             os.replace(tmp, path)
         except BaseException:
@@ -493,81 +502,99 @@ def _add_common_params(sub, prime_default=251, dim_default=8):
     sub.add_argument("--dim", type=int, default=dim_default)
 
 
+def _seed(text: str) -> int:
+    """--seed's type: an integer in [0, 2^64), where each SplitMix64 seed gives its own stream."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"{seed} is outside [0, 2^64)")
+    return seed
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="tdpkex",
         description="Key agreement over GL(d, F_p) by triple decomposition, "
         "with a conjugation cipher and an analysis toolkit.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    s = subs.add_parser("params", help="group cardinalities and keyspace sizes")
+    def command(name, func, summary):
+        commands[name] = s = subs.add_parser(name, help=summary)
+        s.set_defaults(func=func)
+        return s
+
+    s = command("params", cmd_params, "group cardinalities and keyspace sizes")
     _add_common_params(s)
     s.add_argument("--format", choices=["text", "kv"], default="text")
-    s.set_defaults(func=cmd_params)
 
-    s = subs.add_parser("setup", help="generate the four public bases")
+    s = command("setup", cmd_setup, "generate the four public bases")
     _add_common_params(s)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=_seed)
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_setup)
 
-    s = subs.add_parser("keygen", help="generate a private key from a setup file")
+    s = command("keygen", cmd_keygen, "generate a private key from a setup file")
     s.add_argument("--in", dest="infile", required=True, help="setup file")
     s.add_argument("--role", choices=["alice", "bob"], required=True)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=_seed)
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_keygen)
 
-    s = subs.add_parser("token", help="derive the public token from a private key")
+    s = command("token", cmd_token, "derive the public token from a private key")
     s.add_argument("--key", required=True, help="own private key file")
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_token)
 
-    s = subs.add_parser("shared", help="derive the shared session key")
+    s = command("shared", cmd_shared, "derive the shared session key")
     s.add_argument("--key", required=True, help="own private key file")
     s.add_argument("--peer", required=True, help="peer token file")
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_shared)
 
-    s = subs.add_parser("encrypt", help="encrypt a file under a session key")
+    s = command("encrypt", cmd_encrypt, "encrypt a file under a session key")
     s.add_argument("--key", required=True, help="session key file")
     s.add_argument("--in", dest="infile", required=True, help="plaintext file")
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_encrypt)
 
-    s = subs.add_parser("decrypt", help="decrypt a ciphertext file")
+    s = command("decrypt", cmd_decrypt, "decrypt a ciphertext file")
     s.add_argument("--key", required=True, help="session key file")
     s.add_argument("--in", dest="infile", required=True, help="ciphertext file")
     s.add_argument("--out", required=True)
-    s.set_defaults(func=cmd_decrypt)
 
-    s = subs.add_parser("stats", help="run seeded sessions and report statistics")
+    s = command("stats", cmd_stats, "run seeded sessions and report statistics")
     _add_common_params(s)
     s.add_argument("--sessions", type=int, default=1000)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=_seed)
     s.add_argument("--format", choices=["text", "kv"], default="text")
-    s.set_defaults(func=cmd_stats)
 
-    s = subs.add_parser("attack", help="exhaustive pseudo-key recovery at toy parameters")
+    s = command("attack", cmd_attack, "exhaustive pseudo-key recovery at toy parameters")
     _add_common_params(s, prime_default=5, dim_default=2)
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=_seed)
     s.add_argument("--format", choices=["text", "kv"], default="text")
-    s.set_defaults(func=cmd_attack)
 
-    s = subs.add_parser("irreducible", help="draw a random irreducible polynomial")
+    s = command("irreducible", cmd_irreducible, "draw a random irreducible polynomial")
     s.add_argument("--prime", type=int, default=251)
     s.add_argument("--degree", type=int, default=8)
-    s.add_argument("--seed", type=int)
-    s.set_defaults(func=cmd_irreducible)
+    s.add_argument("--seed", type=_seed)
 
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv's namespace: from its command's parser if that consumes it whole, else the top level's."""
+    parser, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extras = sub.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except FileFormatError as exc:

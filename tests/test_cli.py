@@ -1,4 +1,5 @@
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -340,6 +341,14 @@ def test_pipeline_reproducible(tmp_path):
         assert first[name].read_bytes() == second[name].read_bytes(), name
 
 
+def test_pipeline_files_are_owner_only_and_leave_no_temp_file(tmp_path):
+    files = _pipeline(tmp_path, "run1")
+    for name, path in files.items():
+        if name != "msg":  # written by the test, not by a command
+            assert stat.S_IMODE(path.stat().st_mode) == 0o600, name
+    assert not list(tmp_path.glob("**/.tdp-*"))
+
+
 def test_unseeded_setup_draws_every_byte_from_the_os(tmp_path, monkeypatch):
     # the stub serves a seeded stream and keeps every byte it served, so the
     # setup must be exactly the one those bytes give
@@ -361,6 +370,69 @@ def test_unseeded_setup_draws_every_byte_from_the_os(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
+
+_TOP_USAGE = (
+    "usage: tdpkex [-h]\n"
+    "              {params,setup,keygen,token,shared,encrypt,decrypt,stats,attack,irreducible}\n"
+    "              ...\n"
+)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["token", "--key", "k", "--out", "o", "--bogus"],
+     _TOP_USAGE + "tdpkex: error: unrecognized arguments: --bogus\n"),
+    (["token", "--key", "k"],
+     "usage: tdpkex token [-h] --key KEY --out OUT\n"
+     "tdpkex token: error: the following arguments are required: --out\n"),
+    (["setup", "--seed", "x", "--out", "o"],
+     "usage: tdpkex setup [-h] [--prime PRIME] [--dim DIM] [--seed SEED] --out OUT\n"
+     "tdpkex setup: error: argument --seed: invalid int value: 'x'\n"),
+    (["frobnicate"],
+     _TOP_USAGE + "tdpkex: error: argument command: invalid choice: 'frobnicate' (choose from "
+     "'params', 'setup', 'keygen', 'token', 'shared', 'encrypt', 'decrypt', 'stats', "
+     "'attack', 'irreducible')\n"),
+    ([], _TOP_USAGE + "tdpkex: error: the following arguments are required: command\n"),
+])
+def test_exit_2_argv_refusals_print_the_usage_they_always_printed(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_command_help_prints_the_command_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["token", "-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: tdpkex token [-h] --key KEY --out OUT\n")
+    assert err == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 1)])
+def test_exit_2_seed_outside_64_bits_before_any_file_is_read(tmp_path, capsys, monkeypatch, seed):
+    # SplitMix64 keeps a seed's low 64 bits, so these would repeat seeds in range
+    def no_read(path):
+        raise AssertionError("keygen read its setup before refusing the seed")
+
+    monkeypatch.setattr(cli, "read_setup_file", no_read)
+    out = tmp_path / "a.key"
+    with pytest.raises(SystemExit) as exc:
+        main(["keygen", "--in", str(tmp_path / "s.tdp"), "--role", "alice",
+              "--seed", seed, "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"tdpkex keygen: error: argument --seed: {seed} is outside [0, 2^64)\n")
+    assert not out.exists()
+
+
+def test_seed_range_ends_at_the_largest_64_bit_seed(tmp_path):
+    out = tmp_path / "s.tdp"
+    assert main(["setup", "--prime", "5", "--dim", "2", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+    assert read_setup_file(str(out)) == gen_setup(SplitMix64(2**64 - 1), FieldParams(5, 2))
+
 
 def test_exit_2_role_mismatch(tmp_path):
     files = _pipeline(tmp_path, "run1")

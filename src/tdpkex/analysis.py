@@ -37,13 +37,14 @@ from .errors import (
 from .field_matrix import (
     FieldParams,
     Matrix,
+    NonsingularDraws,
     _check_same_params,
     _inverse_table,
     mat_inverse,
     mat_mul,
 )
 from .poly_tools import char_poly_many
-from .protocol import PublicSetup, PublicToken, Role, SessionKey, run_session
+from .protocol import PublicSetup, PublicToken, Role, SessionKey, _session_draws, run_session
 
 # brute_force_pseudo_key's toy-scale bound on its (p-1)^(2d) candidate pairs
 SEARCH_SPACE_LIMIT = 10**7
@@ -372,13 +373,14 @@ def session_statistics(rs, params: FieldParams, n: int) -> SessionStats:
             plain_blocks.append(encode_block(plaintext, params))
         redraws += result.singular_redraws
     elapsed = time.perf_counter() - t0
-    # six nonsingular matrices are accepted per session: P, Q, R, S, a1, b3
+    # the nonsingular matrices a session accepts: P, Q, R, S, a1 and b3
+    accepted = sum(seg.n for seg in _session_draws(params) if isinstance(seg, NonsingularDraws))
     return SessionStats(
         sessions=n,
         agreements=agreements,
         roundtrips=roundtrips,
         mean_seconds=elapsed / n,
-        candidate_draws=6 * n + redraws,
+        candidate_draws=accepted * n + redraws,
         singular_redraws=redraws,
         cipher_blocks=tuple(cipher_blocks),
         plain_blocks=tuple(plain_blocks),

@@ -7,7 +7,8 @@ attacker alone.  Known plaintext breaks it, because k^-1 m k = c is linear in
 k (m k = k c), so a couple of known blocks pin k down to a scalar multiple,
 which decrypts just as well (ROADMAP item 7).  Chosen plaintext is simpler
 still: the identity and every scalar block encrypt to themselves under every
-key.
+key.  So ciphertexts are malleable with no key at all: conjugation is linear,
+and c + lambda I decrypts to m + lambda I.
 
 Two further properties every user must understand before touching this:
 

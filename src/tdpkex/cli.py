@@ -25,9 +25,9 @@ alone.  Every other line, and one that parser leaves arguments over from,
 goes through the top-level parser, which prints each refusal and its usage.
 --seed takes an integer in [0, 2^64), so no two seeds give one stream.
 
-Exit codes: 0 success, 2 bad flags or parameters or an unusable --in/--out
-path, 3 file-format violation, 4 parameter mismatch between files, 5
-decryption range failure (wrong key).
+Exit codes: 0 success, 2 bad flags or parameters or an unusable --in, --out,
+--key or --peer path, 3 file-format violation, 4 parameter mismatch between
+files, 5 decryption range failure (wrong key).
 """
 
 from __future__ import annotations
@@ -161,16 +161,14 @@ def _read(path: str, expect_type: int, build):
     section is the private record's four eigenvalue lists as a (4, d) int64
     array or the ciphertext's plaintext length, else None.  Every format
     violation, and any ValueError that build raises on inconsistent
-    material, is a FileFormatError naming path.
+    material, is a FileFormatError naming path; a path that cannot be read
+    raises its OSError, which names it.
     """
     def fail(reason: str):
         raise FileFormatError(f"{path}: {reason}")
 
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
     if len(data) < 13:
         fail("truncated header")
     if data[:4] != MAGIC:

@@ -121,12 +121,16 @@ class StubSource(_BufferedSource):
         raise RuntimeError("stub source exhausted")
 
 
-def trial_division_factorization(n: int, max_trials: int = 10_000_000) -> list[tuple[int, int]]:
+# the most trial divisors trial_division_factorization tries before it gives up
+TRIAL_DIVISION_LIMIT = 10_000_000
+
+
+def trial_division_factorization(n: int) -> list[tuple[int, int]]:
     """Factor n into (prime, exponent) pairs by trial division, smallest prime first.
 
     Covers desk-scale inputs like p^d - 1 below 2^64 whose second-largest
-    prime factor is small; raises FactorizationError when the divisor budget
-    runs out before the cofactor is resolved.
+    prime factor is small; raises FactorizationError when more than
+    ``TRIAL_DIVISION_LIMIT`` divisors leave the cofactor unresolved.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -136,7 +140,7 @@ def trial_division_factorization(n: int, max_trials: int = 10_000_000) -> list[t
     f = 2
     while f * f <= c:
         trials += 1
-        if trials > max_trials:
+        if trials > TRIAL_DIVISION_LIMIT:
             raise FactorizationError(f"budget exhausted factoring {n}; stuck at cofactor {c}")
         if c % f == 0:
             e = 0

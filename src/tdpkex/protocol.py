@@ -20,20 +20,21 @@ party's factors plays which part.
 
 Every protocol object holds read-only int64 stacks, as CipherMessage does:
 the setup its bases and their inverses, a private key its eigenvalue lists,
-its five factors and the free factor's inverse, a token its triple, and a
-session key k and k^-1.  A named member (``setup.P``, ``alice.a2``,
+its five factors and their inverses, a token its triple, and a session key
+k and k^-1.  A named member (``setup.P``, ``alice.a2``,
 ``alice.d_a2``, ``token.t1``, ``key.k``) is a Matrix or DiagonalSpec built
 when it is read.  The constructors take Matrix and DiagonalSpec arguments
-and compute every inverse; ``run_session`` and the CLI readers build the
-same objects from stacks and the inverses they hold (``_from_stacks``), and
-both routes run the same checks once on the stack.
+and compute every inverse; the CLI readers build the same objects from
+stacks and the inverses they hold (``_from_stacks``), and both routes run
+the same checks once on the stack.  ``_fill`` is the one builder of a
+private key's factors and inverses: keygen keeps its build, and a key from
+outside the package is refused unless its factors equal the build.
 
 Each step takes a leading party axis: ``run_session`` runs Alice and Bob
-through it at once (one ``family_member`` call, one pass of each private-key
-check, one token product, one key product tree, and one certificate of the
-bases', free factors' and keys' inverses), and
-the single-party functions, the constructors and the CLI readers are its
-k = 1 case.
+through it at once (one ``family_member`` call, one token product, one key
+product tree, and one certificate of the bases', free factors' and keys'
+inverses), and the single-party functions, the constructors and the CLI
+readers are its k = 1 case.
 
 All protocol objects are immutable; sessions on distinct random sources may
 run concurrently.
@@ -115,15 +116,14 @@ class _Stacked:
 
     The public constructor checks its Matrix arguments' parameters, stacks
     them and hands the stacks to ``_init``, which runs every other check
-    and keeps them.  ``_from_stacks`` is the route of ``run_session`` and
-    the CLI readers: it hands int64 stacks with entries in [0, p), and the
-    inverses it holds, to the same ``_init``, which keeps them uncopied (a
-    session key stacks k with its inverse) and read-only.  ``_init`` runs
-    the checks and keeps the result with ``_hold``; ``run_session`` runs
-    them once over both parties and builds each object with ``_held``,
-    which runs no further check.  Two objects of one class are equal when
-    the attributes named in ``_compared`` are: arrays entry by entry,
-    anything else by ``==``.
+    and keeps them.  ``_from_stacks`` is the route of the CLI readers and of
+    material a step computed: it hands int64 stacks with entries in [0, p),
+    and the inverses it holds, to the same ``_init``, which keeps them
+    uncopied (a session key stacks k with its inverse) and read-only.
+    ``_init`` runs the checks and keeps the result with ``_hold``; ``_held``
+    keeps material built from a certified setup (keygen, ``run_session``)
+    with no check.  Two objects of one class are equal when the attributes
+    named in ``_compared`` are: arrays entry by entry, anything else by ``==``.
     """
 
     __slots__ = ()
@@ -221,13 +221,14 @@ class _Private(_Stacked):
 
     eigenvalues is the (4, d) stack of the eigenvalue lists in ``families``
     order, factors the (5, d, d) stack of the factors in record order (``key``
-    then ``hide``), and free_inverse the free factor's inverse: computed by
-    the constructor, or supplied on the stack route (keygen's draw computed
-    it) and checked with one matmul.  ``free_inv`` is that inverse as a
-    Matrix, and ``inverses`` all five factors' inverses, built on first use.
+    then ``hide``), and inverses theirs, all set by ``_fill``.  A family
+    factor's inverse is its family member on the inverted eigenvalues; the
+    free factor's is computed by the constructor, or supplied on the stack
+    route and checked with one matmul.  ``free_inverse`` is that row of
+    inverses and ``free_inv`` the same as a Matrix.
     """
 
-    __slots__ = ("setup", "params", "eigenvalues", "factors", "free_inverse", "_inverses")
+    __slots__ = ("setup", "params", "eigenvalues", "factors", "inverses")
     _compared = ("setup", "eigenvalues", "factors")
     role: ClassVar[Role]
 
@@ -241,37 +242,31 @@ class _Private(_Stacked):
 
     def _init(self, setup: PublicSetup, eigenvalues: np.ndarray, factors: np.ndarray,
               free_inverse: np.ndarray | None = None):
+        # the setup's inverses are certified, so a family factor equals its
+        # build B^-1 diag B exactly when B F == diag B
         layout = ROLE_LAYOUT[self.role]
-        _check_families(setup, (self.role,), eigenvalues[None], factors[None])
+        free = factors[[layout.free_index]]
+        _check_eigenvalues(setup.params, eigenvalues)
+        # the free factor stands in for its inverse until _certify sets that
+        (built,), (inverses,) = _fill(setup, (self.role,), eigenvalues[None], free, free)
+        if not np.array_equal(built, factors):
+            raise ValueError("derived matrix does not match its basis and eigenvalues")
         supplied = None if free_inverse is None else free_inverse[None]
-        (free_inverse,) = _certify(factors[[layout.free_index]], supplied, [layout.free], setup.params.p)
-        self._hold(setup, eigenvalues, factors, free_inverse)
+        (inverses[layout.free_index],) = _certify(free, supplied, [layout.free], setup.params.p)
+        self._hold(setup, eigenvalues, factors, inverses)
 
     def _hold(self, setup: PublicSetup, eigenvalues: np.ndarray, factors: np.ndarray,
-              free_inverse: np.ndarray, inverses: np.ndarray | None = None) -> None:
+              inverses: np.ndarray) -> None:
         self._set(setup=setup, params=setup.params, eigenvalues=_readonly(eigenvalues),
-                  factors=_readonly(factors), free_inverse=_readonly(free_inverse),
-                  _inverses=None if inverses is None else _readonly(inverses))
+                  factors=_readonly(factors), inverses=_readonly(inverses))
+
+    @property
+    def free_inverse(self) -> np.ndarray:
+        return self.inverses[ROLE_LAYOUT[self.role].free_index]
 
     @property
     def free_inv(self) -> Matrix:
         return Matrix(self.params, self.free_inverse)
-
-    @property
-    def inverses(self) -> np.ndarray:
-        """The five factors' inverses as one (5, d, d) stack in record order, with no elimination.
-
-        A family factor's inverse is its family member on the inverted
-        eigenvalues, exact because the constructor checked each family factor
-        against its basis; the free factor's is the certified free_inverse.
-        Built on first use by the one-party call of ``_fill`` and kept, for the
-        token and the session key alike (``run_session`` builds them with the factors).
-        """
-        if self._inverses is None:
-            inverted = _inverse_table(self.params.p)[self.eigenvalues]
-            (out,) = _fill(self.setup, (self.role,), inverted[None], self.free_inverse[None])
-            self._set(_inverses=_readonly(out))
-        return self._inverses
 
 
 class AlicePrivate(_Private):
@@ -365,36 +360,25 @@ def _party_index(roles: tuple[Role, ...]) -> tuple:
         [layout.family_index for layout in layouts],
         [layout.free_index for layout in layouts],
     ))
-    return basis, (parties[:, None], family), (parties, free)
+    return parties, basis, family, free
 
 
-def _fill(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray,
-          free: np.ndarray) -> np.ndarray:
-    """The (k, 5, d, d) factor stacks of the k parties in roles, one ``family_member`` call.
+def _fill(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray, free: np.ndarray,
+          free_inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The k parties' (k, 5, d, d) factor stacks and their inverses, one ``family_member`` call.
 
-    From (k, 4, d) eigenvalue lists and (k, d, d) free factors; on inverted
-    lists and the free factors' inverses, the stacks are the inverses.
+    From (k, 4, d) eigenvalue lists in [1, p-1], (k, d, d) free factors and
+    their inverses.  A family factor's inverse is its member on the
+    inverted list, so the call builds the lists' and the inverted lists'
+    members at once.
     """
-    basis, family, free_at = _party_index(roles)
-    d = setup.params.d
-    out = np.empty((len(roles), _RECORD_LENGTH, d, d), dtype=np.int64)
-    out[family] = family_member(setup.bases[basis], setup.inverses[basis], eigenvalues, setup.params.p)
-    out[free_at] = free
-    return out
-
-
-def _check_families(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray,
-                    factors: np.ndarray) -> None:
-    """The eigenvalue and family-factor checks of k parties, each run once.
-
-    B F == diag B tests F == B^-1 diag B inversion-free.
-    """
-    p = setup.params.p
-    _check_eigenvalues(setup.params, eigenvalues)
-    basis, family, _ = _party_index(roles)
-    b = setup.bases[basis]
-    if not np.array_equal(b @ factors[family] % p, eigenvalues[..., None] * b % p):
-        raise ValueError("derived matrix does not match its basis and eigenvalues")
+    parties, basis, family, free_at = _party_index(roles)
+    p, d = setup.params.p, setup.params.d
+    lists = np.array([eigenvalues, _inverse_table(p)[eigenvalues]])
+    out = np.empty((2, len(roles), _RECORD_LENGTH, d, d), dtype=np.int64)
+    out[:, parties[:, None], family] = family_member(setup.bases[basis], setup.inverses[basis], lists, p)
+    out[:, parties, free_at] = np.array([free, free_inverse])
+    return out[0], out[1]
 
 
 class PublicToken(_Stacked):
@@ -473,11 +457,19 @@ def gen_setup(rs, params: FieldParams) -> PublicSetup:
     return PublicSetup._from_stacks(params, bases, inverses)
 
 
+def _session_draws(params: FieldParams) -> tuple:
+    """A session's draws in stream order: the setup's, then Alice's keygen, then Bob's."""
+    keygen = _keygen_draws(params)
+    return _SETUP_DRAWS + keygen + keygen
+
+
 def _keygen(rs, setup: PublicSetup, role: Role) -> _Private:
+    layout = ROLE_LAYOUT[role]
     drawn, _ = draw_segments(rs, setup.params, _keygen_draws(setup.params))
     eigenvalues, free, free_inverse = _material(drawn, setup.params.d)
-    (factors,) = _fill(setup, (role,), eigenvalues, free)
-    return ROLE_LAYOUT[role].private._from_stacks(setup, eigenvalues[0], factors, free_inverse[0])
+    _certify(free, free_inverse, [layout.free], setup.params.p)
+    (factors,), (inverses,) = _fill(setup, (role,), eigenvalues, free, free_inverse)
+    return layout.private._held(setup, eigenvalues[0], factors, inverses)
 
 
 def _tokens(p: int, factors: np.ndarray, inverses: np.ndarray) -> np.ndarray:
@@ -665,24 +657,19 @@ def run_session(rs, params: FieldParams) -> SessionResult:
     every nonsingular draw comes with its inverse and a session makes one
     elimination kernel call plus one per re-parse round.  Both parties then
     take each step at once: their eight family factors and eight factor
-    inverses are one ``family_member`` call, and both keys and their shared
-    inverse b3^-1 a3^-1 b2^-1 a2^-1 b1^-1 a1^-1 one product tree, with no
+    inverses are one ``_fill``, and both keys and their shared inverse
+    b3^-1 a3^-1 b2^-1 a2^-1 b1^-1 a1^-1 one product tree, with no
     elimination.  One stacked m x == I certifies every supplied inverse:
-    the four bases', both free factors' and the keys'.
+    the four bases', both free factors' and the keys'.  The family factors
+    are built from the certified basis inverses, so no further check runs.
     """
     _require_protocol_params(params)
     p = params.p
-    keygen = _keygen_draws(params)
-    drawn, redraws = draw_segments(rs, params, _SETUP_DRAWS + keygen + keygen)
+    drawn, redraws = draw_segments(rs, params, _session_draws(params))
     ((bases, basis_inverses),) = drawn[:1]
     setup = PublicSetup._held(params, bases, basis_inverses)
     eigenvalues, free, free_inverse = _material(drawn[1:], params.d)
-    # rows: Alice's factors, Bob's, then their inverses
-    stacks = _fill(setup, _PARTIES + _PARTIES,
-                   np.concatenate([eigenvalues, _inverse_table(p)[eigenvalues]]),
-                   np.concatenate([free, free_inverse]))
-    factors, inverses = stacks[:2], stacks[2:]
-    _check_families(setup, _PARTIES, eigenvalues, factors)
+    factors, inverses = _fill(setup, _PARTIES, eigenvalues, free, free_inverse)
     tok_a, tok_b = _tokens(p, factors, inverses)
     # rows: Alice's a1 p a2 q a3 r, Bob's u b1 v b2 w b3, and K^-1
     keys = _chain(
@@ -693,7 +680,7 @@ def run_session(rs, params: FieldParams) -> SessionResult:
     _certify(np.concatenate([bases, free, keys[:2]]),
              np.concatenate([basis_inverses, free_inverse, keys[[2, 2]]]), _SESSION_CERTIFIED, p)
     alice, bob = (ROLE_LAYOUT[role].private._held(setup, *party) for role, party in
-                  zip(_PARTIES, zip(eigenvalues, factors, free_inverse, inverses)))
+                  zip(_PARTIES, zip(eigenvalues, factors, inverses)))
     return SessionResult(
         setup=setup,
         alice=alice,

@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tdpkex import (
@@ -10,7 +11,7 @@ from tdpkex import (
     FieldParams,
     Matrix,
 )
-from tdpkex import field_matrix
+from tdpkex import field_matrix, protocol
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -58,6 +59,16 @@ def row_reductions(spy):
     (determinants and inverses).
     """
     return spy(field_matrix, "_row_reduce", lambda m, p: len(m))
+
+
+@pytest.fixture
+def family_members(spy):
+    """One entry per ``family_member`` call the protocol makes: the number of members it built."""
+
+    def members(basis, basis_inv, eigenvalues, p):
+        return int(np.prod(np.broadcast_shapes(basis.shape[:-2], np.shape(eigenvalues)[:-1])))
+
+    return spy(protocol, "family_member", members)
 
 
 @pytest.fixture

@@ -163,6 +163,22 @@ def test_block_roundtrip_random_keys():
         assert decrypt_block(result.bob_key, encrypt_block(result.alice_key, msg)) == msg
 
 
+def test_ciphertexts_are_malleable_without_the_key():
+    # conjugation is linear and fixes scalars: c + lambda I decrypts to m + lambda I
+    from tdpkex import random_matrix
+
+    rs = SplitMix64(2)
+    eye = np.eye(P251.d, dtype=np.int64)
+    for seed in range(20):
+        result = run_session(SplitMix64(seed), P251)
+        m = random_matrix(rs, P251)
+        c = encrypt_block(result.alice_key, PlainBlock(m)).c
+        lam = seed + 1
+        forged = CipherBlock(Matrix(P251, c.a + lam * eye))
+        assert forged.c != c
+        assert decrypt_block(result.bob_key, forged).m == Matrix(P251, m.a + lam * eye)
+
+
 # ---------------------------------------------------------------------------
 # message framing
 # ---------------------------------------------------------------------------

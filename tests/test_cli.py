@@ -500,6 +500,29 @@ def test_exit_2_missing_encrypt_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("keygen", "--in"), ("token", "--key"), ("shared", "--key"), ("shared", "--peer"),
+    ("encrypt", "--key"), ("decrypt", "--key"), ("decrypt", "--in"),
+])
+def test_exit_2_missing_record_names_the_path(tmp_path, capsys, command, flag):
+    files = _pipeline(tmp_path, "run")
+    argv = {
+        "keygen": ["keygen", "--in", files["setup"], "--role", "alice", "--seed", "1"],
+        "token": ["token", "--key", files["alice_key"]],
+        "shared": ["shared", "--key", files["alice_key"], "--peer", files["bob_tok"]],
+        "encrypt": ["encrypt", "--key", files["alice_sk"], "--in", files["msg"]],
+        "decrypt": ["decrypt", "--key", files["bob_sk"], "--in", files["cipher"]],
+    }[command]
+    absent = tmp_path / "absent.tdp"
+    argv[argv.index(flag) + 1] = absent
+    out = tmp_path / "out.tdp"
+    capsys.readouterr()
+    assert main([str(arg) for arg in argv + ["--out", out]]) == 2
+    assert str(absent) in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob("**/.tdp-*"))
+
+
 def test_exit_3_bad_magic(tmp_path):
     bad = tmp_path / "bad.tdp"
     bad.write_bytes(b"NOPE" + bytes(20))

@@ -24,6 +24,7 @@ from tdpkex import (
     singular_count,
     trial_division_factorization,
 )
+from tdpkex import field_matrix
 
 from oracles import (
     charpoly_berkowitz,
@@ -310,11 +311,12 @@ def test_trial_division_factorization_reconstructs():
             assert all(q % f for f in range(2, min(q, 1000)) if f * f <= q)
 
 
-def test_trial_division_budget():
+def test_trial_division_budget(monkeypatch):
     # semiprime with two ~2^31 factors cannot be split in 1000 trials
+    monkeypatch.setattr(field_matrix, "TRIAL_DIVISION_LIMIT", 1000)
     hard = 2147483647 * 2147483629
     with pytest.raises(FactorizationError):
-        trial_division_factorization(hard, max_trials=1000)
+        trial_division_factorization(hard)
 
 
 def test_monic_poly_str():

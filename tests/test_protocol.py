@@ -471,37 +471,29 @@ def test_session_eliminations(params, seed, reparse_rounds, matrices, row_reduct
     assert row_reductions[0] == 6
 
 
-def _members(basis, basis_inv, eigenvalues, p):
-    """The number of family members one family_member call builds."""
-    return int(np.prod(np.broadcast_shapes(basis.shape[:-2], np.shape(eigenvalues)[:-1])))
-
-
-def test_session_runs_both_parties_as_one_stack(spy):
+def test_session_runs_both_parties_as_one_stack(spy, family_members):
     # both parties' eight factors and eight inverses are one family_member
     # call, and one _certify checks the four bases and the two free factors
     # against their drawn inverses and both keys against K^-1
-    members = spy(protocol, "family_member", _members)
     certified = spy(protocol, "_certify", lambda ms, inverses, names, p: (len(ms), list(names)))
     reductions = spy(field_matrix, "_row_reduce", lambda m, p: len(m))
     result = run_session(SplitMix64(9), P251)
     assert result.agreed and result.singular_redraws == 0
-    assert members == [16]
+    assert family_members == [16]
     assert certified == [
         (8, ["basis P", "basis Q", "basis R", "basis S", "a1", "b3", "session key", "session key"]),
     ]
     assert reductions == [6]
 
 
-def test_single_party_routes_keep_their_calls(spy):
-    # a keygen builds its four family factors, a token the four family
-    # inverses, and a key from a token without inverses inverts the key
-    members = spy(protocol, "family_member", _members)
-    reductions = spy(field_matrix, "_row_reduce", lambda m, p: len(m))
-
+def test_single_party_routes_keep_their_calls(family_members, row_reductions):
+    # a keygen builds its four family factors and their four inverses in one
+    # call, a token builds nothing, and a key from a token without inverses
+    # inverts the key
     def taken():
-        calls = members.copy(), reductions.copy()
-        members.clear()
-        reductions.clear()
+        calls = family_members.copy(), row_reductions.copy()
+        family_members.clear()
+        row_reductions.clear()
         return calls
 
     rs = SplitMix64(9)
@@ -509,11 +501,53 @@ def test_single_party_routes_keep_their_calls(spy):
     bob_tok = bob_token(bob_keygen(SplitMix64(10), setup))
     taken()
     alice = alice_keygen(rs, setup)
-    assert taken() == ([4], [1])
+    assert taken() == ([8], [1])
     alice_token(alice)
-    assert taken() == ([4], [])
+    assert taken() == ([], [])
     alice_shared(alice, bob_tok)
     assert taken() == ([], [1])
+
+
+def test_every_private_route_holds_its_inverses(tmp_path, family_members):
+    # keygen, run_session, both constructors, the stack route and the CLI
+    # reader build all five inverses with the key, so reading them builds nothing
+    from tdpkex.cli import read_private_file, write_private_file
+
+    result = run_session(SplitMix64(41), P251)
+    rs = SplitMix64(42)
+    built = [result.alice, result.bob, alice_keygen(rs, result.setup), bob_keygen(rs, result.setup)]
+    for priv in (result.alice, result.bob):
+        layout = ROLE_LAYOUT[priv.role]
+        names = ["setup"] + ["d_" + name for name, _ in layout.families] + list(layout.record)
+        built.append(type(priv)(**{name: getattr(priv, name) for name in names}))
+        built.append(type(priv)._from_stacks(priv.setup, priv.eigenvalues, priv.factors))
+        built.append(type(priv)._from_stacks(priv.setup, priv.eigenvalues, priv.factors, priv.free_inverse))
+        path = tmp_path / f"{priv.role.value}.key"
+        write_private_file(path, priv)
+        built.append(read_private_file(path))
+    family_members.clear()
+    for priv in built:
+        expected = [mat_inverse(getattr(priv, name)).a for name in ROLE_LAYOUT[priv.role].record]
+        assert np.array_equal(priv.inverses, expected)
+        assert not priv.inverses.flags.writeable
+    assert family_members == []
+
+
+def test_session_certificate_names_a_corrupted_basis_inverse(monkeypatch):
+    # the family factors are built from the drawn basis inverses, and the
+    # session's one certificate is what refuses a wrong one
+    draw = protocol.draw_segments
+
+    def corrupted(rs, params, segments):
+        drawn, rejected = draw(rs, params, segments)
+        bases, inverses = drawn[0]
+        inverses = inverses.copy()
+        inverses[2, 0, 0] = (inverses[2, 0, 0] + 1) % params.p
+        return [(bases, inverses)] + drawn[1:], rejected
+
+    monkeypatch.setattr(protocol, "draw_segments", corrupted)
+    with pytest.raises(SingularMatrixError, match="^basis R is singular$"):
+        run_session(SplitMix64(9), P251)
 
 
 # seeds and the draw segments where they meet a singular candidate: a setup

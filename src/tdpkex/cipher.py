@@ -165,7 +165,7 @@ def encode_block(data: bytes, params: FieldParams) -> PlainBlock:
     bpb = bytes_per_block(params)
     if len(data) > bpb:
         raise BlockTooLongError(f"{len(data)} bytes exceeds block capacity {bpb}")
-    return PlainBlock(Matrix(params, _encode(data, params, 1)[0]))
+    return PlainBlock(Matrix(params, _encode(data, params, 1)[0].astype(np.int64)))
 
 
 def decode_block(block: PlainBlock, length: int) -> bytes:
@@ -191,7 +191,7 @@ def encrypt_block(key: SessionKey, block: PlainBlock) -> CipherBlock:
         raise ParamsMismatchError("key and block parameters differ")
     k, k_inv = key.stack.astype(np.float64)
     c = _conjugate(k_inv, block.m.a[None], k, key.params.p)[0]
-    return CipherBlock(Matrix(block.m.params, c))
+    return CipherBlock(Matrix(block.m.params, c.astype(np.int64)))
 
 
 def decrypt_block(key: SessionKey, block: CipherBlock) -> PlainBlock:
@@ -200,7 +200,7 @@ def decrypt_block(key: SessionKey, block: CipherBlock) -> PlainBlock:
         raise ParamsMismatchError("key and block parameters differ")
     k, k_inv = key.stack.astype(np.float64)
     m = _conjugate(k, block.c.a[None], k_inv, key.params.p)[0]
-    return PlainBlock(Matrix(block.c.params, m))
+    return PlainBlock(Matrix(block.c.params, m.astype(np.int64)))
 
 
 def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:

@@ -6,8 +6,13 @@ deterministic byte-stream RNG (and an ``os.urandom`` stream for unseeded
 use), and one Gauss-Jordan row reduction (``_row_reduce``) behind every
 determinant and inverse.  The reduction works on an (n, d, k) stack, so n
 matrices cost one pass of numpy calls over the d columns: at d = 8 the cost
-is call overhead, not arithmetic.  ``mat_det`` and ``mat_inverse`` are its
-n = 1 case, and ``_invert`` reduces a whole stack beside the identity.
+is call overhead, not arithmetic.  It lets int64 entries grow across
+columns and reduces the stack mod p only before a column whose update could
+reach 2^63 (a column takes a bound B on |entries| to B + B^2 (p-1)): every
+other column at p = 251, every column at p = 65521, the delayed reduction of
+Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM TOMS 35(3), 2008).  ``mat_det``
+and ``mat_inverse`` are its n = 1 case, and ``_invert`` reduces a whole
+stack beside the identity.
 ``draw_segments`` is the one draw rule for nonsingular matrices: it parses a
 list of segments (nonsingular matrices, uniform values) ahead as if no
 candidate were singular and reduces every candidate in one call per round.
@@ -189,9 +194,20 @@ class DiagonalSpec:
     eigenvalues: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", tuple(int(v) for v in self.eigenvalues))
+        object.__setattr__(self, "eigenvalues", tuple(_exact_int(v, "eigenvalue") for v in self.eigenvalues))
         # object dtype keeps ints beyond int64 exact, and the message names them as given
         _check_eigenvalues(self.params, np.array(self.eigenvalues, dtype=object))
+
+
+def _exact_int(value, what: str) -> int:
+    """value as an int; ValueError unless it is one exactly (2.0 is; 2.7, NaN and inf are not)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return n
 
 
 def _check_eigenvalues(params: FieldParams, eigenvalues: np.ndarray) -> None:
@@ -205,22 +221,36 @@ def _check_eigenvalues(params: FieldParams, eigenvalues: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Matrix:
-    """Immutable d x d matrix with entries reduced mod p."""
+    """Immutable d x d matrix with entries reduced mod p.
+
+    An array that casts to int64 without loss is reduced as it is.  Any
+    other input (nested lists, uint64, float or object arrays) is read entry
+    by entry as exact ints, so an entry past int64 is reduced mod p like a
+    negative one, and an entry that is not an integer (2.7, NaN, inf)
+    raises ValueError.
+    """
 
     params: FieldParams
     a: np.ndarray
 
     def __post_init__(self):
-        d = self.params.d
-        arr = np.asarray(self.a, dtype=np.int64) % self.params.p
+        d, p = self.params.d, self.params.p
+        arr = self.a
+        exact = isinstance(arr, np.ndarray) and np.can_cast(arr.dtype, np.int64)
+        if not exact:
+            arr = np.array(arr, dtype=object)
         if arr.shape != (d, d):
             raise ValueError(f"expected shape ({d}, {d}), got {arr.shape}")
+        if exact:
+            arr = np.asarray(arr, dtype=np.int64) % p
+        else:
+            arr = np.array([_exact_int(v, "entry") % p for v in arr.flat], dtype=np.int64).reshape(d, d)
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
 
     @classmethod
     def from_rows(cls, params: FieldParams, rows: Sequence[Sequence[int]]) -> "Matrix":
-        return cls(params, np.array(rows, dtype=np.int64))
+        return cls(params, rows)
 
     @classmethod
     def identity(cls, params: FieldParams) -> "Matrix":
@@ -330,7 +360,7 @@ def uniform_array(rs, lo: int, hi: int, count: int) -> np.ndarray:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Matrix product with every entry reduced mod p."""
     params = _check_same_params(a, b)
-    # int64 is safe: d * (p-1)^2 < 2^63 for p <= 65521, d <= 2000
+    # int64 is safe while d (p-1)^2 < 2^63: below d = 2.1e9 at p = 65521
     return Matrix(params, a.a @ b.a)
 
 
@@ -373,6 +403,26 @@ def _inverse_table(p: int) -> np.ndarray:
     return table
 
 
+@functools.cache
+def _reduced_columns(p: int, d: int) -> tuple[bool, ...]:
+    """For each of the d columns of ``_row_reduce`` over F_p, whether its entries are in [0, p) before it.
+
+    Entries start in [0, p), so |entries| <= B = p - 1, and a column's
+    update takes B to B + B^2 (p-1); the stack is reduced only before a
+    column that could take it to 2^63.  At p = 251 that is before every
+    other column (B reaches 6.1e16 after two), at p = 65521 before every
+    column.
+    """
+    out, bound = [], p - 1
+    for c in range(d):
+        reduced = c == 0 or bound + bound * bound * (p - 1) >= 1 << 63
+        if reduced:
+            bound = p - 1
+        out.append(reduced)
+        bound += bound * bound * (p - 1)
+    return tuple(out)
+
+
 def _row_reduce(m: np.ndarray, p: int) -> list[int]:
     """Gauss-Jordan reduce each d x k block of the (n, d, k) stack m in place (k >= d).
 
@@ -384,28 +434,38 @@ def _row_reduce(m: np.ndarray, p: int) -> list[int]:
     garbage rows; the call returns at once when a column has no pivot in any
     matrix of the stack.  Otherwise m[i, :, :d] ends as the identity, so on
     [a | I] the right half becomes a^-1.
+
+    Entries must start in [0, p).  The scaled pivot row and the update are
+    not reduced: the stack is reduced mod p only before the columns that
+    ``_reduced_columns`` marks, where the int64 update could otherwise reach
+    2^63.  Between them the pivots, and the entries the pivot search
+    compares with 0, are taken mod p on their own, and a swapped row is
+    negated as it is.  Every return reduces the stack first, so each entry,
+    a singular matrix's garbage included, ends in [0, p).
     """
     n, d = m.shape[:2]
     inv = _inverse_table(p)
     pivots = np.empty((d, n), dtype=np.int64)
-    for c in range(d):
-        pivots[c] = m[:, c, c]
+    for c, reduced in enumerate(_reduced_columns(p, d)):
+        if reduced and c:
+            m %= p
+        pivots[c] = m[:, c, c] if reduced else m[:, c, c] % p
         if np.count_nonzero(pivots[c]) < n:
             zero = np.flatnonzero(pivots[c] == 0)
-            below = m[zero, c + 1:, c] != 0
+            below = m[zero, c + 1:, c]
+            below = (below if reduced else below % p) != 0
             found = below.any(axis=1)
             if found.any():
                 swap, to = zero[found], c + 1 + below[found].argmax(axis=1)
-                m[swap, c], m[swap, to] = p - m[swap, to], m[swap, c]
-                pivots[c] = m[:, c, c]
+                m[swap, c], m[swap, to] = -m[swap, to], m[swap, c]
+                pivots[c] = m[:, c, c] % p
             elif len(zero) == n:
+                m %= p
                 return [0] * n
-        # the scaled pivot row stays unreduced (< p^2), so the update stays
-        # under p^3 < 2^63 and one reduction ends the column
         row = m[:, c] * inv[pivots[c]][:, None]
         m -= m[:, :, c, None] * row[:, None]
         m[:, c] = row
-        m %= p
+    m %= p
     return [math.prod(col) % p for col in pivots.T.tolist()]
 
 

@@ -1,4 +1,6 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +10,16 @@ from tdpkex import (
     FieldParams,
     Matrix,
     ParamsMismatchError,
+    SessionKey,
     SingularMatrixError,
     SplitMix64,
     StubSource,
     char_poly,
     commutator,
     conjugate,
+    decrypt_block,
+    encode_block,
+    encrypt_block,
     mat_det,
     mat_inverse,
     mat_mul,
@@ -66,6 +72,49 @@ def test_matrix_entries_reduced_and_frozen():
     assert m.a.tolist() == [[2, 4], [0, 2]]
     with pytest.raises(ValueError):
         m.a[0, 0] = 3
+    with pytest.raises(ValueError, match=r"^expected shape \(2, 2\), got \(2,\)$"):
+        Matrix.from_rows(P5, [[1, 2], [3]])
+
+
+@pytest.mark.parametrize("entry", [2.7, float("nan"), float("inf"), -float("inf"), "1", None])
+def test_matrix_refuses_entries_that_are_not_integers(entry):
+    # 2.7, NaN and inf used to become 2 (NaN with only a RuntimeWarning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in ([[entry, 1], [0, 1]], np.array([[entry, 1], [0, 1]], dtype=object)):
+            with pytest.raises(ValueError, match=rf"^entry {re.escape(repr(entry))} is not an integer$"):
+                Matrix(P5, rows)
+        if isinstance(entry, float):
+            with pytest.raises(ValueError, match="is not an integer"):
+                Matrix(P5, np.array([[entry, 1.0], [0.0, 1.0]]))
+
+
+def test_matrix_reduces_ints_past_int64():
+    rows = [[2**70, 2**63 + 1], [-(2**64) - 3, 3.0]]
+    expected = [[2**70 % 5, (2**63 + 1) % 5], [(-(2**64) - 3) % 5, 3]]
+    assert Matrix.from_rows(P5, rows).a.tolist() == expected
+    assert Matrix(P5, np.array(rows, dtype=object)).a.tolist() == expected
+    assert Matrix(P5, np.array([[2**63, 2**64 - 1], [0, 1]], dtype=np.uint64)).a.tolist() == [
+        [2**63 % 5, (2**64 - 1) % 5], [0, 1]]
+    assert Matrix.from_rows(P5, rows).a.dtype == np.int64
+
+
+def test_integer_arrays_skip_the_entry_check(spy):
+    checked = spy(field_matrix, "_exact_int")
+    assert Matrix(P5, np.array([[7, -1], [5, 12]])).a.tolist() == [[2, 4], [0, 2]]
+    assert Matrix(P5, np.array([[7, 1], [5, 12]], dtype=np.uint16)).a.tolist() == [[2, 1], [0, 2]]
+    assert Matrix(P5, np.eye(2, dtype=bool)).is_identity()
+    key = SessionKey(random_nonsingular(SplitMix64(4), P251)[0])
+    decrypt_block(key, encrypt_block(key, encode_block(b"tdpkex", P251)))
+    assert checked == []
+
+
+def test_diagonal_spec_refuses_eigenvalues_that_are_not_integers():
+    # (1.5, 2) used to become (1, 2)
+    for value in (1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=rf"^eigenvalue {value!r} is not an integer$"):
+            DiagonalSpec(P5, (value, 2))
+    assert DiagonalSpec(P5, (2.0, np.int64(3))).eigenvalues == (2, 3)
 
 
 def test_matrix_equality_requires_same_params():
@@ -137,12 +186,15 @@ def test_det_and_inverse_exhaustive(p, d):
         inverses.append(expected_inv)
     stacked_inv, stacked_dets = field_matrix._invert(np.array([m.a for m in matrices]), p)
     assert stacked_dets == dets
+    assert ((stacked_inv >= 0) & (stacked_inv < p)).all()
     assert [Matrix(params, x) if det else None for x, det in zip(stacked_inv, dets)] == inverses
 
 
 def test_stacked_det_and_inverse_at_largest_prime():
-    # entries up to 65520 test the p^3 < 2^63 bound; repeated and zeroed rows
-    # put singular matrices in the stack
+    # entries up to 65520 test the bound that reduces the stack before every
+    # column; repeated and zeroed rows put singular matrices in the stack,
+    # and the reduction-gate stack appended after them zero pivots that
+    # force row swaps
     params = FieldParams(p=65521, d=8)
     rs = SplitMix64(31)
     matrices = [random_matrix(rs, params) for _ in range(40)]
@@ -153,13 +205,68 @@ def test_stacked_det_and_inverse_at_largest_prime():
     a = matrices[29].a.copy()
     a[:, 0] = 0
     matrices[29] = Matrix(params, a)
+    matrices += [Matrix(params, a) for a in _gate_stack(params.p, params.d, seed=31)]
     inverses, dets = field_matrix._invert(np.array([m.a for m in matrices]), params.p)
     assert dets == [mat_det(m) for m in matrices]
-    assert [i for i, det in enumerate(dets) if det == 0] == [3, 17, 29]
+    assert [i for i, det in enumerate(dets) if det == 0] == [3, 17, 29, 46, 50]
+    assert ((inverses >= 0) & (inverses < params.p)).all()
     for m, inv, det in zip(matrices, inverses, dets):
         if det:
             assert Matrix(params, inv) == mat_inverse(m)
             assert mat_mul(m, Matrix(params, inv)).is_identity()
+
+
+def _gate_stack(p, d, seed):
+    """An (n, d, d) stack that crosses the kernel's reduction gate.
+
+    For each column c it holds a matrix whose rows c and c + 1 agree, in
+    their first c + 1 entries, with a combination of the rows above: after
+    c columns of elimination its diagonal entry and the one below it are 0
+    mod p, but need not be 0 on a column the kernel left unreduced, so the
+    pivot search must skip both.  Three random matrices, and one whose last
+    row combines the others (singular), complete it.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for c in range(d - 1):
+        m = rng.integers(0, p, (d, d))
+        for r in (c, c + 1):
+            m[r, :c + 1] = rng.integers(0, p, c) @ m[:c, :c + 1] % p
+        out.append(m)
+    out += list(rng.integers(0, p, (3, d, d)))
+    singular = rng.integers(0, p, (d, d))
+    singular[-1] = rng.integers(0, p, d - 1) @ singular[:-1] % p
+    return np.array(out + [singular], dtype=np.int64)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("p", [3, 5, 251, 257, 65521])
+def test_row_reduce_across_its_reduction_gate(p, d):
+    # a column the kernel leaves unreduced (entries past p) is swapped and
+    # searched on reduced values; every entry it returns, a singular
+    # member's garbage included, is reduced, since _certify multiplies
+    # supplied inverses in int64
+    params = FieldParams(p=p, d=d)
+    stack = _gate_stack(p, d, seed=p * d)
+    rows = stack.tolist()
+    dets = [det_cofactor(m, p) for m in rows]
+    assert 0 in dets and any(dets)
+    inverses, got = field_matrix._invert(stack, p)
+    assert got == dets
+    assert ((inverses >= 0) & (inverses < p)).all()
+    for m, inv, det in zip(rows, inverses, dets):
+        assert (inv.tolist() if det else None) == inverse_adjugate(m, p)
+    assert [mat_det(Matrix(params, m)) for m in stack] == dets
+    reduced = stack.copy()
+    assert field_matrix._row_reduce(reduced, p) == dets
+    assert ((reduced >= 0) & (reduced < p)).all()
+    # with column 1 a multiple of column 0 in every matrix, no matrix has a
+    # pivot after column 0, and the kernel returns early from column 1,
+    # which it leaves unreduced at p < 65521
+    stack[:, :, 1] = stack[:, :, 0] * np.arange(len(stack))[:, None] % p
+    inverses, got = field_matrix._invert(stack, p)
+    assert got == [0] * len(stack) == [det_cofactor(m, p) for m in stack.tolist()]
+    assert ((inverses >= 0) & (inverses < p)).all()
 
 
 @pytest.mark.parametrize("p", [2, 3, 251, 65521])

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -38,8 +39,10 @@ from tdpkex import (
 )
 
 from tdpkex import field_matrix, protocol
+from tdpkex.cli import main
 from tdpkex.protocol import ROLE_LAYOUT
 
+import vectors
 from conftest import identity_privates
 
 P251 = FieldParams()
@@ -762,3 +765,47 @@ def test_objects_are_immutable_and_copy_equal():
         assert copy.deepcopy(obj) == obj
     for stack in (result.setup.bases, result.alice.factors, result.alice_pub.stack, result.alice_key.stack):
         assert not stack.flags.writeable
+
+
+def _product(p, *factors):
+    """The product of the matrices reduced mod p after every multiplication: the unbatched reference."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = out @ f % p
+    return out
+
+
+@pytest.mark.parametrize("p, d", [(251, 8), (65521, 8), (251, 9), (65521, 182)])
+def test_chain_and_tokens_reduce_only_where_the_bound_demands(p, d):
+    # all-(p-1) operands are the tightest case: at (251, 8) the key tree's
+    # unreduced sums reach d^5 (p-1)^6 = 8.0e18 < 2^63; at (251, 9) the
+    # tree must reduce its first product, at p = 65521 its pair products,
+    # and at (65521, 182) a token must reduce its middle entries before
+    # their second product
+    rng = np.random.default_rng(d)
+    operands = np.array([np.full((5, d, d), p - 1), rng.integers(0, p, (5, d, d))])
+    inverses = np.array([np.full((5, d, d), p - 1), rng.integers(0, p, (5, d, d))])
+    tokens = protocol._tokens(p, operands, inverses)
+    for got, f, x in zip(tokens, operands, inverses):
+        expected = [_product(p, f[0], f[3]), _product(p, x[3], f[1], f[4]), _product(p, x[4], f[2])]
+        assert np.array_equal(got, expected)
+    keys = protocol._chain(operands[:, :3], inverses[:, 2:], p)
+    for got, left, right in zip(keys, operands[:, :3], inverses[:, 2:]):
+        assert np.array_equal(got, _product(p, left[0], right[0], left[1], right[1], left[2], right[2]))
+
+
+def test_session_outputs_match_the_recorded_pin(capsys):
+    cycle = [P251, P5, P3D3, FieldParams(p=65521, d=8), FieldParams(p=251, d=9)]
+    digest = hashlib.sha256()
+    for seed in range(200):
+        rs = SplitMix64(seed)
+        res = run_session(rs, cycle[seed % len(cycle)])
+        for stack in (res.alice.factors, res.alice.inverses, res.bob.factors, res.bob.inverses,
+                      res.alice_key.stack, res.bob_key.stack, res.alice_pub.stack, res.bob_pub.stack):
+            digest.update(np.ascontiguousarray(stack, dtype="<i8").tobytes())
+        digest.update(res.singular_redraws.to_bytes(8, "little"))
+        digest.update(rs.read(16))
+    assert digest.hexdigest() == vectors.SESSION_OUTPUT_SHA256
+    assert main(["stats", "--seed", "7", "--sessions", "300", "--format", "kv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if not line.startswith("mean_session_ms=")] == vectors.STATS_SEED7_KV

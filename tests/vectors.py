@@ -12,6 +12,15 @@ CLI_PIPELINE_SHA256 holds the SHA-256 of every file the acceptance-9
 command pipeline writes (setup seed 41, keygen seeds 42/43, 777-byte
 plaintext from SplitMix64(12345)).  They pin the seeded byte stream and
 the record layouts; they must not move unless a change says why.
+
+SESSION_OUTPUT_SHA256 is the SHA-256 of 200 seeded ``run_session`` results
+(seed i on SplitMix64(i), the parameters cycling through (251, 8), (5, 2),
+(3, 3), (65521, 8) and (251, 9)): both private keys' factors and inverses,
+both session keys with their inverses, both tokens, ``singular_redraws`` and
+the next 16 stream bytes.  STATS_SEED7_KV holds the lines of
+``tdpkex stats --seed 7 --sessions 300 --format kv`` except the timed
+``mean_session_ms``.  Both pin a session's outputs: a change to a kernel's
+arithmetic must leave them unedited.
 """
 
 GOLDEN_P = 251
@@ -88,3 +97,21 @@ CLI_PIPELINE_SHA256 = {
     "msg.tdp": "1aa6ceefdbbb46eae634de4347fcc7edfd4c0a731a0d7eb3697f9f2b92e69104",
     "rec.bin": "4a19debe12b56bff3f657b0544839706c0306380deaca66553c9c2a69d5ae7d0",
 }
+
+# run_session outputs over 200 seeds; see the module docstring for what is hashed
+SESSION_OUTPUT_SHA256 = "d47bcac42b3f83d9ac1b271f3c7bfe8500859891e8c076e665f44d0d7db23018"
+
+# `tdpkex stats --seed 7 --sessions 300 --format kv` without mean_session_ms
+STATS_SEED7_KV = [
+    "sessions=300",
+    "agreement=300/300",
+    "roundtrip=300/300",
+    "candidate_draws=1805",
+    "singular_redraws=5",
+    "redraw_rate=0.00277",
+    "chi_square=238.46",
+    "dof=250",
+    "p_value=0.6895",
+    "uniformity=PASS",
+    "leak=trace/det/charpoly preserved: yes",
+]

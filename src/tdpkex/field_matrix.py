@@ -16,15 +16,15 @@ stack beside the identity.
 ``draw_segments`` is the one draw rule for nonsingular matrices: it parses a
 list of segments (nonsingular matrices, uniform values) ahead as if no
 candidate were singular and reduces every candidate in one call per round.
-Each round takes its bytes with one ``read`` (more only when rejected values
-run them short) and ends with one ``unread`` of the bytes it does not keep;
-``random_nonsingular`` is its one-draw case.  ``draw_segments`` and
-``uniform_array`` parse through one rejection scan, ``_parse_uniform``.  A
-nonsingular draw reduces [a | I], so the one elimination that accepts a draw
-also yields its inverse, which the protocol layer passes on instead of
-inverting the draw again.  All arithmetic is integer-exact; there is no
-floating point anywhere in this module.  Field elements are plain Python ints
-in [0, p-1].
+Each round takes its bytes with one ``read`` (one more when rejected values
+run them short), finds every segment's values with one acceptance scan per
+range over them (``_parse``, whose one-segment case is ``uniform_array``)
+and ends with one ``unread`` of the bytes it does not keep;
+``random_nonsingular`` is its one-draw case.  A nonsingular draw reduces
+[a | I], so the one elimination that accepts a draw also yields its inverse,
+which the protocol layer passes on instead of inverting the draw again.  All
+arithmetic is integer-exact; there is no floating point anywhere in this
+module.  Field elements are plain Python ints in [0, p-1].
 
 Matrices, params and specs are immutable values, safe to share across
 threads; the operations are pure.  A random source instance is stateful and
@@ -57,7 +57,9 @@ class _BufferedSource:
         self._buf = bytearray(data)
 
     def read(self, n: int) -> bytes:
-        """Return the next ``n`` bytes of the stream."""
+        """Return the next ``n`` bytes of the stream; ValueError for a negative ``n``."""
+        if n < 0:
+            raise ValueError(f"cannot read {n} bytes")
         buf = self._buf
         while len(buf) < n:
             self._refill()
@@ -219,6 +221,14 @@ def _check_eigenvalues(params: FieldParams, eigenvalues: np.ndarray) -> None:
         raise ValueError(f"eigenvalue {eigenvalues[bad][0]} outside [1, p-1]")
 
 
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    """The read-only d x d int64 identity; built once per d."""
+    eye = np.eye(d, dtype=np.int64)
+    eye.flags.writeable = False
+    return eye
+
+
 @dataclass(frozen=True, eq=False)
 class Matrix:
     """Immutable d x d matrix with entries reduced mod p.
@@ -254,14 +264,14 @@ class Matrix:
 
     @classmethod
     def identity(cls, params: FieldParams) -> "Matrix":
-        return cls(params, np.eye(params.d, dtype=np.int64))
+        return cls(params, _identity(params.d))
 
     @classmethod
     def zero(cls, params: FieldParams) -> "Matrix":
         return cls(params, np.zeros((params.d, params.d), dtype=np.int64))
 
     def is_identity(self) -> bool:
-        return bool(np.array_equal(self.a, np.eye(self.params.d, dtype=np.int64)))
+        return bool(np.array_equal(self.a, _identity(self.params.d)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -310,50 +320,69 @@ def _byte_width(lo: int, hi: int) -> int:
     return (span.bit_length() + 7) // 8
 
 
-def _parse_uniform(rs, buf: bytearray, pos: int, lo: int, hi: int,
-                   count: int) -> tuple[np.ndarray, bytearray, int]:
-    """``count`` draws on [lo, hi] parsed from ``buf`` at ``pos`` as ``field_uniform`` parses them.
+_DTYPES = (None, np.uint8, np.dtype("<u2"))  # by bytes a draw
 
-    Reads on from ``rs``, appending to ``buf``, only when the buffer runs
-    short: first to the fewest bytes the draws could need, so a stub
-    supplying exactly the rejection-free byte count is never over-read, then,
-    once values were rejected, by the acceptance rate.  Returns the draws,
-    the grown buffer and the offset after the last byte used.
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise ValueError(f"draw count {count} is negative")
+
+
+def _parse(rs, draws: Sequence[tuple[int, int, int]]) -> tuple[list[np.ndarray], list[int], bytes]:
+    """Each (lo, hi, count) of ``draws`` parsed in stream order as ``field_uniform`` parses it.
+
+    One ``read`` takes the draws' rejection-free bytes, and one acceptance
+    scan per (byte width, alignment, span) over them gives each draw its
+    next ``count`` accepted values.  A short buffer gets one top-up ``read``
+    (the missing values at the acceptance rate plus the later draws' bytes)
+    and is scanned again.  Returns the int64 values, each draw's end offset
+    and the buffer.
     """
-    nbytes = _byte_width(lo, hi)
-    if nbytes == 0 or count == 0:
-        return np.full(count, lo, dtype=np.int64), buf, pos
-    span = hi - lo
-    dtype = np.uint8 if nbytes == 1 else np.dtype("<u2")
-    out = np.empty(count, dtype=np.int64)
-    filled, n_vals = 0, count
-    while True:
-        end = pos + nbytes * n_vals
-        if len(buf) < end:
-            buf += rs.read(end - len(buf))
-        # a copy, so no view of buf outlives this pass and buf can grow in place
-        vals = np.frombuffer(buf, dtype, n_vals, pos).astype(np.int64)
-        good = np.nonzero(vals <= span)[0][:count - filled]
-        out[filled:filled + len(good)] = vals[good]
-        filled += len(good)
-        if filled == count:
-            out += lo
-            return out, buf, pos + nbytes * (int(good[-1]) + 1)
-        pos = end
-        n_vals = min((count - filled) * ((1 << (8 * nbytes)) // (span + 1) + 1), 1 << 16)
+    widths = [_byte_width(lo, hi) for lo, hi, _ in draws]
+    need = [w * count for w, (_, _, count) in zip(widths, draws)]
+    buf = rs.read(sum(need))
+    scans: dict = {}
+    values, ends, pos = [], [], 0
+    for i, ((lo, hi, count), w) in enumerate(zip(draws, widths)):
+        if w == 0 or count == 0:
+            values.append(np.full(count, lo, dtype=np.int64))
+            ends.append(pos)
+            continue
+        align, span = pos % w, hi - lo
+        key = w, align, span
+        while True:
+            if key not in scans:
+                vals = np.frombuffer(buf, _DTYPES[w], (len(buf) - align) // w, align).astype(np.int64)
+                scans[key] = vals, (vals <= span).nonzero()[0]
+            vals, accepted = scans[key]
+            first = int(accepted.searchsorted(pos // w))
+            short = first + count - len(accepted)
+            if short <= 0:
+                break
+            # bytes are immutable, so growing buf leaves no scan's view dangling
+            buf += rs.read(short * w * ((1 << 8 * w) // (span + 1) + 1) + sum(need[i + 1:]))
+            scans.clear()
+        taken = accepted[first:first + count]
+        drawn = vals[taken]
+        values.append(drawn + lo if lo else drawn)
+        pos = align + w * (int(taken[-1]) + 1)
+        ends.append(pos)
+    return values, ends, buf
 
 
 def uniform_array(rs, lo: int, hi: int, count: int) -> np.ndarray:
     """Vector of ``count`` uniform draws on [lo, hi], for spans below 2^16.
 
     Consumes the byte stream exactly as ``count`` successive field_uniform
-    calls would (same bytes, same rejections, same results): ``_parse_uniform``
-    batches the scan through numpy over what it reads, and one ``unread``
-    pushes back the bytes after the last draw.  A span of 2^16 or more, never
-    a field element's, raises ValueError.
+    calls would (same bytes, same rejections, same results): it is the
+    one-draw case of ``_parse``'s acceptance scan, with one ``read`` when no
+    value is rejected and one ``unread`` of the bytes after the last draw.
+    A negative count, or a span of 2^16 or more (never a field element's),
+    raises ValueError before any byte is read.
     """
-    out, buf, pos = _parse_uniform(rs, bytearray(), 0, lo, hi, count)
-    rs.unread(buf[pos:])
+    _check_count(count)
+    (out,), (end,), buf = _parse(rs, [(lo, hi, count)])
+    rs.unread(buf[end:])
     return out
 
 
@@ -369,7 +398,7 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     if e < 0:
         raise ValueError("negative exponent; invert first")
     p = a.params.p
-    result = np.eye(a.params.d, dtype=np.int64)
+    result = _identity(a.params.d)
     base = a.a.copy()
     while e:
         if e & 1:
@@ -474,7 +503,7 @@ def _invert(stack: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     n, d, _ = stack.shape
     m = np.empty((n, d, 2 * d), dtype=np.int64)
     m[:, :, :d] = stack
-    m[:, :, d:] = np.eye(d, dtype=np.int64)
+    m[:, :, d:] = _identity(d)
     return m[:, :, d:], _row_reduce(m, p)
 
 
@@ -536,63 +565,58 @@ def draw_segments(
 
     Returns one result per segment and the number of singular candidates
     rejected.  A ``NonsingularDraws`` result is (matrices, inverses), two
-    (n, d, d) arrays; a ``UniformDraws`` result is its int64 values.
+    (n, d, d) arrays; a ``UniformDraws`` result is its int64 values.  A
+    negative count raises ValueError before any byte is read.
 
-    Each round reads, in one ``read``, the bytes its unfinished segments
-    take if no value is rejected, parses every segment from them in stream
-    order as if no candidate were singular (``_parse_uniform`` reads on only
-    when rejected values run the buffer short), and row-reduces all their
-    candidate matrices beside the identity in one kernel call: the
-    counter-based parse-ahead of Salmon et al., "Parallel random numbers: as
-    easy as 1, 2, 3" (SC 2011).  At the first segment with a singular
-    candidate the round ends: that segment keeps its nonsingular candidates,
-    and the next round parses on from its missing matrices.  The round's one
-    ``unread`` pushes back the bytes after the last segment it keeps.  A
-    singular candidate is discarded entirely, never patched, so draws,
-    rejections and stream position equal those of drawing the segments one
-    after another, each matrix d*d consecutive uniform values on [0, p-1]
-    and a rejected one simply skipped.
+    Each round parses its unfinished segments in stream order with one
+    ``_parse`` as if no candidate were singular, and row-reduces all their
+    candidate matrices, one stack, beside the identity in one kernel call:
+    the counter-based parse-ahead of Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3" (SC 2011).  A segment whose candidates are
+    all nonsingular gets its slices of that stack and its inverses.  At the
+    first segment with a singular candidate the round ends: that segment
+    keeps its nonsingular candidates, and the next round parses on from its
+    missing matrices.  The round's one ``unread`` pushes back the bytes
+    after the last segment it keeps.  A singular candidate is discarded
+    entirely, never patched, so draws, rejections and stream position equal
+    those of drawing the segments one after another, each matrix d*d
+    consecutive uniform values on [0, p-1] and a rejected one simply skipped.
     """
     d, p = params.d, params.p
+    for seg in segments:
+        _check_count(seg.n if isinstance(seg, NonsingularDraws) else seg.count)
     out: list = [None] * len(segments)
     missing = {i: seg.n for i, seg in enumerate(segments) if isinstance(seg, NonsingularDraws)}
-    kept = {i: ([], []) for i in missing}
-    ranges = [(0, p - 1) if i in missing else (seg.lo, seg.hi) for i, seg in enumerate(segments)]
+    # the matrices and inverses a segment kept in earlier rounds, when it had a singular candidate
+    kept: dict = {}
     rejections = start = 0
     while start < len(segments):
-        counts = [missing[i] * d * d if i in missing else segments[i].count
-                  for i in range(start, len(segments))]
-        buf = bytearray(rs.read(sum(n * _byte_width(*ranges[i]) for i, n in enumerate(counts, start))))
-        pos = 0
-        ends, candidates = {}, {}
-        for i, n in enumerate(counts, start):
-            draws, buf, pos = _parse_uniform(rs, buf, pos, *ranges[i], n)
-            ends[i] = pos
-            if i in missing:
-                candidates[i] = draws.reshape(missing[i], d, d)
-            else:
-                out[i] = draws
-        start = len(segments)
-        stack = np.concatenate([np.empty((0, d, d), np.int64), *candidates.values()])
+        todo = range(start, len(segments))
+        values, ends, buf = _parse(rs, [(0, p - 1, missing[i] * d * d) if i in missing else segments[i]
+                                        for i in todo])
+        stack = np.concatenate([np.empty(0, np.int64), *(values[i - start] for i in todo if i in missing)])
+        stack = stack.reshape(-1, d, d)
         inv, dets = _invert(stack, p) if len(stack) else (stack, [])
-        at = 0
-        for i, drawn in candidates.items():
-            seg_dets, seg_inv = dets[at:at + len(drawn)], inv[at:at + len(drawn)]
-            at += len(drawn)
-            if not all(seg_dets):
-                ok = np.array(seg_dets) != 0
-                drawn, seg_inv = drawn[ok], seg_inv[ok]
-            kept[i][0].append(drawn)
-            kept[i][1].append(seg_inv)
-            missing[i] -= len(drawn)
-            if missing[i]:
+        start, pos, at = len(segments), ends[-1], 0
+        for i, parsed, end in zip(todo, values, ends):
+            if i not in missing:
+                out[i] = parsed
+                continue
+            n = missing[i]
+            drawn, drawn_inv, good = stack[at:at + n], inv[at:at + n], dets[at:at + n]
+            at += n
+            if 0 in good:
+                ok = np.array(good) != 0
+                kept.setdefault(i, []).append((drawn[ok], drawn_inv[ok]))
                 # each still-missing matrix is one rejected candidate
+                missing[i] = good.count(0)
                 rejections += missing[i]
-                pos, start = ends[i], i
+                start, pos = i, end
                 break
+            if i in kept:
+                drawn, drawn_inv = (np.concatenate(part) for part in zip(*kept.pop(i), (drawn, drawn_inv)))
+            out[i] = drawn, drawn_inv
         rs.unread(buf[pos:])
-    for i, (ms, xs) in kept.items():
-        out[i] = np.concatenate(ms), np.concatenate(xs)
     return out, rejections
 
 

@@ -58,6 +58,7 @@ from .field_matrix import (
     NonsingularDraws,
     UniformDraws,
     _check_eigenvalues,
+    _identity,
     _invert,
     _inverse_table,
     commutator,
@@ -73,13 +74,6 @@ class Role(enum.Enum):
 def _require_protocol_params(params: FieldParams) -> None:
     if params.p < 3:
         raise ValueError("key agreement needs p > 2 (nonzero eigenvalue choices)")
-
-
-@functools.cache
-def _identity(d: int) -> np.ndarray:
-    eye = np.eye(d, dtype=np.int64)
-    eye.flags.writeable = False
-    return eye
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

@@ -430,7 +430,7 @@ def _draw_one_by_one(rs, params, segments):
                 matrices.append(m)
             else:
                 rejections += 1
-        out.append(np.array(matrices))
+        out.append(np.array(matrices, dtype=np.int64).reshape(-1, d, d))
     return out, rejections
 
 
@@ -487,6 +487,52 @@ def test_draw_segments_reads_exactly_the_sequential_bytes(p, d, seed, spy, row_r
     assert len(reads) == len(row_reductions)
     with pytest.raises(RuntimeError, match="exhausted"):
         stub.read(1)
+
+
+ND, UD = field_matrix.NonsingularDraws, field_matrix.UniformDraws
+
+
+# paths of the one-scan-per-range parse: a range that rejects about half its
+# values at width 1 and so tops the buffer up often; one-byte segments of odd
+# length ahead of two-byte ones, so a two-byte scan starts at an odd offset;
+# a one-point range and an empty segment between others; and small fields
+# whose candidates take several rounds
+@pytest.mark.parametrize("p,d,seed,segments,several_rounds", [
+    (251, 2, 4, [UD(0, 128, 7), ND(2), UD(0, 128, 7), ND(1), UD(0, 128, 7)], False),
+    (5, 2, 6, [ND(3), UD(0, 128, 7), ND(2), UD(0, 128, 7)], False),
+    (257, 2, 8, [UD(1, 256, 3), ND(2), UD(1, 256, 5), UD(0, 256, 3), ND(1)], False),
+    (65521, 2, 9, [UD(0, 200, 3), ND(2), UD(0, 128, 5), ND(1), UD(0, 200, 1)], False),
+    (251, 3, 10, [ND(1), UD(5, 5, 3), ND(0), UD(1, 250, 4), ND(0), ND(2)], False),
+    (3, 2, 11, [ND(4), UD(5, 5, 3), UD(0, 128, 7), ND(0), ND(5), UD(1, 2, 9)], True),
+    (5, 3, 12, [ND(6), UD(1, 4, 5), ND(3)], True),
+], ids=["reject-heavy", "reject-heavy-p5", "odd-offset-257", "odd-offset-65521", "empty",
+        "p3-rounds", "p5-rounds"])
+def test_draw_segments_scan_paths_equal_sequential_draws(p, d, seed, segments, several_rounds,
+                                                         row_reductions):
+    params = FieldParams(p=p, d=d)
+    seq_rs, batch_rs = SplitMix64(seed), SplitMix64(seed)
+    expected, expected_rejections = _draw_one_by_one(seq_rs, params, segments)
+    row_reductions.clear()
+    drawn, rejections = field_matrix.draw_segments(batch_rs, params, segments)
+    _assert_draws_equal(params, drawn, expected)
+    assert rejections == expected_rejections
+    assert batch_rs.read(16) == seq_rs.read(16)
+    assert len(row_reductions) <= 1 + rejections
+    assert (len(row_reductions) > 1) == several_rounds
+
+
+@pytest.mark.parametrize("segments,count", [([ND(-1)], -1), ([UD(0, 250, -40)], -40),
+                                            ([ND(2), UD(1, 250, 3), ND(-3)], -3)])
+def test_draw_segments_refuses_a_negative_count_before_reading(segments, count):
+    rs, twin = SplitMix64(13), SplitMix64(13)
+    rs.read(5), twin.read(5)
+    with pytest.raises(ValueError, match=f"draw count {count} is negative"):
+        field_matrix.draw_segments(rs, P251, segments)
+    with pytest.raises(ValueError, match="draw count -2 is negative"):
+        field_matrix.uniform_array(rs, 0, 250, -2)
+    with pytest.raises(ValueError, match="cannot read -64 bytes"):
+        rs.read(-64)
+    assert rs.read(16) == twin.read(16)
 
 
 def test_draw_segments_without_candidates_makes_no_kernel_call(row_reductions):

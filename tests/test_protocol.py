@@ -474,6 +474,17 @@ def test_session_eliminations(params, seed, reparse_rounds, matrices, row_reduct
     assert row_reductions[0] == 6
 
 
+def test_session_reads_per_round_and_top_up(spy):
+    # a draw round takes its rejection-free bytes in one read, and a round
+    # whose rejected values run its buffer short makes one top-up read, not
+    # one per segment: 2.035 reads a session here (2.785 with a read per
+    # segment that ran short)
+    reads = spy(field_matrix._BufferedSource, "read", lambda source, n: n)
+    for seed in range(200):
+        run_session(SplitMix64(seed), P251)
+    assert len(reads) == 407
+
+
 def test_session_runs_both_parties_as_one_stack(spy, family_members):
     # both parties' eight factors and eight inverses are one family_member
     # call, and one _certify checks the four bases and the two free factors

@@ -109,7 +109,10 @@ def test_field_uniform_empty_range_rejected():
         field_uniform(StubSource([0]), 5, 4)
 
 
-@pytest.mark.parametrize("lo,hi", [(0, 250), (1, 250), (0, 4), (1, 4), (0, 65520), (3, 3)])
+# (0, 128) rejects about half its bytes, (0, 256) reads two bytes a value and
+# keeps about 1 in 255
+@pytest.mark.parametrize("lo,hi", [(0, 250), (1, 250), (0, 4), (1, 4), (0, 65520), (3, 3), (0, 128),
+                                   (0, 256), (7, 7 + 1000)])
 def test_uniform_array_matches_sequential_draws(lo, hi):
     batch_src = SplitMix64(42)
     seq_src = SplitMix64(42)

@@ -221,6 +221,20 @@ def _check_eigenvalues(params: FieldParams, eigenvalues: np.ndarray) -> None:
         raise ValueError(f"eigenvalue {eigenvalues[bad][0]} outside [1, p-1]")
 
 
+def _entries(arr) -> np.ndarray:
+    """arr as it is when it casts to int64 without loss, else as an object array of its entries."""
+    if isinstance(arr, np.ndarray) and np.can_cast(arr.dtype, np.int64):
+        return arr
+    return np.array(arr, dtype=object)
+
+
+def _reduce_entries(arr: np.ndarray, p: int) -> np.ndarray:
+    """An ``_entries`` array as int64 reduced mod p, object entries one by one as exact ints."""
+    if arr.dtype != object:
+        return np.asarray(arr, dtype=np.int64) % p
+    return np.array([_exact_int(v, "entry") % p for v in arr.flat], dtype=np.int64).reshape(arr.shape)
+
+
 @functools.cache
 def _identity(d: int) -> np.ndarray:
     """The read-only d x d int64 identity; built once per d."""
@@ -244,17 +258,11 @@ class Matrix:
     a: np.ndarray
 
     def __post_init__(self):
-        d, p = self.params.d, self.params.p
-        arr = self.a
-        exact = isinstance(arr, np.ndarray) and np.can_cast(arr.dtype, np.int64)
-        if not exact:
-            arr = np.array(arr, dtype=object)
+        d = self.params.d
+        arr = _entries(self.a)
         if arr.shape != (d, d):
             raise ValueError(f"expected shape ({d}, {d}), got {arr.shape}")
-        if exact:
-            arr = np.asarray(arr, dtype=np.int64) % p
-        else:
-            arr = np.array([_exact_int(v, "entry") % p for v in arr.flat], dtype=np.int64).reshape(d, d)
+        arr = _reduce_entries(arr, self.params.p)
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
 

@@ -19,6 +19,8 @@ from .errors import NotUnitOrderError
 from .field_matrix import (
     FieldParams,
     Matrix,
+    _entries,
+    _reduce_entries,
     mat_det,
     mat_pow,
     trial_division_factorization,
@@ -178,7 +180,12 @@ def companion_matrix(f: MonicPoly) -> Matrix:
     return Matrix(params, m)
 
 
-def char_poly_many(stack: np.ndarray, p: int) -> np.ndarray:
+# most int64 entries (32 MiB) one Toeplitz gather holds, unless one matrix's
+# (d-1)(d+1)d entries are more (from d = 162); a larger stack goes in parts
+_GATHER_ENTRIES = 1 << 22
+
+
+def char_poly_many(stack, p: int) -> np.ndarray:
     """Characteristic polynomials det(xI - a) of an (n, d, d) stack, by division-free Berkowitz.
 
     Returns an (n, d) array whose row i holds c_0 .. c_{d-1} of stack[i]'s
@@ -188,8 +195,12 @@ def char_poly_many(stack: np.ndarray, p: int) -> np.ndarray:
     k < i), with r and c the new row and column.  All of these come from
     d - 1 stacked products: column i of W holds A_i^k c (zero from row i
     down), so W <- (A W) masked to the strict upper triangle advances every
-    i at once, and diag(A W) is r A_i^k c.  Then d - 1 stacked Toeplitz
-    products fold the t_i into the coefficients.
+    i at once, and diag(A W) is r A_i^k c.  Each diagonal is copied into t
+    through a strided view of the flattened product, and t is negated and
+    reduced once at the end.  Then one gather of a cached index builds
+    every lower-triangular Toeplitz matrix of the t_i at once, and d - 1
+    stacked products of their leading corners fold the t_i into the
+    coefficients.  So each step is one product plus basic slicing.
 
     Every operand is nonnegative, and each phase keeps a bound on its
     running operand: a product by A multiplies W's bound by d(p-1), and
@@ -199,14 +210,24 @@ def char_poly_many(stack: np.ndarray, p: int) -> np.ndarray:
     so int64 sums stay exact (the delayed reduction of Dumas, Giorgi and
     Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008, as in ``cipher``); at
     (251, 8) that is one reduction in each phase instead of seven.
+
+    Entries are read by ``Matrix``'s rule, so one that is not an integer
+    raises ValueError, as does a stack whose shape is not (n, d, d) with
+    d >= 1.
     """
-    stack = np.asarray(stack, dtype=np.int64) % p
+    arr = _entries(stack)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2] or arr.shape[1] < 1:
+        raise ValueError(f"expected an (n, d, d) stack with d >= 1, got shape {arr.shape}")
+    stack = _reduce_entries(arr, p)
     n, d, _ = stack.shape
+    rows = max(1, _GATHER_ENTRIES // ((d - 1) * (d + 1) * d or 1))
+    if n > rows:
+        return np.concatenate([char_poly_many(stack[s:s + rows], p) for s in range(0, n, rows)])
     upper = _strict_upper(d)
-    # t[:, i] is t_i, padded with zeros to length d + 2; the last entry stays 0
+    # t[:, i] is -t_i, padded with zeros to length d + 2; the last entry stays 0
     t = np.zeros((n, d, d + 2), dtype=np.int64)
-    t[:, :, 0] = 1
-    np.negative(np.diagonal(stack, axis1=1, axis2=2), out=t[:, :, 1])
+    t[:, :, 0] = -1
+    t[:, :, 1] = stack.reshape(n, d * d)[:, ::d + 1]
     w = stack * upper
     bound = p - 1
     for k in range(d - 1):
@@ -215,18 +236,19 @@ def char_poly_many(stack: np.ndarray, p: int) -> np.ndarray:
             bound = p - 1
         w = stack @ w
         bound *= d * (p - 1)
-        np.negative(np.diagonal(w, axis1=1, axis2=2)[:, k + 1:], out=t[:, k + 1:, k + 2])
+        t[:, k + 1:, k + 2] = w.reshape(n, d * d)[:, (k + 1) * (d + 1)::d + 1]
         w *= upper
-    t %= p
-    # v holds the leading submatrix's coefficients, highest degree first; each
-    # step multiplies it by the lower-triangular Toeplitz matrix of t_i
+    t = -t % p
+    # v holds the leading submatrix's coefficients, highest degree first; step
+    # i multiplies it by the (i+2, i+1) corner of t_i's Toeplitz matrix
+    toeplitz = t.reshape(n, d * (d + 2)).take(_toeplitz_gather(d), axis=1)
     v = t[:, 0, :2, None]
     bound = p - 1
-    for i, shift in enumerate(_toeplitz_indices(d), 1):
+    for i in range(1, d):
         if (i + 1) * (p - 1) * bound >= 1 << 63:
             v %= p
             bound = p - 1
-        v = t[:, i, shift] @ v
+        v = toeplitz[:, i - 1, :i + 2, :i + 1] @ v
         bound *= (i + 1) * (p - 1)
     return v[:, :0:-1, 0] % p
 
@@ -240,19 +262,17 @@ def _strict_upper(d: int) -> np.ndarray:
 
 
 @functools.cache
-def _toeplitz_indices(d: int) -> list[np.ndarray]:
-    """For i in 1 .. d-1, the (i+2, i+1) indices into t_i of its lower-triangular Toeplitz matrix.
+def _toeplitz_gather(d: int) -> np.ndarray:
+    """The read-only (d-1, d+1, d) flat indices into one matrix's (d, d + 2) t of every Toeplitz matrix.
 
-    Entry (m, j) is m - j on and below the diagonal and -1 above it, which
-    picks t_i's always-zero last pad entry.
+    Block i - 1 is t_i's lower-triangular Toeplitz matrix: entry (m, j) is
+    t_i[m - j] on and below the diagonal and t_i's always-zero last pad
+    entry above it.
     """
-    out = []
-    for i in range(1, d):
-        shift = np.arange(i + 2)[:, None] - np.arange(i + 1)
-        idx = np.where(shift >= 0, shift, -1)
-        idx.flags.writeable = False
-        out.append(idx)
-    return out
+    shift = np.arange(d + 1)[:, None] - np.arange(d)
+    idx = np.arange(1, d)[:, None, None] * (d + 2) + np.where(shift >= 0, shift, d + 1)
+    idx.flags.writeable = False
+    return idx
 
 
 def char_poly(m: Matrix) -> MonicPoly:

@@ -38,6 +38,31 @@ def det_cofactor(rows, p):
     return expand(0, 0)
 
 
+def det_by_elimination(rows, p):
+    """Determinant mod p by Gaussian elimination on Python ints, one row operation at a time.
+
+    Polynomial in the size where ``det_cofactor`` is exponential, so it serves
+    where d is too large for the cofactor expansion.
+    """
+    a = [[v % p for v in row] for row in rows]
+    n = len(a)
+    det = 1
+    for c in range(n):
+        piv = next((r for r in range(c, n) if a[r][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            a[c], a[piv] = a[piv], a[c]
+            det = -det
+        det = det * a[c][c] % p
+        inv = pow(a[c][c], -1, p)
+        for r in range(c + 1, n):
+            f = a[r][c] * inv % p
+            if f:
+                a[r] = [(x - f * y) % p for x, y in zip(a[r], a[c])]
+    return det % p
+
+
 def inverse_adjugate(rows, p):
     """Inverse mod p via the adjugate; None when singular."""
     n = len(rows)
@@ -106,8 +131,8 @@ def matrix_order_by_multiplication(a, p, bound):
     return None
 
 
-def charpoly_by_interpolation(arr, p):
-    """Coefficients c_0..c_{d-1} of det(xI - A), from d+1 point evaluations.
+def charpoly_by_interpolation(arr, p, det=det_cofactor):
+    """Coefficients c_0..c_{d-1} of det(xI - A), from d+1 point evaluations by ``det``.
 
     Needs p > d so the evaluation points are distinct mod p.
     """
@@ -117,7 +142,7 @@ def charpoly_by_interpolation(arr, p):
     ys = []
     for x in xs:
         m = (x * np.eye(d, dtype=np.int64) - arr) % p
-        ys.append(det_cofactor(m.tolist(), p))
+        ys.append(det(m.tolist(), p))
     vandermonde = np.array([[pow(x, k, p) for k in range(d + 1)] for x in xs], dtype=np.int64)
     aug = np.concatenate([vandermonde, np.array(ys, dtype=np.int64)[:, None]], axis=1)
     n = d + 1

@@ -270,6 +270,16 @@ def test_leak_check_true_for_genuine_pairs():
         assert report.all_equal
 
 
+def test_leak_check_true_for_genuine_pairs_at_d7():
+    # d = 7 once lost its diagonals to a strided numpy out= in the two-matrix Berkowitz pass
+    params = FieldParams(p=251, d=7)
+    rs = SplitMix64(17)
+    for seed in range(20):
+        key = run_session(SplitMix64(seed), params).alice_key
+        plain = PlainBlock(random_matrix(rs, params))
+        assert similarity_leak_check(plain, encrypt_block(key, plain)).all_equal
+
+
 def test_leak_check_false_for_unrelated_matrices():
     rs = SplitMix64(8)
     key = run_session(SplitMix64(0), P251).alice_key

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
 
@@ -24,12 +27,15 @@ from tdpkex import (
     singular_count,
     trial_division_factorization,
 )
-from tdpkex import field_matrix
+from tdpkex import field_matrix, poly_tools
 
+import vectors
 from oracles import (
     charpoly_berkowitz,
     charpoly_by_interpolation,
     count_irreducible_brute,
+    det_by_elimination,
+    det_cofactor,
     gl_order_brute,
     matrix_order_by_multiplication,
     poly_is_irreducible_by_division,
@@ -230,6 +236,115 @@ def test_char_poly_many_of_nilpotent_and_scalar():
         [0, 0, 0, 0],
         [81 % p, -108 % p, 54 % p, -12 % p],
     ]
+
+
+def _stream_stack(seed, p, d, n):
+    """n matrices filled from SplitMix64(seed) bytes (4 per entry, mod p); no library draw."""
+    raw = np.frombuffer(SplitMix64(seed).read(4 * n * d * d), dtype="<u4").astype(np.int64)
+    return raw.reshape(n, d, d) % p
+
+
+def test_char_poly_many_outputs_match_the_recorded_pin():
+    digest = hashlib.sha256()
+    for p in (2, 3, 5, 251, 257, 65521):
+        for d in (*range(1, 10), 12, 16):
+            randoms = _stream_stack(p * 100 + d, p, d, 6)
+            special = [np.triu(randoms[5], 1), (p - 1) * np.eye(d, dtype=np.int64),
+                       np.zeros((d, d), dtype=np.int64), np.full((d, d), p - 1, dtype=np.int64)]
+            stack = np.concatenate([randoms[:5], special])
+            for start in range(0, len(stack), 3):
+                polys = char_poly_many(stack[start:start + 3], p)
+                digest.update(np.ascontiguousarray(polys, dtype="<i8").tobytes())
+    assert digest.hexdigest() == vectors.CHARPOLY_OUTPUT_SHA256
+
+
+def test_det_by_elimination_matches_cofactor_oracle():
+    for p in (2, 3, 251):
+        for d in range(1, 7):
+            for m in _stream_stack(p + d, p, d, 4):
+                assert det_by_elimination(m.tolist(), p) == det_cofactor(m.tolist(), p)
+
+
+def _sweep_stack(seed, p, d, n):
+    """n stream-filled matrices; from n = 2 the last is all p - 1, from n = 3 the second nilpotent."""
+    stack = _stream_stack(seed, p, d, n)
+    if n >= 2:
+        stack[-1] = p - 1
+    if n >= 3:
+        stack[1] = np.triu(stack[1], 1)
+    return stack
+
+
+# every d, so that no size is skipped the way d = 7 was: numpy 2.4's strided
+# np.negative(..., out=...) once wrote wrong diagonals there at n = 1 and 2
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("d", range(1, 18))
+def test_char_poly_many_every_d_matches_interpolation_oracle(d, n):
+    stack = _sweep_stack(1000 + 10 * d + n, 251, d, n)
+    got = char_poly_many(stack, 251)
+    assert got.shape == (n, d)
+    assert got.tolist() == [charpoly_by_interpolation(m, 251, det_by_elimination) for m in stack]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("p,d", [(p, d) for p in (2, 3, 5) for d in (1, 4, 6, 7)])
+def test_char_poly_many_small_p_matches_berkowitz_oracle(p, d, n):
+    stack = _sweep_stack(2000 + 100 * p + 10 * d + n, p, d, n)
+    assert char_poly_many(stack, p).tolist() == [charpoly_berkowitz(m, p) for m in stack]
+
+
+def test_char_poly_at_d7_one_and_two_matrices():
+    params = FieldParams(p=251, d=7)
+    rs = SplitMix64(77)
+    for _ in range(5):
+        a, b = random_matrix(rs, params), random_matrix(rs, params)
+        expected = [charpoly_by_interpolation(m.a, 251) for m in (a, b)]
+        assert list(char_poly(a).coeffs) == expected[0]
+        assert char_poly_many(a.a[None], 251).tolist() == expected[:1]
+        assert char_poly_many(np.stack([a.a, b.a]), 251).tolist() == expected
+
+
+def test_char_poly_many_passes_a_large_stack_in_parts(monkeypatch):
+    stack = _sweep_stack(3000, 251, 6, 5)
+    whole = char_poly_many(stack, 251)
+    # 5 * 6 * 7 entries per matrix: parts of two matrices, the last of one
+    monkeypatch.setattr(poly_tools, "_GATHER_ENTRIES", 2 * 5 * 6 * 7 + 1)
+    gather = poly_tools._toeplitz_gather
+    calls = []
+    monkeypatch.setattr(poly_tools, "_toeplitz_gather", lambda d: calls.append(d) or gather(d))
+    assert np.array_equal(char_poly_many(stack, 251), whole)
+    assert calls == [6, 6, 6]
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3), (2, 0, 0), (3,), (1, 2, 2, 2)])
+def test_char_poly_many_refuses_a_stack_that_is_not_n_d_d(shape):
+    with pytest.raises(ValueError, match=f"got shape {re.escape(str(shape))}"):
+        char_poly_many(np.zeros(shape, dtype=np.int64), 251)
+
+
+@pytest.mark.parametrize("bad", [2.7, float("nan"), float("inf")])
+def test_char_poly_many_refuses_entries_that_are_not_integers(bad):
+    stack = np.zeros((2, 3, 3))
+    stack[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="is not an integer"):
+        char_poly_many(stack, 251)
+    with pytest.raises(ValueError, match="is not an integer"):
+        char_poly_many([[[1, 2], [3, bad]]], 251)
+
+
+def test_char_poly_many_reads_exact_entries_as_matrix_does():
+    # 2.0 is an integer; uint64 and Python ints past int64 are reduced mod p entry by entry
+    big = 2 ** 64 - 1
+    expected = char_poly_many(np.array([[[2, big % 251], [3, 4]]]), 251).tolist()
+    assert char_poly_many(np.array([[[2.0, big], [3, 4]]], dtype=object), 251).tolist() == expected
+    assert char_poly_many(np.array([[[2, big], [3, 4]]], dtype=np.uint64), 251).tolist() == expected
+    assert char_poly_many([[[2, big], [3, 4]]], 251).tolist() == expected
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_char_poly_many_of_an_empty_stack(d):
+    got = char_poly_many(np.zeros((0, d, d), dtype=np.int64), 251)
+    assert got.shape == (0, d)
 
 
 def test_char_poly_is_the_one_matrix_case():

@@ -21,6 +21,13 @@ the next 16 stream bytes.  STATS_SEED7_KV holds the lines of
 ``tdpkex stats --seed 7 --sessions 300 --format kv`` except the timed
 ``mean_session_ms``.  Both pin a session's outputs: a change to a kernel's
 arithmetic must leave them unedited.
+
+CHARPOLY_OUTPUT_SHA256 is the SHA-256 of ``char_poly_many`` over nine-matrix
+stacks at every p in (2, 3, 5, 251, 257, 65521) and d in 1 .. 9, 12 and 16:
+five matrices filled from SplitMix64(100 p + d) bytes (four per entry, mod
+p), the strict upper triangle of a sixth, the scalar (p - 1) I, the zero
+and the all p - 1 matrix, passed three matrices at a time.  It pins the
+Berkowitz pass's outputs the same way.
 """
 
 GOLDEN_P = 251
@@ -100,6 +107,9 @@ CLI_PIPELINE_SHA256 = {
 
 # run_session outputs over 200 seeds; see the module docstring for what is hashed
 SESSION_OUTPUT_SHA256 = "d47bcac42b3f83d9ac1b271f3c7bfe8500859891e8c076e665f44d0d7db23018"
+
+# char_poly_many outputs over mixed stacks; see the module docstring for what is hashed
+CHARPOLY_OUTPUT_SHA256 = "dff2de255a4640a186a0840602b346ed71d925fbe34661b2ed7e0649e4df5fd3"
 
 # `tdpkex stats --seed 7 --sessions 300 --format kv` without mean_session_ms
 STATS_SEED7_KV = [

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -286,10 +287,28 @@ def read_ciphertext_file(path: str) -> CipherMessage:
 # ---------------------------------------------------------------------------
 
 def _sci(n: int) -> str:
-    s = str(n)
-    if len(s) <= 16:
-        return s
-    return f"{s[0]}.{s[1:16]}e{len(s) - 1}"
+    """n >= 0 in full below 10^16, else its first 16 digits as d.ddd...e<exponent>.
+
+    The digits come from one division by a power of ten, so no ``str`` of a
+    large n meets Python's limit on integer string conversion.
+    """
+    # the bit length puts n's exponent within one of its estimate, so the
+    # quotient keeps at least 16 digits
+    shift = max(0, int((n.bit_length() - 1) * math.log10(2)) - 16)
+    s = str(n // 10 ** shift)
+    exponent = shift + len(s) - 1
+    return s if exponent < 16 else f"{s[0]}.{s[1:16]}e{exponent}"
+
+
+def _exact(name: str, n: int) -> str:
+    """str(n), or a ValueError naming the count when it passes Python's digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        raise ValueError(
+            f"{name} has more than {sys.get_int_max_str_digits()} digits, Python's limit for "
+            "integer string conversion (PYTHONINTMAXSTRDIGITS); --format kv prints exact "
+            "integers, --format text prints them in scientific notation") from None
 
 
 def _emit(pairs: list[tuple[str, str]], fmt: str) -> None:
@@ -316,18 +335,19 @@ def _params_from_args(args) -> FieldParams:
 def cmd_params(args) -> int:
     params = _params_from_args(args)
     ks = analysis.keyspace_size(params)
-    exact = args.format == "kv"
-    fmt_int = str if exact else _sci
+    counts = [
+        ("total_matrices", poly_tools.matrix_space_size(params)),
+        ("gl_order", poly_tools.gl_order(params)),
+        ("singular_count", poly_tools.singular_count(params)),
+        ("nilpotent_count", poly_tools.nilpotent_count(params)),
+        ("irreducible_polynomials", poly_tools.count_irreducible(params.d, params.p)),
+        ("keyspace_p_minus_2", ks.restricted),
+        ("keyspace_p_minus_1", ks.nonzero),
+    ]
     pairs = [
         ("prime", str(params.p)),
         ("dim", str(params.d)),
-        ("total_matrices", fmt_int(poly_tools.matrix_space_size(params))),
-        ("gl_order", fmt_int(poly_tools.gl_order(params))),
-        ("singular_count", fmt_int(poly_tools.singular_count(params))),
-        ("nilpotent_count", fmt_int(poly_tools.nilpotent_count(params))),
-        ("irreducible_polynomials", fmt_int(poly_tools.count_irreducible(params.d, params.p))),
-        ("keyspace_p_minus_2", fmt_int(ks.restricted)),
-        ("keyspace_p_minus_1", fmt_int(ks.nonzero)),
+        *((k, _exact(k, n) if args.format == "kv" else _sci(n)) for k, n in counts),
         ("classical_bits_p_minus_2", f"{ks.restricted_bits:.2f}"),
         ("classical_bits_p_minus_1", f"{ks.nonzero_bits:.2f}"),
         ("quantum_bits_p_minus_2", f"{ks.restricted_quantum_bits:.2f}"),

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParamsMismatchError
-from .field_matrix import DiagonalSpec, Matrix, mat_inverse
+from .field_matrix import DiagonalSpec, Matrix, _product, mat_inverse
 
 
 def family_member(basis: np.ndarray, basis_inv: np.ndarray, eigenvalues, p: int) -> np.ndarray:
@@ -20,17 +20,10 @@ def family_member(basis: np.ndarray, basis_inv: np.ndarray, eigenvalues, p: int)
     Broadcasts over leading axes, so (k, d, d) bases or (k, d) eigenvalue
     lists give k members in one call.  Scaling the columns of basis^-1 is the
     product with the diagonal; a member's inverse is this call on the
-    eigenvalues' inverses mod p.  With every entry in [0, p), the scaled
-    inverse is reduced mod p only when d(p-1)^3, the bound on the product's
-    int64 sums if it is not, reaches 2^63: never below d = 32,793 at
-    p = 65521, where one d x d int64 matrix takes 8.6 GB (the delayed
-    reduction of Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 35(3),
-    2008, as in ``cipher``).
+    eigenvalues' inverses mod p.  Every entry must be in [0, p).
     """
     scaled = basis_inv * np.asarray(eigenvalues, dtype=np.int64)[..., None, :]
-    if basis.shape[-1] * (p - 1) ** 3 >= 1 << 63:
-        scaled %= p
-    return scaled @ basis % p
+    return _product(scaled, (p - 1) ** 2, basis, p - 1, p)[0] % p
 
 
 def commuting_from_basis(basis: Matrix, spec: DiagonalSpec) -> Matrix:

@@ -10,9 +10,11 @@ is call overhead, not arithmetic.  It lets int64 entries grow across
 columns and reduces the stack mod p only before a column whose update could
 reach 2^63 (a column takes a bound B on |entries| to B + B^2 (p-1)): every
 other column at p = 251, every column at p = 65521, the delayed reduction of
-Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM TOMS 35(3), 2008).  ``mat_det``
-and ``mat_inverse`` are its n = 1 case, and ``_invert`` reduces a whole
-stack beside the identity.
+Dumas, Giorgi and Pernet (FFLAS-FFPACK, ACM TOMS 35(3), 2008).  ``_product``
+is the same rule for every other int64 matrix product in the package: an
+operand is reduced mod p only where the product's sums could reach 2^63.
+``mat_det`` and ``mat_inverse`` are the reduction's n = 1 case, and
+``_invert`` reduces a whole stack beside the identity.
 ``draw_segments`` is the one draw rule for nonsingular matrices: it parses a
 list of segments (nonsingular matrices, uniform values) ahead as if no
 candidate were singular and reduces every candidate in one call per round.
@@ -392,6 +394,26 @@ def uniform_array(rs, lo: int, hi: int, count: int) -> np.ndarray:
     (out,), (end,), buf = _parse(rs, [(lo, hi, count)])
     rs.unread(buf[end:])
     return out
+
+
+def _product(a: np.ndarray, a_bound: int, b: np.ndarray, b_bound: int, p: int) -> tuple[np.ndarray, int]:
+    """a @ b in int64 for entries in [0, a_bound] and [0, b_bound], and the bound on its entries.
+
+    The product's sums are at most k a_bound b_bound for inner size k.  Only
+    where that could reach 2^63 is the operand with the larger bound reduced
+    mod p first, and the other one too if that is still not enough.
+    """
+    k = a.shape[-1]
+    bound = k * a_bound * b_bound
+    if bound >= 1 << 63:
+        reduce_a = a_bound >= b_bound or k * a_bound * (p - 1) >= 1 << 63
+        reduce_b = a_bound < b_bound or k * (p - 1) * b_bound >= 1 << 63
+        if reduce_a:
+            a, a_bound = a % p, p - 1
+        if reduce_b:
+            b, b_bound = b % p, p - 1
+        bound = k * a_bound * b_bound
+    return a @ b, bound
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -20,6 +20,7 @@ from .field_matrix import (
     FieldParams,
     Matrix,
     _entries,
+    _product,
     _reduce_entries,
     mat_det,
     mat_pow,
@@ -180,11 +181,6 @@ def companion_matrix(f: MonicPoly) -> Matrix:
     return Matrix(params, m)
 
 
-# most int64 entries (32 MiB) one Toeplitz gather holds, unless one matrix's
-# (d-1)(d+1)d entries are more (from d = 162); a larger stack goes in parts
-_GATHER_ENTRIES = 1 << 22
-
-
 def char_poly_many(stack, p: int) -> np.ndarray:
     """Characteristic polynomials det(xI - a) of an (n, d, d) stack, by division-free Berkowitz.
 
@@ -197,19 +193,10 @@ def char_poly_many(stack, p: int) -> np.ndarray:
     down), so W <- (A W) masked to the strict upper triangle advances every
     i at once, and diag(A W) is r A_i^k c.  Each diagonal is copied into t
     through a strided view of the flattened product, and t is negated and
-    reduced once at the end.  Then one gather of a cached index builds
-    every lower-triangular Toeplitz matrix of the t_i at once, and d - 1
+    reduced once at the end.  Then one strided view of t, with no copy,
+    reads every lower-triangular Toeplitz matrix of the t_i, and d - 1
     stacked products of their leading corners fold the t_i into the
-    coefficients.  So each step is one product plus basic slicing.
-
-    Every operand is nonnegative, and each phase keeps a bound on its
-    running operand: a product by A multiplies W's bound by d(p-1), and
-    the i-th Toeplitz product, whose rows hold at most i + 1 entries below
-    p, multiplies the coefficients' bound by (i+1)(p-1).  The running
-    operand is reduced mod p only when the next product could reach 2^63,
-    so int64 sums stay exact (the delayed reduction of Dumas, Giorgi and
-    Pernet, FFLAS-FFPACK, ACM TOMS 35(3), 2008, as in ``cipher``); at
-    (251, 8) that is one reduction in each phase instead of seven.
+    coefficients.  So each step is one ``_product`` plus basic slicing.
 
     Entries are read by ``Matrix``'s rule, so one that is not an integer
     raises ValueError, as does a stack whose shape is not (n, d, d) with
@@ -220,36 +207,27 @@ def char_poly_many(stack, p: int) -> np.ndarray:
         raise ValueError(f"expected an (n, d, d) stack with d >= 1, got shape {arr.shape}")
     stack = _reduce_entries(arr, p)
     n, d, _ = stack.shape
-    rows = max(1, _GATHER_ENTRIES // ((d - 1) * (d + 1) * d or 1))
-    if n > rows:
-        return np.concatenate([char_poly_many(stack[s:s + rows], p) for s in range(0, n, rows)])
+    if n == 0:  # the Toeplitz view cannot be built on an empty buffer
+        return np.zeros((0, d), dtype=np.int64)
     upper = _strict_upper(d)
-    # t[:, i] is -t_i, padded with zeros to length d + 2; the last entry stays 0
-    t = np.zeros((n, d, d + 2), dtype=np.int64)
-    t[:, :, 0] = -1
-    t[:, :, 1] = stack.reshape(n, d * d)[:, ::d + 1]
-    w = stack * upper
-    bound = p - 1
+    # t[:, i] is d zeros, then -t_i padded with zeros to length d + 1
+    t = np.zeros((n, d, 2 * d + 1), dtype=np.int64)
+    t[:, :, d] = -1
+    t[:, :, d + 1] = stack.reshape(n, d * d)[:, ::d + 1]
+    w, bound = stack * upper, p - 1
     for k in range(d - 1):
-        if d * (p - 1) * bound >= 1 << 63:
-            w %= p
-            bound = p - 1
-        w = stack @ w
-        bound *= d * (p - 1)
-        t[:, k + 1:, k + 2] = w.reshape(n, d * d)[:, (k + 1) * (d + 1)::d + 1]
+        w, bound = _product(stack, p - 1, w, bound, p)
+        t[:, k + 1:, d + k + 2] = w.reshape(n, d * d)[:, (k + 1) * (d + 1)::d + 1]
         w *= upper
     t = -t % p
+    # toeplitz[:, i, m, j] is t[:, i, d + m - j]: t_i[m - j] on and below the
+    # diagonal, a pad zero above it
+    toeplitz = np.ndarray((n, d, d + 1, d), np.int64, t, d * 8, (*t.strides[:2], 8, -8))
     # v holds the leading submatrix's coefficients, highest degree first; step
     # i multiplies it by the (i+2, i+1) corner of t_i's Toeplitz matrix
-    toeplitz = t.reshape(n, d * (d + 2)).take(_toeplitz_gather(d), axis=1)
-    v = t[:, 0, :2, None]
-    bound = p - 1
+    v, bound = t[:, 0, d:d + 2, None], p - 1
     for i in range(1, d):
-        if (i + 1) * (p - 1) * bound >= 1 << 63:
-            v %= p
-            bound = p - 1
-        v = toeplitz[:, i - 1, :i + 2, :i + 1] @ v
-        bound *= (i + 1) * (p - 1)
+        v, bound = _product(toeplitz[:, i, :i + 2, :i + 1], p - 1, v, bound, p)
     return v[:, :0:-1, 0] % p
 
 
@@ -259,20 +237,6 @@ def _strict_upper(d: int) -> np.ndarray:
     upper = np.triu(np.ones((d, d), dtype=bool), 1)
     upper.flags.writeable = False
     return upper
-
-
-@functools.cache
-def _toeplitz_gather(d: int) -> np.ndarray:
-    """The read-only (d-1, d+1, d) flat indices into one matrix's (d, d + 2) t of every Toeplitz matrix.
-
-    Block i - 1 is t_i's lower-triangular Toeplitz matrix: entry (m, j) is
-    t_i[m - j] on and below the diagonal and t_i's always-zero last pad
-    entry above it.
-    """
-    shift = np.arange(d + 1)[:, None] - np.arange(d)
-    idx = np.arange(1, d)[:, None, None] * (d + 2) + np.where(shift >= 0, shift, d + 1)
-    idx.flags.writeable = False
-    return idx
 
 
 def char_poly(m: Matrix) -> MonicPoly:

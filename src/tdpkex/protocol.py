@@ -61,6 +61,7 @@ from .field_matrix import (
     _identity,
     _invert,
     _inverse_table,
+    _product,
     commutator,
     draw_segments,
 )
@@ -470,17 +471,11 @@ def _tokens(p: int, factors: np.ndarray, inverses: np.ndarray) -> np.ndarray:
     """The (k, 3, d, d) triples (f1 h1, h1^-1 f2 h2, h2^-1 f3) from (k, 5, d, d) record-order stacks.
 
     One stacked product of the 3k pairs, then one of the k middle entries by
-    h2, and one reduction mod p.  The pairs' int64 sums are at most
-    d(p-1)^2, so the middle entries' are at most d^2 (p-1)^3, which stays
-    below 2^63 up to d = 181 at p = 65521; past that the middle entries
-    are reduced before their product.
+    h2, and one reduction mod p.
     """
-    d = factors.shape[-1]
     left = np.concatenate([factors[:, :1], inverses[:, 3:]], axis=1)
-    stack = left @ factors[:, [3, 1, 2]]
-    if d * d * (p - 1) ** 3 >= 1 << 63:
-        stack[:, 1] %= p
-    stack[:, 1] = stack[:, 1] @ factors[:, 4]
+    stack, bound = _product(left, p - 1, factors[:, [3, 1, 2]], p - 1, p)
+    stack[:, 1] = _product(stack[:, 1], bound, factors[:, 4], p - 1, p)[0]
     stack %= p
     return _readonly(stack)
 
@@ -494,23 +489,11 @@ def _chain(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
     """l1 r1 l2 r2 l3 r3 for triples stacked on axis -3, batched over any leading axes.
 
     A product tree: one stacked product of the pairs l_i r_i, then two, and
-    one reduction mod p where the int64 sums allow it.  With entries in
-    [0, p), the pairs' sums are at most b = d(p-1)^2, the first product's
-    d b^2 and the second's d^2 b^3 = d^5 (p-1)^6, which is 8.0e18 < 2^63
-    at (251, 8); the pairs are reduced first where d b^2 could reach 2^63
-    (every d at p = 65521), and the first product where the second's sums
-    still could (at (251, 9), say).
+    one reduction mod p at the end.  Entries must be in [0, p).
     """
-    d = left.shape[-1]
-    m = left @ right
-    bound = d * (p - 1) ** 2
-    if d * bound * bound >= 1 << 63:
-        m %= p
-        bound = p - 1
-    first = m[..., 0, :, :] @ m[..., 1, :, :]
-    if d * d * bound ** 3 >= 1 << 63:
-        first %= p
-    return first @ m[..., 2, :, :] % p
+    m, bound = _product(left, p - 1, right, p - 1, p)
+    first, first_bound = _product(m[..., 0, :, :], bound, m[..., 1, :, :], bound, p)
+    return _product(first, first_bound, m[..., 2, :, :], bound, p)[0] % p
 
 
 def _by_role(role: Role, own, peer) -> tuple:

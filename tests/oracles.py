@@ -9,6 +9,10 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+# the (p, d) points where the int64 kernels are checked against references that
+# reduce after every product: small, byte and 16-bit primes, every d up to 17
+KERNEL_GRID = [(p, d) for p in (3, 5, 251, 257, 65521) for d in (*range(2, 18), 24, 32)]
+
 
 def det_cofactor(rows, p):
     """Determinant mod p by cofactor expansion (memoized over column subsets)."""

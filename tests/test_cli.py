@@ -816,6 +816,30 @@ def test_params_keyspace_kv(capsys):
     assert float(out["quantum_bits_p_minus_2"]) == pytest.approx(127.36, abs=0.01)
 
 
+@pytest.mark.parametrize("prime,dim", [(251, 42), (251, 43), (65521, 29), (65521, 30)])
+def test_params_past_the_integer_string_limit(capsys, prime, dim):
+    # at (251, 43) and (65521, 30) p^(d^2) passes Python's 4300-digit limit
+    # on integer string conversion: text still prints, kv refuses by name
+    total = prime ** (dim * dim)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = str(total)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert main(["params", "--prime", str(prime), "--dim", str(dim)]) == 0
+    out = capsys.readouterr().out
+    assert f"total_matrices            {digits[0]}.{digits[1:16]}e{len(digits) - 1}\n" in out
+    code = main(["params", "--prime", str(prime), "--dim", str(dim), "--format", "kv"])
+    out, err = capsys.readouterr()
+    if len(digits) <= limit:
+        assert code == 0
+        assert f"total_matrices={digits}\n" in out
+    else:
+        assert code == 2 and out == ""
+        assert f"total_matrices has more than {limit} digits" in err
+
+
 def test_stats_command(capsys):
     assert main(["stats", "--sessions", "25", "--seed", "7", "--format", "kv"]) == 0
     out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())

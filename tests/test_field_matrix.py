@@ -239,6 +239,33 @@ def _gate_stack(p, d, seed):
     return np.array(out + [singular], dtype=np.int64)
 
 
+# inner size 2 at p = 65521, so k a_bound b_bound against 2^63: just below it,
+# nothing is reduced; at 2^63 exactly, the operand with the larger bound is;
+# at 2^95, reducing one operand still leaves 131040 * 2^47 > 2^63, so both are
+_BELOW = (1 << 63) // (2 * 65520)
+
+
+@pytest.mark.parametrize("a_bound,b_bound,reduced", [
+    (_BELOW, 65520, ""),
+    (1 << 32, 1 << 30, "a"),
+    (1 << 30, 1 << 32, "b"),
+    (1 << 47, 1 << 47, "ab"),
+], ids=["none", "larger-a", "larger-b", "both"])
+def test_product_reduces_only_where_2_63_demands(a_bound, b_bound, reduced):
+    p = 65521
+    rng = np.random.default_rng(a_bound % 997 + b_bound % 991)
+    # one operand pair with every entry at its bound, then a random one
+    a = np.array([np.full((3, 2), a_bound), rng.integers(0, a_bound + 1, (3, 2))])
+    b = np.array([np.full((2, 4), b_bound), rng.integers(0, b_bound + 1, (2, 4))])
+    got, bound = field_matrix._product(a, a_bound, b, b_bound, p)
+    exact = a.astype(object) @ b.astype(object)
+    assert (got % p).tolist() == (exact % p).tolist()
+    used_a = a % p if "a" in reduced else a
+    used_b = b % p if "b" in reduced else b
+    assert got.tolist() == (used_a.astype(object) @ used_b.astype(object)).tolist()
+    assert got.max() <= bound < 1 << 63
+
+
 @pytest.mark.parametrize("d", [2, 3, 8])
 @pytest.mark.parametrize("p", [3, 5, 251, 257, 65521])
 def test_row_reduce_across_its_reduction_gate(p, d):

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from tdpkex import field_matrix, poly_tools
 
 import vectors
 from oracles import (
+    KERNEL_GRID,
     charpoly_berkowitz,
     charpoly_by_interpolation,
     count_irreducible_brute,
@@ -304,16 +306,30 @@ def test_char_poly_at_d7_one_and_two_matrices():
         assert char_poly_many(np.stack([a.a, b.a]), 251).tolist() == expected
 
 
-def test_char_poly_many_passes_a_large_stack_in_parts(monkeypatch):
+def test_char_poly_many_of_a_stack_matches_each_matrix_alone():
     stack = _sweep_stack(3000, 251, 6, 5)
     whole = char_poly_many(stack, 251)
-    # 5 * 6 * 7 entries per matrix: parts of two matrices, the last of one
-    monkeypatch.setattr(poly_tools, "_GATHER_ENTRIES", 2 * 5 * 6 * 7 + 1)
-    gather = poly_tools._toeplitz_gather
-    calls = []
-    monkeypatch.setattr(poly_tools, "_toeplitz_gather", lambda d: calls.append(d) or gather(d))
-    assert np.array_equal(char_poly_many(stack, 251), whole)
-    assert calls == [6, 6, 6]
+    assert np.array_equal(whole, np.concatenate([char_poly_many(m[None], 251) for m in stack]))
+
+
+def test_char_poly_many_of_one_128_matrix_peaks_below_4_mib():
+    # the Toeplitz matrices are a view of t; a gather of their (d-1)(d+1)d
+    # entries once peaked at 48.4 MiB here
+    stack = _sweep_stack(3001, 251, 128, 1)
+    tracemalloc.start()
+    try:
+        char_poly_many(stack, 251)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("p,d", KERNEL_GRID)
+def test_char_poly_many_over_the_kernel_grid(p, d):
+    # a random matrix, then the all p - 1 one with the largest unreduced sums
+    stack = _sweep_stack(4000 + p + d, p, d, 2)
+    assert char_poly_many(stack, p).tolist() == [charpoly_berkowitz(m, p) for m in stack]
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3), (2, 0, 0), (3,), (1, 2, 2, 2)])

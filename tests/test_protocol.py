@@ -40,10 +40,12 @@ from tdpkex import (
 
 from tdpkex import field_matrix, protocol
 from tdpkex.cli import main
+from tdpkex.commuting import family_member
 from tdpkex.protocol import ROLE_LAYOUT
 
 import vectors
 from conftest import identity_privates
+from oracles import KERNEL_GRID
 
 P251 = FieldParams()
 P5 = FieldParams(p=5, d=2)
@@ -803,6 +805,23 @@ def test_chain_and_tokens_reduce_only_where_the_bound_demands(p, d):
     keys = protocol._chain(operands[:, :3], inverses[:, 2:], p)
     for got, left, right in zip(keys, operands[:, :3], inverses[:, 2:]):
         assert np.array_equal(got, _product(p, left[0], right[0], left[1], right[1], left[2], right[2]))
+
+
+@pytest.mark.parametrize("p, d", KERNEL_GRID)
+def test_product_kernels_over_the_kernel_grid(p, d):
+    # all p - 1 operands reach every bound; random ones catch misplaced entries
+    rng = np.random.default_rng(p * 100 + d)
+    factors = np.array([np.full((5, d, d), p - 1), rng.integers(0, p, (5, d, d))])
+    inverses = np.array([np.full((5, d, d), p - 1), rng.integers(0, p, (5, d, d))])
+    eigenvalues = np.array([np.full(d, p - 1), rng.integers(1, p, d)])
+    members = family_member(factors[:, 0], inverses[:, 0], eigenvalues, p)
+    tokens = protocol._tokens(p, factors, inverses)
+    keys = protocol._chain(factors[:, :3], inverses[:, 2:], p)
+    for f, x, e, member, token, key in zip(factors, inverses, eigenvalues, members, tokens, keys):
+        assert np.array_equal(member, _product(p, x[0] * e % p, f[0]))
+        assert np.array_equal(token, [_product(p, f[0], f[3]), _product(p, x[3], f[1], f[4]),
+                                      _product(p, x[4], f[2])])
+        assert np.array_equal(key, _product(p, f[0], x[2], f[1], x[3], f[2], x[4]))
 
 
 def test_session_outputs_match_the_recorded_pin(capsys):

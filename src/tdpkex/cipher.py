@@ -54,15 +54,18 @@ is 256^B or more decodes to a ValueOutOfRangeError, never to wrapped bytes.
 encrypt_message and decrypt_message are the one encrypt and decrypt route,
 for the library and the CLI alike.  CipherMessage holds its blocks as one
 read-only (n, d, d) uint16 stack, two bytes per entry because p <= 65521,
-checked for framing and range when it is built, and wraps them as
-CipherBlocks only when asked.  The single-block functions are the n = 1
-case of the same helpers.  check_framing holds the one rule tying a
+checked for framing and range when built from outside input, and wraps them
+as CipherBlocks only when asked.  What the package has just computed
+(encrypt_message's stack, a block function's matrix, a ``.blocks`` row) is
+wrapped with no check (``_held``).  The single-block functions are the
+n = 1 case of the same helpers.  check_framing holds the one rule tying a
 plaintext length to its block count.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +109,8 @@ class CipherMessage:
     stack is an (n, d, d) or (n, d*d) array or a sequence of d x d arrays, kept
     as a read-only (n, d, d) uint16 copy.  Raises ValueError when a nonempty
     stack has any other shape, the blocks do not frame plaintext_length bytes
-    or an entry lies outside [0, p).
+    or an entry lies outside [0, p).  That constructor is the route for
+    outside input; ``_held`` keeps the stack encrypt_message has just built.
     """
 
     params: FieldParams
@@ -128,10 +132,19 @@ class CipherMessage:
         stack.flags.writeable = False
         object.__setattr__(self, "stack", stack)
 
+    @classmethod
+    def _held(cls, params: FieldParams, plaintext_length: int, stack: np.ndarray) -> "CipherMessage":
+        """The trusted wrap of a framed (n, d, d) uint16 stack in [0, p): read-only, no check, no copy."""
+        stack.flags.writeable = False
+        message = cls.__new__(cls)
+        for name, value in (("params", params), ("plaintext_length", plaintext_length), ("stack", stack)):
+            object.__setattr__(message, name, value)  # one by one, as __init__ does, so the dict shares keys
+        return message
+
     @property
     def blocks(self) -> tuple[CipherBlock, ...]:
-        """The stack's rows, each wrapped as a CipherBlock."""
-        return tuple([CipherBlock(Matrix(self.params, c)) for c in self.stack])
+        """The stack's rows as CipherBlocks, each of an int64 copy, so a kept block does not pin the stack."""
+        return tuple([CipherBlock(Matrix._held(self.params, c.astype(np.int64))) for c in self.stack])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CipherMessage):
@@ -165,7 +178,7 @@ def encode_block(data: bytes, params: FieldParams) -> PlainBlock:
     bpb = bytes_per_block(params)
     if len(data) > bpb:
         raise BlockTooLongError(f"{len(data)} bytes exceeds block capacity {bpb}")
-    return PlainBlock(Matrix(params, _encode(data, params, 1)[0].astype(np.int64)))
+    return PlainBlock(Matrix._held(params, _encode(data, params, 1)[0].astype(np.int64)))
 
 
 def decode_block(block: PlainBlock, length: int) -> bytes:
@@ -191,7 +204,7 @@ def encrypt_block(key: SessionKey, block: PlainBlock) -> CipherBlock:
         raise ParamsMismatchError("key and block parameters differ")
     k, k_inv = key.stack.astype(np.float64)
     c = _conjugate(k_inv, block.m.a[None], k, key.params.p)[0]
-    return CipherBlock(Matrix(block.m.params, c.astype(np.int64)))
+    return CipherBlock(Matrix._held(block.m.params, c.astype(np.int64)))
 
 
 def decrypt_block(key: SessionKey, block: CipherBlock) -> PlainBlock:
@@ -200,7 +213,7 @@ def decrypt_block(key: SessionKey, block: CipherBlock) -> PlainBlock:
         raise ParamsMismatchError("key and block parameters differ")
     k, k_inv = key.stack.astype(np.float64)
     m = _conjugate(k, block.c.a[None], k_inv, key.params.p)[0]
-    return PlainBlock(Matrix(block.c.params, m.astype(np.int64)))
+    return PlainBlock(Matrix._held(block.c.params, m.astype(np.int64)))
 
 
 def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:
@@ -220,7 +233,7 @@ def encrypt_message(key: SessionKey, plaintext: bytes) -> CipherMessage:
         out = stack[i:i + step]
         chunk = plaintext[i * bpb:(i + step) * bpb]
         out[...] = _conjugate(k_inv, _encode(chunk, params, len(out)), k, p)
-    return CipherMessage(params, len(plaintext), stack)
+    return CipherMessage._held(params, len(plaintext), stack)
 
 
 def decrypt_message(key: SessionKey, message: CipherMessage) -> bytes:
@@ -267,15 +280,20 @@ def _layout(p: int, d: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray, np
     significance = np.arange(size - 1, -1, -1, dtype=np.int64)  # digits are big-endian
     limb = significance // k
     weight = (p ** (significance % k)).astype(np.float64)
-    limbs = range(limb[0] + 1)
-    to_limbs = [[256 ** j // base ** i % base for i in limbs] for j in range(bpb - 1, -1, -1)]
+    # each power's limbs are the next lower power's times 256, carried
+    to_limbs = np.zeros((bpb, limb[0] + 1), np.int64)
+    to_limbs[-1:, 0] = 1
+    for j in range(bpb - 2, -1, -1):
+        to_limbs[j] = to_limbs[j + 1] * 256
+        _carry(to_limbs[j:j + 1], base)
     w = 32
     while size * (p - 1) << w >= 1 << 53:
         w //= 2
-    words = range(-(-(p ** size - 1).bit_length() // w))
-    to_words = [[p ** s >> w * i & (1 << w) - 1 for i in words] for s in range(size - 1, -1, -1)]
-    to_limbs = np.array(to_limbs, np.float64).reshape(bpb, len(limbs))  # (0, L) at zero capacity
-    to_words = np.array(to_words, np.float64)
+    powers = list(itertools.accumulate([p] * (size - 1), int.__mul__, initial=1))  # p^0 .. p^(d*d-1)
+    words = -(-(powers[-1] * p - 1).bit_length() // w)
+    raw = b"".join(power.to_bytes(words * w // 8, "little") for power in reversed(powers))
+    to_limbs = to_limbs.astype(np.float64)
+    to_words = np.frombuffer(raw, f"<u{w // 8}").reshape(size, -1).astype(np.float64)
     for table in (limb, weight, to_limbs, to_words):
         table.flags.writeable = False
     return limb, weight, base, to_limbs, to_words, w

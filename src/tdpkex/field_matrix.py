@@ -253,7 +253,8 @@ class Matrix:
     other input (nested lists, uint64, float or object arrays) is read entry
     by entry as exact ints, so an entry past int64 is reduced mod p like a
     negative one, and an entry that is not an integer (2.7, NaN, inf)
-    raises ValueError.
+    raises ValueError.  That constructor is the route for outside input;
+    ``_held`` wraps an array the package has just reduced itself.
     """
 
     params: FieldParams
@@ -267,6 +268,15 @@ class Matrix:
         arr = _reduce_entries(arr, self.params.p)
         arr.flags.writeable = False
         object.__setattr__(self, "a", arr)
+
+    @classmethod
+    def _held(cls, params: FieldParams, a: np.ndarray) -> "Matrix":
+        """The trusted wrap of a, int64 (d, d) in [0, p): read-only, no check, no copy."""
+        a.flags.writeable = False
+        m = cls.__new__(cls)
+        object.__setattr__(m, "params", params)  # one by one, as __init__ does, so the dict shares keys
+        object.__setattr__(m, "a", a)
+        return m
 
     @classmethod
     def from_rows(cls, params: FieldParams, rows: Sequence[Sequence[int]]) -> "Matrix":

@@ -21,9 +21,10 @@ party's factors plays which part.
 Every protocol object holds read-only int64 stacks, as CipherMessage does:
 the setup its bases and their inverses, a private key its eigenvalue lists,
 its five factors and their inverses, a token its triple, and a session key
-k and k^-1.  A named member (``setup.P``, ``alice.a2``,
-``alice.d_a2``, ``token.t1``, ``key.k``) is a Matrix or DiagonalSpec built
-when it is read.  The constructors take Matrix and DiagonalSpec arguments
+k and k^-1.  A named member (``setup.P``, ``alice.a2``, ``alice.d_a2``,
+``token.t1``, ``key.k``) is built when it is read: a DiagonalSpec, or a
+Matrix wrapped with no check (``Matrix._held``), since every stack already
+holds entries in [0, p).  The constructors take Matrix and DiagonalSpec arguments
 and compute every inverse; the CLI readers build the same objects from
 stacks and the inverses they hold (``_from_stacks``), and both routes run
 the same checks once on the stack.  ``_fill`` is the one builder of a
@@ -33,8 +34,9 @@ outside the package is refused unless its factors equal the build.
 Each step takes a leading party axis: ``run_session`` runs Alice and Bob
 through it at once (one ``family_member`` call, one token product, one key
 product tree, and one certificate of the bases', free factors' and keys'
-inverses), and the single-party functions, the constructors and the CLI
-readers are its k = 1 case.
+inverses; its result builds each object from the stacks when first read),
+and the single-party functions, the constructors and the CLI readers are its
+k = 1 case.
 
 All protocol objects are immutable; sessions on distinct random sources may
 run concurrently.
@@ -163,15 +165,15 @@ class _Stacked:
 
 
 class _Member:
-    """Row ``index`` of the object's ``stack`` attribute, wrapped as a ``kind`` when read."""
+    """Row ``index`` of the object's ``stack`` attribute, wrapped when read (a Matrix by ``Matrix._held``)."""
 
-    def __init__(self, stack: str, index: int, kind: type = Matrix):
-        self.stack, self.index, self.kind = stack, index, kind
+    def __init__(self, stack: str, index: int, wrap=Matrix._held):
+        self.stack, self.index, self.wrap = stack, index, wrap
 
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        return self.kind(obj.params, getattr(obj, self.stack)[self.index])
+        return self.wrap(obj.params, getattr(obj, self.stack)[self.index])
 
 
 _BASES = ("P", "Q", "R", "S")
@@ -208,7 +210,7 @@ class PublicSetup(_Stacked):
 
     @property
     def basis_inv(self) -> dict[str, Matrix]:
-        return {name: Matrix(self.params, x) for name, x in zip(_BASES, self.inverses)}
+        return {name: Matrix._held(self.params, x) for name, x in zip(_BASES, self.inverses)}
 
 
 class _Private(_Stacked):
@@ -243,7 +245,8 @@ class _Private(_Stacked):
         free = factors[[layout.free_index]]
         _check_eigenvalues(setup.params, eigenvalues)
         # the free factor stands in for its inverse until _certify sets that
-        (built,), (inverses,) = _fill(setup, (self.role,), eigenvalues[None], free, free)
+        (built,), (inverses,) = _fill(setup.params.p, setup.bases, setup.inverses, (self.role,),
+                                      eigenvalues[None], free, free)
         if not np.array_equal(built, factors):
             raise ValueError("derived matrix does not match its basis and eigenvalues")
         supplied = None if free_inverse is None else free_inverse[None]
@@ -261,7 +264,7 @@ class _Private(_Stacked):
 
     @property
     def free_inv(self) -> Matrix:
-        return Matrix(self.params, self.free_inverse)
+        return Matrix._held(self.params, self.free_inverse)
 
 
 class AlicePrivate(_Private):
@@ -358,20 +361,20 @@ def _party_index(roles: tuple[Role, ...]) -> tuple:
     return parties, basis, family, free
 
 
-def _fill(setup: PublicSetup, roles: tuple[Role, ...], eigenvalues: np.ndarray, free: np.ndarray,
-          free_inverse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fill(p: int, bases: np.ndarray, basis_inverses: np.ndarray, roles: tuple[Role, ...],
+          eigenvalues: np.ndarray, free: np.ndarray, free_inverse: np.ndarray) -> tuple:
     """The k parties' (k, 5, d, d) factor stacks and their inverses, one ``family_member`` call.
 
-    From (k, 4, d) eigenvalue lists in [1, p-1], (k, d, d) free factors and
-    their inverses.  A family factor's inverse is its member on the
-    inverted list, so the call builds the lists' and the inverted lists'
-    members at once.
+    From a setup's bases and their certified inverses, (k, 4, d) eigenvalue
+    lists in [1, p-1], and (k, d, d) free factors and their inverses.  A
+    family factor's inverse is its member on the inverted list, so the call
+    builds the lists' and the inverted lists' members at once.
     """
     parties, basis, family, free_at = _party_index(roles)
-    p, d = setup.params.p, setup.params.d
+    d = bases.shape[-1]
     lists = np.array([eigenvalues, _inverse_table(p)[eigenvalues]])
     out = np.empty((2, len(roles), _RECORD_LENGTH, d, d), dtype=np.int64)
-    out[:, parties[:, None], family] = family_member(setup.bases[basis], setup.inverses[basis], lists, p)
+    out[:, parties[:, None], family] = family_member(bases[basis], basis_inverses[basis], lists, p)
     out[:, parties, free_at] = np.array([free, free_inverse])
     return out[0], out[1]
 
@@ -420,10 +423,10 @@ class SessionKey(_Stacked):
     def _init(self, params: FieldParams, k: np.ndarray, k_inv: np.ndarray | None = None):
         supplied = None if k_inv is None else k_inv[None]
         (k_inv,) = _certify(k[None], supplied, [_KEY_NAME], params.p)
-        self._hold(params, k, k_inv)
+        self._hold(params, np.array([k, k_inv]))
 
-    def _hold(self, params: FieldParams, k: np.ndarray, k_inv: np.ndarray) -> None:
-        self._set(params=params, stack=_readonly(np.array([k, k_inv])))
+    def _hold(self, params: FieldParams, stack: np.ndarray) -> None:
+        self._set(params=params, stack=_readonly(stack))
 
 
 _KEY_NAME = "session key"
@@ -463,7 +466,8 @@ def _keygen(rs, setup: PublicSetup, role: Role) -> _Private:
     drawn, _ = draw_segments(rs, setup.params, _keygen_draws(setup.params))
     eigenvalues, free, free_inverse = _material(drawn, setup.params.d)
     _certify(free, free_inverse, [layout.free], setup.params.p)
-    (factors,), (inverses,) = _fill(setup, (role,), eigenvalues, free, free_inverse)
+    (factors,), (inverses,) = _fill(setup.params.p, setup.bases, setup.inverses, (role,), eigenvalues, free,
+                                    free_inverse)
     return layout.private._held(setup, eigenvalues[0], factors, inverses)
 
 
@@ -631,22 +635,40 @@ def validate_session(setup: PublicSetup, alice: AlicePrivate, bob: BobPrivate) -
     )
 
 
-@dataclass(frozen=True)
-class SessionResult:
-    """One full seeded exchange, with the redraw counters the statistics use."""
+class SessionResult(_Stacked):
+    """One full seeded exchange, with the redraw counters the statistics use.
 
-    setup: PublicSetup
-    alice: AlicePrivate
-    bob: BobPrivate
-    alice_pub: PublicToken
-    bob_pub: PublicToken
-    alice_key: SessionKey
-    bob_key: SessionKey
-    singular_redraws: int
+    It keeps the stacks ``run_session`` computed and certified.  ``setup``,
+    ``alice``, ``bob``, ``alice_pub``, ``bob_pub``, ``alice_key`` and
+    ``bob_key`` are each built from them when first read, once, by the
+    unchecked route (``_held``, or a token's ``_from_stacks``), with no read
+    of the random source.  ``agreed`` compares the key rows.  The
+    constructor is internal: ``run_session`` is the one way to build one.
+    """
+
+    __slots__ = ("_params", "_setup", "_parties", "_tokens", "_keys", "singular_redraws", "__dict__")
+    _compared = ("setup", "alice", "bob", "alice_pub", "bob_pub", "alice_key", "bob_key", "singular_redraws")
+
+    def _hold(self, *material) -> None:
+        self._set(**dict(zip(self.__slots__, material)))
+
+    def _private(self, party: int) -> _Private:
+        return ROLE_LAYOUT[_PARTIES[party]].private._held(self.setup, *(m[party] for m in self._parties))
+
+    def _token(self, party: int) -> PublicToken:
+        return PublicToken._from_stacks(_PARTIES[party], self._params, self._tokens[party])
+
+    setup = functools.cached_property(lambda self: PublicSetup._held(self._params, *self._setup))
+    alice = functools.cached_property(lambda self: self._private(0))
+    bob = functools.cached_property(lambda self: self._private(1))
+    alice_pub = functools.cached_property(lambda self: self._token(0))
+    bob_pub = functools.cached_property(lambda self: self._token(1))
+    alice_key = functools.cached_property(lambda self: SessionKey._held(self._params, self._keys[::2]))
+    bob_key = functools.cached_property(lambda self: SessionKey._held(self._params, self._keys[1:]))
 
     @property
     def agreed(self) -> bool:
-        return bool(np.array_equal(self.alice_key.stack[0], self.bob_key.stack[0]))
+        return bool(np.array_equal(self._keys[0], self._keys[1]))
 
 
 def run_session(rs, params: FieldParams) -> SessionResult:
@@ -661,32 +683,22 @@ def run_session(rs, params: FieldParams) -> SessionResult:
     elimination.  One stacked m x == I certifies every supplied inverse:
     the four bases', both free factors' and the keys'.  The family factors
     are built from the certified basis inverses, so no further check runs.
+    It returns the stacks: no protocol object is built until it is read.
     """
     _require_protocol_params(params)
     p = params.p
     drawn, redraws = draw_segments(rs, params, _session_draws(params))
     ((bases, basis_inverses),) = drawn[:1]
-    setup = PublicSetup._held(params, bases, basis_inverses)
     eigenvalues, free, free_inverse = _material(drawn[1:], params.d)
-    factors, inverses = _fill(setup, _PARTIES, eigenvalues, free, free_inverse)
-    tok_a, tok_b = _tokens(p, factors, inverses)
+    factors, inverses = _fill(p, bases, basis_inverses, _PARTIES, eigenvalues, free, free_inverse)
+    tokens = _tokens(p, factors, inverses)
     # rows: Alice's a1 p a2 q a3 r, Bob's u b1 v b2 w b3, and K^-1
     keys = _chain(
-        np.array([factors[0, :3], tok_a, inverses[1, 2::-1]]),
-        np.array([tok_b, factors[1, :3], inverses[0, 2::-1]]),
+        np.array([factors[0, :3], tokens[0], inverses[1, 2::-1]]),
+        np.array([tokens[1], factors[1, :3], inverses[0, 2::-1]]),
         p,
     )
     _certify(np.concatenate([bases, free, keys[:2]]),
              np.concatenate([basis_inverses, free_inverse, keys[[2, 2]]]), _SESSION_CERTIFIED, p)
-    alice, bob = (ROLE_LAYOUT[role].private._held(setup, *party) for role, party in
-                  zip(_PARTIES, zip(eigenvalues, factors, inverses)))
-    return SessionResult(
-        setup=setup,
-        alice=alice,
-        bob=bob,
-        alice_pub=PublicToken._from_stacks(Role.ALICE, params, tok_a),
-        bob_pub=PublicToken._from_stacks(Role.BOB, params, tok_b),
-        alice_key=SessionKey._held(params, keys[0], keys[2]),
-        bob_key=SessionKey._held(params, keys[1], keys[2]),
-        singular_redraws=redraws,
-    )
+    return SessionResult._held(params, (bases, basis_inverses), (eigenvalues, factors, inverses), tokens,
+                               keys, redraws)

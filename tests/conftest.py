@@ -7,6 +7,7 @@ import pytest
 from tdpkex import (
     AlicePrivate,
     BobPrivate,
+    CipherMessage,
     DiagonalSpec,
     FieldParams,
     Matrix,
@@ -73,16 +74,36 @@ def family_members(spy):
 
 @pytest.fixture
 def built_matrices(monkeypatch):
-    """One entry per Matrix constructed, so ``len`` counts the wrappers a call builds."""
+    """One entry per validating construction, ``Matrix(...)`` or ``CipherMessage(...)``: the object built.
+
+    ``len`` counts the checked wrappers a call builds.  The trusted wrap
+    ``_held`` runs no check and is not counted here (see ``trusted_wraps``).
+    """
     built = []
-    post_init = Matrix.__post_init__
+    for cls in (Matrix, CipherMessage):
+        def counted(self, post_init=cls.__post_init__):
+            built.append(self)
+            post_init(self)
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Matrix, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__post_init__", counted)
     return built
+
+
+@pytest.fixture
+def trusted_wraps(monkeypatch):
+    """One entry per ``Matrix._held`` or ``CipherMessage._held`` call through the class: the object built.
+
+    A protocol member binds ``Matrix._held`` when its class is defined, so
+    member reads are not seen here.
+    """
+    wrapped = []
+    for cls in (Matrix, CipherMessage):
+        def counted(*args, held=cls._held):
+            wrapped.append(held(*args))
+            return wrapped[-1]
+
+        monkeypatch.setattr(cls, "_held", counted)
+    return wrapped
 
 
 def identity_privates(setup):

@@ -248,3 +248,27 @@ def charpoly_berkowitz(arr, p):
             w = (sub @ w) % p
         v = np.convolve(v, t)[:i + 2] % p
     return [int(c) for c in v[1:][::-1]]
+
+
+def codec_tables(p, d):
+    """cipher._layout's (to_limbs, to_words) by one big-integer power per entry: the reference build.
+
+    Row j of to_limbs holds the base-p^k limbs of 256^(bpb-1-j), for the
+    largest k >= 1 with 255 * bpb * p^k < 2^53, and row j of to_words the
+    w-bit words of p^(d*d-1-j), for the largest w of 32, 16 and 8 with
+    d*d*(p-1)*2^w < 2^53, both least significant first.
+    """
+    size = d * d
+    bpb = ((p ** size).bit_length() - 1) // 8
+    k = 1
+    while 255 * max(bpb, 1) * p ** (k + 1) < 1 << 53:
+        k += 1
+    base = p ** k
+    limbs = range((size - 1) // k + 1)
+    to_limbs = [[256 ** j // base ** i % base for i in limbs] for j in range(bpb - 1, -1, -1)]
+    w = 32
+    while size * (p - 1) << w >= 1 << 53:
+        w //= 2
+    words = range(-(-(p ** size - 1).bit_length() // w))
+    to_words = [[p ** s >> w * i & (1 << w) - 1 for i in words] for s in range(size - 1, -1, -1)]
+    return np.array(to_limbs, np.float64).reshape(bpb, len(limbs)), np.array(to_words, np.float64)

@@ -375,6 +375,38 @@ def test_stacked_path_matches_per_block_oracle(p, d):
             assert decode_block(decrypt_block(key, block), len(chunk)) == chunk
 
 
+# every point whose big-integer reference build is quick: about 0.3 s in all
+_TABLE_GRID = ([(p, d) for p in (3, 5) for d in range(1, 18)] + [(p, d) for p in (251, 257) for d in range(1, 14)]
+               + [(65521, d) for d in range(1, 10)] + [(251, 16)])
+
+
+def test_codec_tables_match_the_big_integer_build():
+    for p, d in _TABLE_GRID:
+        *_, to_limbs, to_words, _ = cipher._layout(p, d)
+        ref_limbs, ref_words = oracles.codec_tables(p, d)
+        assert to_limbs.shape == ref_limbs.shape and to_words.shape == ref_words.shape, (p, d)
+        assert np.array_equal(to_limbs, ref_limbs) and np.array_equal(to_words, ref_words), (p, d)
+
+
+@pytest.mark.parametrize("p, d", [(251, 24), (251, 32), (65521, 24)])
+def test_codec_tables_at_large_d(p, d):
+    params, size = FieldParams(p=p, d=d), d * d
+    bpb = bytes_per_block(params)
+    _, _, base, to_limbs, to_words, w = cipher._layout(p, d)
+    for j in (0, 1, bpb // 2, bpb - 1):
+        for i in (0, 1, to_limbs.shape[1] // 2, to_limbs.shape[1] - 1):
+            assert to_limbs[j, i] == 256 ** (bpb - 1 - j) // base ** i % base
+    for j in (0, 1, size // 2, size - 1):
+        for i in (0, 1, to_words.shape[1] // 2, to_words.shape[1] - 1):
+            assert to_words[j, i] == p ** (size - 1 - j) >> w * i & (1 << w) - 1
+    key = SessionKey(random_nonsingular(SplitMix64(d), params)[0])
+    plaintext = b"\xff" * bpb + SplitMix64(p).read(2 * bpb + 5)
+    message = encrypt_message(key, plaintext)
+    assert decrypt_message(key, message) == plaintext
+    digits = oracles.radix_digits(int.from_bytes(plaintext[:bpb], "big"), p, d)
+    assert encode_block(plaintext[:bpb], params).m.a.tolist() == digits.tolist()
+
+
 @pytest.mark.parametrize("p, d, blocks", [(251, 8, 1000), (7, 3, 2 * cipher._window(3) + 5)])
 def test_every_helper_call_holds_one_window_at_most(p, d, blocks, monkeypatch):
     # every temporary stays within 64 KiB, and the windows together hold each block once

@@ -25,8 +25,10 @@ from tdpkex import (
     bob_token,
     commutator,
     commuting_from_basis,
+    decrypt_block,
     decrypt_message,
     encode_block,
+    encrypt_block,
     encrypt_message,
     gen_setup,
     mat_det,
@@ -620,17 +622,62 @@ def test_tokens_do_no_elimination(row_reductions):
 # stacks: objects wrap a Matrix only when a member is read
 # ---------------------------------------------------------------------------
 
-def test_session_builds_matrices_only_when_asked(built_matrices):
-    # the session tail the benchmark runs wraps its cipher block and its plain block
+def test_session_builds_matrices_only_when_asked(built_matrices, trusted_wraps):
+    # the session tail the benchmark runs wraps its message, cipher block and plain block, none checked again
     result = run_session(SplitMix64(31), P251)
     assert result.agreed
-    assert built_matrices == []
+    assert built_matrices == trusted_wraps == []
     plaintext = SplitMix64(32).read(63)
     message = encrypt_message(result.alice_key, plaintext)
     assert decrypt_message(result.bob_key, message) == plaintext
     leak = similarity_leak_check(encode_block(plaintext, P251), message.blocks[0])
     assert leak.all_equal
-    assert len(built_matrices) <= 2
+    assert built_matrices == []
+    assert [type(obj).__name__ for obj in trusted_wraps] == ["CipherMessage", "Matrix", "Matrix"]
+
+
+def test_session_builds_each_object_when_first_read(monkeypatch):
+    built = []
+    hold = protocol._Stacked._set
+
+    def counted(self, **attributes):
+        if not isinstance(self, protocol.SessionResult):
+            built.append(type(self).__name__)
+        hold(self, **attributes)
+
+    monkeypatch.setattr(protocol._Stacked, "_set", counted)
+    run_rs = SplitMix64(33)
+    result = run_session(run_rs, P251)
+    assert built == []
+    alice = result.alice
+    assert result.alice is alice and result.alice.setup is result.setup
+    assert built == ["PublicSetup", "AlicePrivate"]
+    for name in ("bob", "alice_pub", "bob_pub", "alice_key", "bob_key", "bob_key"):
+        getattr(result, name)
+    assert built[2:] == ["BobPrivate", "PublicToken", "PublicToken", "SessionKey", "SessionKey"]
+    # building members read nothing from the stream: it stands where the last keygen left it
+    rs = SplitMix64(33)
+    setup = gen_setup(rs, P251)
+    assert alice_keygen(rs, setup) == alice
+    bob_keygen(rs, setup)
+    assert run_rs.read(16) == rs.read(16)
+
+
+def test_trusted_wraps_hold_read_only_field_entries():
+    result = run_session(SplitMix64(34), P251)
+    plaintext = SplitMix64(35).read(200)
+    message = encrypt_message(result.alice_key, plaintext)
+    plain = encode_block(plaintext[:63], P251)
+    cipher = encrypt_block(result.alice_key, plain)
+    matrices = [plain.m, cipher.c, decrypt_block(result.bob_key, cipher).m, result.alice_key.k,
+                result.setup.P, result.setup.basis_inv["S"], result.alice.a1, result.bob.free_inv,
+                result.alice_pub.t2, *(block.c for block in message.blocks)]
+    for m in matrices:
+        assert m.a.dtype == np.int64 and m.a.shape == (8, 8) and not m.a.flags.writeable
+        assert 0 <= m.a.min() and m.a.max() < P251.p
+    assert message.stack.dtype == np.uint16 and not message.stack.flags.writeable
+    assert not any(np.shares_memory(block.c.a, message.stack) for block in message.blocks)
+    assert decrypt_block(result.bob_key, cipher) == plain
 
 
 def _arrays(*ms):

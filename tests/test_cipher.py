@@ -40,6 +40,16 @@ def _golden_key():
     return SessionKey(Matrix.from_rows(P251, vectors.GOLDEN_KEY_BOB))
 
 
+def _digit_major(stack):
+    """An (n, d, d) stack as the cipher's (d*d, n) window: row j holds entry j of every block."""
+    return stack.reshape(len(stack), -1).T
+
+
+def _block_major(window, d):
+    """A (d*d, n) window as the (n, d, d) stack of its blocks, int64."""
+    return window.T.reshape(-1, d, d).astype(np.int64)
+
+
 # ---------------------------------------------------------------------------
 # capacity
 # ---------------------------------------------------------------------------
@@ -279,6 +289,17 @@ def test_cipher_message_range_check_before_the_uint16_cast():
             CipherMessage(P251, 5 * 63, unsigned)
 
 
+@pytest.mark.parametrize("stack", [
+    pytest.param(np.full((1, 8, 8), 2.7), id="fraction"),
+    pytest.param(np.full((1, 8, 8), "1"), id="string"),
+    pytest.param(np.full((1, 8, 8), np.nan), id="nan"),
+])
+def test_cipher_message_refuses_entries_that_are_not_integers(stack):
+    # Matrix's rule: 2.7 was read as 2, '1' as 1, and NaN warned in its cast before the range check
+    with pytest.raises(ValueError, match="is not an integer"):
+        CipherMessage(P251, 63, stack)
+
+
 def test_cipher_message_refuses_a_stack_of_the_wrong_shape():
     # 8 rows of 8 x 9 entries reshape to 9 blocks, and 504 bytes frame 8
     with pytest.raises(ValueError, match="9 blocks inconsistent with length 504"):
@@ -375,6 +396,41 @@ def test_stacked_path_matches_per_block_oracle(p, d):
             assert decode_block(decrypt_block(key, block), len(chunk)) == chunk
 
 
+@pytest.mark.parametrize("p, d", oracles.KERNEL_GRID)
+def test_message_functions_over_the_kernel_grid(p, d):
+    # the layout's edges: zero capacity at (3, 2), a top limb with unused digits at most
+    # points, and the first product reduced before the second at (65521, d >= 6)
+    params = FieldParams(p=p, d=d)
+    key = SessionKey(random_nonsingular(SplitMix64(p + d), params)[0])
+    k, k_inv = key.k.a, key.k_inv.a
+    assert np.array_equal(k @ k_inv % p, np.eye(d, dtype=np.int64))
+    bpb, window = bytes_per_block(params), cipher._window(d)
+    if not bpb:
+        assert encrypt_message(key, b"").stack.shape == (0, d, d)
+        with pytest.raises(ValueOutOfRangeError):  # the integer 256^0 = 1 is past every zero-byte block
+            decode_block(PlainBlock(Matrix(params, oracles.radix_digits(1, p, d))), 0)
+        return
+    longest = SplitMix64(d).read(window * bpb + 1)  # window + 1 blocks, the last of one byte
+    expected = oracles.encrypt_message_per_block(k, k_inv, longest, p, d, bpb)
+    # 0, 1, 2, window and window + 1 blocks, each a prefix of the longest
+    for blocks in (0, 1, 2, window, window + 1):
+        plaintext = longest[:min(blocks * bpb, len(longest))]
+        message = encrypt_message(key, plaintext)
+        assert np.array_equal(message.stack, np.array(expected[:blocks]).reshape(blocks, d, d)), blocks
+        assert decrypt_message(key, message) == plaintext
+        per_block = oracles.decrypt_message_per_block(k, k_inv, expected[:blocks], p, bpb, len(plaintext))
+        assert per_block == plaintext
+    full = b"\xff" * (2 * bpb + 1)  # the largest valid blocks, and a left-padded 0xff
+    message = encrypt_message(key, full)
+    expected = oracles.encrypt_message_per_block(k, k_inv, full, p, d, bpb)
+    assert np.array_equal(message.stack, np.array(expected))
+    assert decrypt_message(key, message) == full
+    assert oracles.decrypt_message_per_block(k, k_inv, expected, p, bpb, len(full)) == full
+    past = (k_inv @ oracles.radix_digits(1 << 8 * bpb, p, d) % p) @ k % p  # the integer 256^bpb
+    with pytest.raises(ValueOutOfRangeError):
+        decrypt_message(key, CipherMessage(params, bpb, past[None]))
+
+
 # every point whose big-integer reference build is quick: about 0.3 s in all
 _TABLE_GRID = ([(p, d) for p in (3, 5) for d in range(1, 18)] + [(p, d) for p in (251, 257) for d in range(1, 14)]
                + [(65521, d) for d in range(1, 10)] + [(251, 16)])
@@ -382,7 +438,8 @@ _TABLE_GRID = ([(p, d) for p in (3, 5) for d in range(1, 18)] + [(p, d) for p in
 
 def test_codec_tables_match_the_big_integer_build():
     for p, d in _TABLE_GRID:
-        *_, to_limbs, to_words, _ = cipher._layout(p, d)
+        codec = cipher._layout(p, d)
+        to_limbs, to_words = codec.to_limbs[:, ::-1], codec.to_words  # limbs most significant first
         ref_limbs, ref_words = oracles.codec_tables(p, d)
         assert to_limbs.shape == ref_limbs.shape and to_words.shape == ref_words.shape, (p, d)
         assert np.array_equal(to_limbs, ref_limbs) and np.array_equal(to_words, ref_words), (p, d)
@@ -392,7 +449,8 @@ def test_codec_tables_match_the_big_integer_build():
 def test_codec_tables_at_large_d(p, d):
     params, size = FieldParams(p=p, d=d), d * d
     bpb = bytes_per_block(params)
-    _, _, base, to_limbs, to_words, w = cipher._layout(p, d)
+    codec = cipher._layout(p, d)
+    base, to_limbs, to_words, w = codec.base, codec.to_limbs[:, ::-1], codec.to_words, codec.w
     for j in (0, 1, bpb // 2, bpb - 1):
         for i in (0, 1, to_limbs.shape[1] // 2, to_limbs.shape[1] - 1):
             assert to_limbs[j, i] == 256 ** (bpb - 1 - j) // base ** i % base
@@ -419,19 +477,19 @@ def test_every_helper_call_holds_one_window_at_most(p, d, blocks, monkeypatch):
     chunks, conjugated, decoded = [], [], []
     encode, conjugate, decode = cipher._encode, cipher._conjugate, cipher._decode
 
-    def spy_encode(chunk, params, n):
+    def spy_encode(chunk, codec, n):
         sizes["_encode"].append(n)
         chunks.append(chunk)
-        return encode(chunk, params, n)
+        return encode(chunk, codec, n)
 
-    def spy_conjugate(left, stack, right, p):
-        sizes["_conjugate"].append(len(stack))
-        conjugated.append(np.array(stack, dtype=np.int64))
-        return conjugate(left, stack, right, p)
+    def spy_conjugate(left, window, right, p):
+        sizes["_conjugate"].append(window.shape[1])
+        conjugated.append(_block_major(window, d))
+        return conjugate(left, window, right, p)
 
-    def spy_decode(stack, params, length):
-        sizes["_decode"].append(len(stack))
-        decoded.append(decode(stack, params, length))
+    def spy_decode(window, codec, length):
+        sizes["_decode"].append(window.shape[1])
+        decoded.append(decode(window, codec, length))
         return decoded[-1]
 
     monkeypatch.setattr(cipher, "_encode", spy_encode)
@@ -492,21 +550,24 @@ def test_bulk_path_exact_at_the_float_bound():
     top = p ** 63
     value = (1 << 8 * bpb) // top * top - 1
     left, right = key.k_inv.a.astype(np.float64), key.k.a.astype(np.float64)
+    codec = cipher._layout(p, 8)
     for n in (1, 40):  # one-block messages take the same float64 path as long ones
         stack = np.full((n, 8, 8), p - 1, dtype=np.int64)
         expected = (key.k_inv.a @ stack % p) @ key.k.a % p
-        assert np.array_equal(cipher._conjugate(left, stack, right, p), expected)
+        assert np.array_equal(_block_major(cipher._conjugate(left, _digit_major(stack), right, p), 8), expected)
         plaintext = value.to_bytes(bpb, "big") * n
-        digits = cipher._encode(plaintext, params, n)
-        assert np.array_equal(digits, np.broadcast_to(oracles.radix_digits(value, p, 8), (n, 8, 8)))
-        assert digits[0].reshape(-1)[1:].tolist() == [p - 1] * 63
-        assert cipher._decode(digits, params, len(plaintext)) == plaintext
+        digits = cipher._encode(plaintext, codec, n)
+        expected = np.broadcast_to(oracles.radix_digits(value, p, 8), (n, 8, 8))
+        assert np.array_equal(_block_major(digits, 8), expected)
+        assert digits[1:, 0].tolist() == [p - 1] * 63
+        assert cipher._decode(digits, codec, len(plaintext)) == plaintext
     # left, m and right with entries near p - 1: unreduced between the products, the
     # second product's sums would reach d^2 (p-1)^3 > 2^53 and lose their low bits
     near = field_matrix.uniform_array(SplitMix64(64), p - 100, p - 1, 3 * 64).reshape(3, 8, 8)
     expected = (near[0] @ near[2:] % p) @ near[1] % p
-    conjugated = cipher._conjugate(near[0].astype(np.float64), near[2:], near[1].astype(np.float64), p)
-    assert np.array_equal(conjugated, expected)
+    left, right = near[0].astype(np.float64), near[1].astype(np.float64)
+    conjugated = cipher._conjugate(left, _digit_major(near[2:]), right, p)
+    assert np.array_equal(_block_major(conjugated, 8), expected)
 
 
 @pytest.mark.parametrize("p, d, reductions", [(65521, 5, 1), (65521, 6, 2), (251, 8, 1)])
@@ -514,10 +575,11 @@ def test_conjugate_reduces_the_first_product_only_past_the_bound(p, d, reduction
     # entries near p - 1: d^2 (p-1)^3 is about 7.0e15 < 2^53 at (65521, 5), so the first
     # product needs no reduction, and 1.01e16 at (65521, 6), where unreduced it would lose low bits
     near = field_matrix.uniform_array(SplitMix64(p + d), p - 100, p - 1, 42 * d * d).reshape(42, d, d)
-    calls = spy(cipher, "_reduce", lambda y, p: len(y))
-    conjugated = cipher._conjugate(near[0].astype(np.float64), near[2:], near[1].astype(np.float64), p)
+    calls = spy(cipher, "_reduce", lambda y, p: y.size // (d * d))  # the blocks each reduction holds
+    left, right = near[0].astype(np.float64), near[1].astype(np.float64)
+    conjugated = cipher._conjugate(left, _digit_major(near[2:]), right, p)
     assert calls == [40] * reductions
-    assert np.array_equal(conjugated, (near[0] @ near[2:] % p) @ near[1] % p)
+    assert np.array_equal(_block_major(conjugated, d), (near[0] @ near[2:] % p) @ near[1] % p)
 
 
 def test_encrypt_message_peak_memory():
@@ -536,6 +598,22 @@ def test_encrypt_message_peak_memory():
     assert peak < 512 * 1024
 
 
+def test_decrypt_message_peak_memory():
+    # each window's float64 temporaries stay below 64 KiB; the 1000 blocks' bytes are returned
+    key = _golden_key()
+    data = SplitMix64(17).read(1000 * 63)
+    message = encrypt_message(key, data)
+    decrypt_message(key, encrypt_message(key, data[:63]))  # the codec tables are built once per (p, d)
+    tracemalloc.start()
+    try:
+        plaintext = decrypt_message(key, message)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plaintext == data
+    assert peak - len(plaintext) < 512 * 1024
+
+
 def test_scalar_blocks_are_fixed_points():
     # the chosen-plaintext weakness the module docstring states, block by block and as a stack
     params = P251
@@ -544,7 +622,8 @@ def test_scalar_blocks_are_fixed_points():
     for m in scalars:
         assert encrypt_block(key, PlainBlock(Matrix(params, m))).c.a.tolist() == m.tolist()
     left, right = key.k_inv.a.astype(np.float64), key.k.a.astype(np.float64)
-    assert np.array_equal(cipher._conjugate(left, scalars, right, params.p), scalars)
+    conjugated = cipher._conjugate(left, _digit_major(scalars), right, params.p)
+    assert np.array_equal(_block_major(conjugated, 8), scalars)
 
 
 def test_params_mismatch_refused():

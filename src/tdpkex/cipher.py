@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlockTooLongError, ParamsMismatchError, ValueOutOfRangeError
-from .field_matrix import FieldParams, Matrix, _entries, _exact_int
+from .field_matrix import FieldParams, Matrix, _entries, _exact_int, _readonly, _trusted
 from .protocol import SessionKey
 
 
@@ -92,12 +92,6 @@ def bytes_per_block(params: FieldParams) -> int:
 def _capacity(p: int, d: int) -> int:
     # keyed by ints: hashing a FieldParams runs Python code, and every message call looks this up
     return ((p ** (d * d)).bit_length() - 1) // 8
-
-
-@functools.cache
-def _window(d: int) -> int:
-    """Blocks per window of the message functions: at most 64 KiB of float64 (module docstring)."""
-    return max(1, 65536 // (8 * d * d))
 
 
 @dataclass(frozen=True)
@@ -117,9 +111,10 @@ class CipherMessage:
     stack is an (n, d, d) or (n, d*d) array or a sequence of d x d arrays, kept
     as a read-only (n, d, d) uint16 copy.  Raises ValueError when a nonempty
     stack has any other shape, the blocks do not frame plaintext_length bytes,
-    an entry is not an integer (``Matrix``'s rule: 2.0 is, 2.7, NaN and '1'
-    are not) or an entry lies outside [0, p).  That constructor is the route
-    for outside input; ``_held`` keeps the stack encrypt_message has just built.
+    plaintext_length or an entry is not an integer (``Matrix``'s rule: 2.0
+    is, 2.7, NaN and '1' are not) or an entry lies outside [0, p).  That
+    constructor is the route for outside input; ``_held`` keeps the stack
+    encrypt_message has just built.
     """
 
     params: FieldParams
@@ -128,6 +123,7 @@ class CipherMessage:
 
     def __post_init__(self):
         d, p = self.params.d, self.params.p
+        object.__setattr__(self, "plaintext_length", _exact_int(self.plaintext_length, "plaintext length"))
         stack = shaped = _entries(self.stack)
         if stack.dtype == object:  # exact ints, each outside [0, p) standing in as p for the range check
             entries = (_exact_int(v, "entry") for v in stack.flat)
@@ -140,18 +136,12 @@ class CipherMessage:
             raise ValueError(f"a stack of shape {shaped.shape} does not hold {d} x {d} blocks")
         if stack.max(initial=0) >= p:
             raise ValueError(f"cipher block entries must lie in [0, {p})")
-        stack = stack.astype(np.uint16)  # p <= 65521 always fits
-        stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "stack", _readonly(stack.astype(np.uint16)))  # p <= 65521 always fits
 
     @classmethod
     def _held(cls, params: FieldParams, plaintext_length: int, stack: np.ndarray) -> "CipherMessage":
         """The trusted wrap of a framed (n, d, d) uint16 stack in [0, p): read-only, no check, no copy."""
-        stack.flags.writeable = False
-        message = cls.__new__(cls)
-        for name, value in (("params", params), ("plaintext_length", plaintext_length), ("stack", stack)):
-            object.__setattr__(message, name, value)  # one by one, as __init__ does, so the dict shares keys
-        return message
+        return _trusted(cls, params, plaintext_length, _readonly(stack))
 
     @property
     def blocks(self) -> tuple[CipherBlock, ...]:
@@ -203,7 +193,7 @@ def decode_block(block: PlainBlock, length: int) -> bytes:
             means corruption or a wrong key.
         ValueError: a negative length.
     """
-    params = block.m.params
+    params, length = block.m.params, _exact_int(length, "length")
     codec = _layout(params.p, params.d)
     if length > codec.bpb:
         raise ValueOutOfRangeError(f"length {length} exceeds block capacity {codec.bpb}")
@@ -305,12 +295,11 @@ def _layout(p: int, d: int) -> _Codec:
     powers = list(itertools.accumulate([p] * (size - 1), int.__mul__, initial=1))  # p^0 .. p^(d*d-1)
     words = -(-(powers[-1] * p - 1).bit_length() // w)
     raw = b"".join(power.to_bytes(words * w // 8, "little") for power in reversed(powers))
-    to_limbs = to_limbs.astype(np.float64)
-    to_words = np.frombuffer(raw, f"<u{w // 8}").reshape(size, -1).astype(np.float64)
-    divisors = np.array([p ** t for t in range(k, -1, -1)], np.float64)[:, None, None]
-    for table in (divisors, to_limbs, to_words):
-        table.flags.writeable = False
-    return _Codec(p, size, bpb, _window(d), base, divisors, to_limbs, to_words, w)
+    to_limbs = _readonly(to_limbs.astype(np.float64))
+    to_words = _readonly(np.frombuffer(raw, f"<u{w // 8}").reshape(size, -1).astype(np.float64))
+    divisors = _readonly(np.array([p ** t for t in range(k, -1, -1)], np.float64)[:, None, None])
+    window = max(1, 65536 // (8 * size))  # blocks per window: at most 64 KiB of float64 (module docstring)
+    return _Codec(p, size, bpb, window, base, divisors, to_limbs, to_words, w)
 
 
 def _carry(x: np.ndarray, base: int) -> np.ndarray:

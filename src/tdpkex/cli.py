@@ -36,6 +36,7 @@ import argparse
 import functools
 import math
 import os
+import struct
 import sys
 
 import numpy as np
@@ -69,6 +70,7 @@ from .protocol import (
 )
 
 MAGIC = b"TDP1"
+_HEADER = struct.Struct("<4sBHBBI")  # magic, record type, prime, dimension, role byte, matrix count
 REC_SETUP = 1
 REC_PRIVATE = 2
 REC_TOKEN = 3
@@ -122,23 +124,11 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
-def _pack_record(
-    record_type: int,
-    params: FieldParams,
-    role: Role | None,
-    stack: np.ndarray,
-    eigenvalues: np.ndarray | None = None,
-    plaintext_length: int | None = None,
-) -> bytes:
+def _pack_record(record_type: int, params: FieldParams, role: Role | None, stack: np.ndarray,
+                 eigenvalues: np.ndarray | None = None, plaintext_length: int | None = None) -> bytes:
     """The record bytes of an (n, d, d) stack of entries in [0, p)."""
     _check_file_params(params)
-    out = bytearray()
-    out += MAGIC
-    out.append(record_type)
-    out += params.p.to_bytes(2, "little")
-    out.append(params.d)
-    out.append(_ROLES.index(role))
-    out += len(stack).to_bytes(4, "little")
+    out = bytearray(_HEADER.pack(MAGIC, record_type, params.p, params.d, _ROLES.index(role), len(stack)))
     if record_type == REC_PRIVATE:
         out.append(len(eigenvalues))
         out += eigenvalues.astype(np.uint8).tobytes()
@@ -170,19 +160,18 @@ def _read(path: str, expect_type: int, build):
 
     with open(path, "rb") as fh:
         data = fh.read()
-    if len(data) < 13:
+    if len(data) < _HEADER.size:
         fail("truncated header")
-    if data[:4] != MAGIC:
+    magic, record_type, prime, d, role_code, count = _HEADER.unpack_from(data)
+    if magic != MAGIC:
         fail("bad magic")
-    record_type, d, role_code = data[4], data[7], data[8]
-    count = int.from_bytes(data[9:13], "little")
     if record_type not in _KINDS:
         fail(f"unknown record type {record_type}")
     name, fixed_count, has_role = _KINDS[record_type]
     if record_type != expect_type:
         fail(f"is a {name} record, expected {_KINDS[expect_type][0]}")
     try:
-        params = FieldParams(p=int.from_bytes(data[5:7], "little"), d=d)
+        params = FieldParams(p=prime, d=d)
         _check_file_params(params)
     except ValueError as exc:
         fail(str(exc))
@@ -190,18 +179,18 @@ def _read(path: str, expect_type: int, build):
         fail(f"role byte {role_code} is invalid in a {name} record")
     if fixed_count is not None and count != fixed_count:
         fail(f"{name} record needs {fixed_count} matrices, found {count}")
-    pos, section = 13, None
+    pos, section = _HEADER.size, None
     if record_type == REC_PRIVATE:
-        if data[13:14] != b"\x04":
+        if data[pos:pos + 1] != b"\x04":
             fail("private key record needs 4 eigenvalue lists")
-        pos = 14 + 4 * d
+        pos += 1 + 4 * d
     elif record_type == REC_CIPHERTEXT:
-        section = int.from_bytes(data[13:21], "little")
-        pos = 21
+        section = int.from_bytes(data[pos:pos + 8], "little")
+        pos += 8
     if len(data) != pos + count * d * d:
         fail(f"length {len(data)} does not match header (expected {pos + count * d * d})")
     if record_type == REC_PRIVATE:
-        section = np.frombuffer(data, np.uint8, 4 * d, offset=14).reshape(4, d).astype(np.int64)
+        section = np.frombuffer(data, np.uint8, 4 * d, offset=_HEADER.size + 1).reshape(4, d).astype(np.int64)
     entries = np.frombuffer(data, np.uint8, offset=pos).reshape(count, d, d)
     if entries.max(initial=0) >= params.p:
         bad = np.flatnonzero((entries >= params.p).any(axis=(1, 2)))
@@ -272,8 +261,7 @@ def read_session_key_file(path: str) -> SessionKey:
 
 
 def write_ciphertext_file(path: str, message: CipherMessage) -> None:
-    _atomic_write(path, _pack_record(REC_CIPHERTEXT, message.params, None, message.stack,
-                                     plaintext_length=message.plaintext_length))
+    _write(path, REC_CIPHERTEXT, message.params, None, message.stack, plaintext_length=message.plaintext_length)
 
 
 def read_ciphertext_file(path: str) -> CipherMessage:

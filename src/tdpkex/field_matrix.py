@@ -52,6 +52,12 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """a, marked read-only in place: how the package keeps an array it holds or caches."""
+    a.flags.writeable = False
+    return a
+
+
 class _BufferedSource:
     """Byte stream served from a buffer; subclasses say how to refill it."""
 
@@ -95,7 +101,7 @@ class SplitMix64(_BufferedSource):
     scalar overflows.
     """
 
-    _BLOCK = np.arange(1, 65, dtype=np.uint64) * np.uint64(_GAMMA)
+    _BLOCK = _readonly(np.arange(1, 65, dtype=np.uint64) * np.uint64(_GAMMA))
 
     def __init__(self, seed: int):
         super().__init__()
@@ -182,6 +188,8 @@ class FieldParams:
     d: int = 8
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _exact_int(self.p, "prime"))
+        object.__setattr__(self, "d", _exact_int(self.d, "dimension"))
         if not (2 <= self.p <= 65521):
             raise ValueError(f"prime must satisfy 2 <= p <= 65521, got {self.p}")
         if not _is_prime(self.p):
@@ -237,12 +245,19 @@ def _reduce_entries(arr: np.ndarray, p: int) -> np.ndarray:
     return np.array([_exact_int(v, "entry") % p for v in arr.flat], dtype=np.int64).reshape(arr.shape)
 
 
+def _trusted(cls, *values):
+    """The trusted wrap: an instance of the dataclass cls with its fields set to values, with no check."""
+    obj = cls.__new__(cls)
+    # one by one in declaration order, as __init__ sets them, so the instance dict shares its keys
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @functools.cache
 def _identity(d: int) -> np.ndarray:
     """The read-only d x d int64 identity; built once per d."""
-    eye = np.eye(d, dtype=np.int64)
-    eye.flags.writeable = False
-    return eye
+    return _readonly(np.eye(d, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,18 +280,12 @@ class Matrix:
         arr = _entries(self.a)
         if arr.shape != (d, d):
             raise ValueError(f"expected shape ({d}, {d}), got {arr.shape}")
-        arr = _reduce_entries(arr, self.params.p)
-        arr.flags.writeable = False
-        object.__setattr__(self, "a", arr)
+        object.__setattr__(self, "a", _readonly(_reduce_entries(arr, self.params.p)))
 
     @classmethod
     def _held(cls, params: FieldParams, a: np.ndarray) -> "Matrix":
         """The trusted wrap of a, int64 (d, d) in [0, p): read-only, no check, no copy."""
-        a.flags.writeable = False
-        m = cls.__new__(cls)
-        object.__setattr__(m, "params", params)  # one by one, as __init__ does, so the dict shares keys
-        object.__setattr__(m, "a", a)
-        return m
+        return _trusted(cls, params, _readonly(a))
 
     @classmethod
     def from_rows(cls, params: FieldParams, rows: Sequence[Sequence[int]]) -> "Matrix":
@@ -468,8 +477,7 @@ def _inverse_table(p: int) -> np.ndarray:
         base = base * base % p
         e >>= 1
     table[0] = 0
-    table.flags.writeable = False
-    return table
+    return _readonly(table)
 
 
 @functools.cache

@@ -20,7 +20,9 @@ from .field_matrix import (
     FieldParams,
     Matrix,
     _entries,
+    _exact_int,
     _product,
+    _readonly,
     _reduce_entries,
     mat_det,
     mat_pow,
@@ -33,14 +35,15 @@ from .field_matrix import (
 class MonicPoly:
     """Monic polynomial x^d + c_{d-1} x^{d-1} + ... + c_0 over F_p.
 
-    ``coeffs`` stores (c_0, ..., c_{d-1}); the leading 1 is implicit.
+    ``coeffs`` stores (c_0, ..., c_{d-1}) reduced mod p; the leading 1 is implicit.
+    A coefficient that is not an integer (``Matrix``'s rule: 2.7, NaN, '3') raises ValueError.
     """
 
     p: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) % self.p for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_exact_int(c, "coefficient") % self.p for c in self.coeffs))
         if len(self.coeffs) < 1:
             raise ValueError("degree must be >= 1")
 
@@ -234,9 +237,7 @@ def char_poly_many(stack, p: int) -> np.ndarray:
 @functools.cache
 def _strict_upper(d: int) -> np.ndarray:
     """The read-only d x d mask of the strict upper triangle."""
-    upper = np.triu(np.ones((d, d), dtype=bool), 1)
-    upper.flags.writeable = False
-    return upper
+    return _readonly(np.triu(np.ones((d, d), dtype=bool), 1))
 
 
 def char_poly(m: Matrix) -> MonicPoly:

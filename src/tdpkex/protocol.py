@@ -64,6 +64,7 @@ from .field_matrix import (
     _invert,
     _inverse_table,
     _product,
+    _readonly,
     commutator,
     draw_segments,
 )
@@ -77,11 +78,6 @@ class Role(enum.Enum):
 def _require_protocol_params(params: FieldParams) -> None:
     if params.p < 3:
         raise ValueError("key agreement needs p > 2 (nonzero eigenvalue choices)")
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 def _certify(ms: np.ndarray, inverses: np.ndarray | None, names, p: int) -> np.ndarray:
@@ -118,9 +114,10 @@ class _Stacked:
     and the inverses it holds, to the same ``_init``, which keeps them
     uncopied (a session key stacks k with its inverse) and read-only.
     ``_init`` runs the checks and keeps the result with ``_hold``; ``_held``
-    keeps material built from a certified setup (keygen, ``run_session``)
-    with no check.  Two objects of one class are equal when the attributes
-    named in ``_compared`` are: arrays entry by entry, anything else by ``==``.
+    keeps material built from a certified setup (keygen, a token,
+    ``run_session``) with no check.  Two objects of one class are equal when
+    the attributes named in ``_compared`` are: arrays entry by entry,
+    anything else by ``==``.
     """
 
     __slots__ = ()
@@ -397,9 +394,11 @@ class PublicToken(_Stacked):
         _check_params(t1.params, {"t2": t2, "t3": t3})
         self._init(role, t1.params, np.array([t1.a, t2.a, t3.a]))
 
-    def _init(self, role: Role, params: FieldParams, stack: np.ndarray,
-              inverses: np.ndarray | None = None):
+    def _hold(self, role: Role, params: FieldParams, stack: np.ndarray,
+              inverses: np.ndarray | None = None) -> None:
         self._set(role=role, params=params, stack=_readonly(stack), inverses=inverses)
+
+    _init = _hold  # the stack route adds no check: SessionKey certifies the key derived from a token
 
 
 class SessionKey(_Stacked):
@@ -486,7 +485,7 @@ def _tokens(p: int, factors: np.ndarray, inverses: np.ndarray) -> np.ndarray:
 
 def _token(priv: _Private) -> PublicToken:
     (stack,) = _tokens(priv.params.p, priv.factors[None], priv.inverses[None])
-    return PublicToken._from_stacks(priv.role, priv.params, stack)
+    return PublicToken._held(priv.role, priv.params, stack)
 
 
 def _chain(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
@@ -612,8 +611,8 @@ _REQUIRED = ("[a2,y1]", "[a3,y2]", "[b1,x1]", "[b2,x2]")
 _PITFALLS = ("[x1,y1]", "[x2,y1]", "[x2,y2]", "[a2,b1]", "[a3,b2]", "[a3,b1]", "[x2,b1]", "[a3,y1]")
 # each check's two places in Alice's factor stack followed by Bob's
 _SESSION_FACTORS = ROLE_LAYOUT[Role.ALICE].record + ROLE_LAYOUT[Role.BOB].record
-_CHECK_INDEX = np.array([[_SESSION_FACTORS.index(f) for f in name[1:-1].split(",")]
-                         for name in _REQUIRED + _PITFALLS])
+_CHECK_INDEX = _readonly(np.array([[_SESSION_FACTORS.index(f) for f in name[1:-1].split(",")]
+                                   for name in _REQUIRED + _PITFALLS]))
 
 
 def validate_session(setup: PublicSetup, alice: AlicePrivate, bob: BobPrivate) -> ValidationReport:
@@ -625,7 +624,7 @@ def validate_session(setup: PublicSetup, alice: AlicePrivate, bob: BobPrivate) -
     if alice.setup != setup or bob.setup != setup:
         raise ParamsMismatchError("private keys built on a different setup")
     params, names = setup.params, _REQUIRED + _PITFALLS
-    pairs = np.concatenate([alice.factors, bob.factors])[_CHECK_INDEX]
+    pairs = _readonly(np.concatenate([alice.factors, bob.factors])[_CHECK_INDEX])
     a, b = pairs[:, 0], pairs[:, 1]
     commute = dict(zip(names, (a @ b % params.p == b @ a % params.p).all(axis=(1, 2)).tolist()))
     pair = dict(zip(names, pairs))
@@ -641,9 +640,9 @@ class SessionResult(_Stacked):
     It keeps the stacks ``run_session`` computed and certified.  ``setup``,
     ``alice``, ``bob``, ``alice_pub``, ``bob_pub``, ``alice_key`` and
     ``bob_key`` are each built from them when first read, once, by the
-    unchecked route (``_held``, or a token's ``_from_stacks``), with no read
-    of the random source.  ``agreed`` compares the key rows.  The
-    constructor is internal: ``run_session`` is the one way to build one.
+    unchecked route (``_held``), with no read of the random source.
+    ``agreed`` compares the key rows.  The constructor is internal:
+    ``run_session`` is the one way to build one.
     """
 
     __slots__ = ("_params", "_setup", "_parties", "_tokens", "_keys", "singular_redraws", "__dict__")
@@ -655,14 +654,11 @@ class SessionResult(_Stacked):
     def _private(self, party: int) -> _Private:
         return ROLE_LAYOUT[_PARTIES[party]].private._held(self.setup, *(m[party] for m in self._parties))
 
-    def _token(self, party: int) -> PublicToken:
-        return PublicToken._from_stacks(_PARTIES[party], self._params, self._tokens[party])
-
     setup = functools.cached_property(lambda self: PublicSetup._held(self._params, *self._setup))
     alice = functools.cached_property(lambda self: self._private(0))
     bob = functools.cached_property(lambda self: self._private(1))
-    alice_pub = functools.cached_property(lambda self: self._token(0))
-    bob_pub = functools.cached_property(lambda self: self._token(1))
+    alice_pub = functools.cached_property(lambda self: PublicToken._held(Role.ALICE, self._params, self._tokens[0]))
+    bob_pub = functools.cached_property(lambda self: PublicToken._held(Role.BOB, self._params, self._tokens[1]))
     alice_key = functools.cached_property(lambda self: SessionKey._held(self._params, self._keys[::2]))
     bob_key = functools.cached_property(lambda self: SessionKey._held(self._params, self._keys[1:]))
 

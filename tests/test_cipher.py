@@ -300,6 +300,30 @@ def test_cipher_message_refuses_entries_that_are_not_integers(stack):
         CipherMessage(P251, 63, stack)
 
 
+@pytest.mark.parametrize("length", [pytest.param(63.0, id="float"), pytest.param(np.int64(63), id="numpy")])
+def test_message_and_block_lengths_keep_exact_integers(length):
+    # Matrix's rule; a float length was kept, and decrypt_message and decode_block then raised TypeError
+    key = run_session(SplitMix64(36), P251).alice_key
+    plaintext = SplitMix64(37).read(63)
+    message = CipherMessage(P251, length, encrypt_message(key, plaintext).stack)
+    assert type(message.plaintext_length) is int and message == encrypt_message(key, plaintext)
+    assert decrypt_message(key, message) == plaintext
+    assert decode_block(encode_block(plaintext, P251), length) == plaintext
+
+
+@pytest.mark.parametrize("length", [
+    pytest.param(62.5, id="fraction"),
+    pytest.param("63", id="string"),
+    pytest.param(float("nan"), id="nan"),
+])
+def test_message_and_block_lengths_refuse_values_that_are_not_integers(length):
+    block = encode_block(b"x", P251)
+    with pytest.raises(ValueError, match="plaintext length .* is not an integer"):
+        CipherMessage(P251, length, np.zeros((1, 8, 8), np.int64))
+    with pytest.raises(ValueError, match="length .* is not an integer"):
+        decode_block(block, length)
+
+
 def test_cipher_message_refuses_a_stack_of_the_wrong_shape():
     # 8 rows of 8 x 9 entries reshape to 9 blocks, and 504 bytes frame 8
     with pytest.raises(ValueError, match="9 blocks inconsistent with length 504"):
@@ -367,7 +391,7 @@ def test_stacked_path_matches_per_block_oracle(p, d):
     k = key.k.a
     k_inv = np.array(oracles.inverse_adjugate(k.tolist(), p), dtype=np.int64)
     bpb = bytes_per_block(params)
-    span = cipher._window(d) * bpb  # the bytes of one full window
+    span = cipher._layout(p, d).window * bpb  # the bytes of one full window
     # (3, 2) has zero capacity: only the empty message exists there
     lengths = sorted({0, 1, bpb - 1, bpb, bpb + 1, 5 * bpb + 3, 16 * bpb, 16 * bpb + 1,
                       17 * bpb, 40 * bpb + 3, span - 1, span, span + 1, 2 * span + 3}) if bpb else [0]
@@ -404,7 +428,7 @@ def test_message_functions_over_the_kernel_grid(p, d):
     key = SessionKey(random_nonsingular(SplitMix64(p + d), params)[0])
     k, k_inv = key.k.a, key.k_inv.a
     assert np.array_equal(k @ k_inv % p, np.eye(d, dtype=np.int64))
-    bpb, window = bytes_per_block(params), cipher._window(d)
+    bpb, window = bytes_per_block(params), cipher._layout(p, d).window
     if not bpb:
         assert encrypt_message(key, b"").stack.shape == (0, d, d)
         with pytest.raises(ValueOutOfRangeError):  # the integer 256^0 = 1 is past every zero-byte block
@@ -465,11 +489,11 @@ def test_codec_tables_at_large_d(p, d):
     assert encode_block(plaintext[:bpb], params).m.a.tolist() == digits.tolist()
 
 
-@pytest.mark.parametrize("p, d, blocks", [(251, 8, 1000), (7, 3, 2 * cipher._window(3) + 5)])
+@pytest.mark.parametrize("p, d, blocks", [(251, 8, 1000), (7, 3, 2 * cipher._layout(7, 3).window + 5)])
 def test_every_helper_call_holds_one_window_at_most(p, d, blocks, monkeypatch):
     # every temporary stays within 64 KiB, and the windows together hold each block once
     params = FieldParams(p=p, d=d)
-    window = cipher._window(d)
+    window = cipher._layout(p, d).window
     assert window * d * d * 8 <= 65536
     key = SessionKey(random_nonsingular(SplitMix64(42), params)[0])
     plaintext = SplitMix64(43).read(blocks * bytes_per_block(params) - 2)
@@ -512,7 +536,7 @@ def test_every_helper_call_holds_one_window_at_most(p, d, blocks, monkeypatch):
     pytest.param(7, 3, 5, 2, id="7-3"),
     pytest.param(251, 8, 40, 2, id="251-8-40"),
     pytest.param(7, 3, 40, 2, id="7-3-40"),
-    pytest.param(251, 8, 2 * cipher._window(8) + 1, cipher._window(8) + 2, id="251-8-second-window"),
+    pytest.param(251, 8, 2 * cipher._layout(251, 8).window + 1, cipher._layout(251, 8).window + 2, id="251-8-second-window"),
 ])
 def test_range_check_on_a_middle_block(p, d, blocks, index):
     params = FieldParams(p=p, d=d)

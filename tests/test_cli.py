@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from tdpkex import (
     CipherBlock,
+    CipherMessage,
     FieldParams,
     FileFormatError,
     Matrix,
@@ -115,6 +116,17 @@ def test_ciphertext_file_roundtrip(tmp_path):
     back = read_ciphertext_file(path)
     assert back.plaintext_length == 200
     assert back.blocks == message.blocks
+
+
+def test_ciphertext_file_of_a_message_with_a_numpy_length(tmp_path):
+    # the length was kept as np.int64, which has no to_bytes for the record
+    key = run_session(SplitMix64(5), P251).alice_key
+    plaintext = SplitMix64(6).read(63)
+    message = CipherMessage(P251, np.int64(63), encrypt_message(key, plaintext).stack)
+    path = tmp_path / "c.tdp"
+    write_ciphertext_file(path, message)
+    assert read_ciphertext_file(path) == message
+    assert decrypt_message(key, read_ciphertext_file(path)) == plaintext
 
 
 def test_ciphertext_reader_peak_memory(tmp_path):

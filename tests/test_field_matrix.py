@@ -14,6 +14,7 @@ from tdpkex import (
     SingularMatrixError,
     SplitMix64,
     StubSource,
+    bytes_per_block,
     char_poly,
     commutator,
     conjugate,
@@ -28,6 +29,7 @@ from tdpkex import (
     random_diagonal,
     random_matrix,
     random_nonsingular,
+    run_session,
 )
 from tdpkex import field_matrix
 
@@ -50,6 +52,31 @@ def test_invalid_params_rejected(p, d):
 def test_valid_params_accepted():
     assert FieldParams(p=2, d=2).p == 2
     assert FieldParams(p=65521, d=3).p == 65521
+
+
+@pytest.mark.parametrize("p, d", [
+    pytest.param(251.0, 8, id="float-prime"),
+    pytest.param(np.int64(251), 8, id="numpy-prime"),
+    pytest.param(251, 8.0, id="float-dimension"),
+])
+def test_params_keep_exact_integers_as_python_ints(p, d):
+    # Matrix's rule; kept as given, each failed later in bytes_per_block or run_session
+    params = FieldParams(p=p, d=d)
+    assert type(params.p) is int and type(params.d) is int
+    assert params == P251 and hash(params) == hash(P251)
+    assert bytes_per_block(params) == 63
+    assert run_session(SplitMix64(1), params).agreed
+
+
+@pytest.mark.parametrize("p, d", [
+    pytest.param(2.5, 8, id="fraction"),
+    pytest.param("251", 8, id="string"),
+    pytest.param(float("nan"), 8, id="nan"),
+    pytest.param(251, 8.5, id="fractional-dimension"),
+])
+def test_params_refuse_values_that_are_not_integers(p, d):
+    with pytest.raises(ValueError, match="is not an integer"):
+        FieldParams(p=p, d=d)
 
 
 def test_diagonal_spec_validation():

@@ -119,6 +119,21 @@ def test_is_irreducible_known_cases():
     assert is_irreducible(MonicPoly(7, (3,)))            # degree 1 always
 
 
+def test_monic_poly_keeps_exact_integer_coefficients():
+    f = MonicPoly(5, (7.0, np.int64(-1)))
+    assert f.coeffs == (2, 4) and all(type(c) is int for c in f.coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [
+    pytest.param((2.7, 1), id="fraction"),  # was read as x^2 + x + 2
+    pytest.param(("3", 1), id="string"),
+    pytest.param((float("nan"), 1), id="nan"),
+])
+def test_monic_poly_refuses_coefficients_that_are_not_integers(coeffs):
+    with pytest.raises(ValueError, match="coefficient .* is not an integer"):
+        MonicPoly(5, coeffs)
+
+
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 6), (5, 2)])
 def test_is_irreducible_matches_division_oracle(p, d):
     import itertools

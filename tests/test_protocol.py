@@ -40,7 +40,8 @@ from tdpkex import (
     validate_session,
 )
 
-from tdpkex import field_matrix, protocol
+from tdpkex import field_matrix, poly_tools, protocol
+from tdpkex.cipher import _layout
 from tdpkex.cli import main
 from tdpkex.commuting import family_member
 from tdpkex.protocol import ROLE_LAYOUT
@@ -678,6 +679,21 @@ def test_trusted_wraps_hold_read_only_field_entries():
     assert message.stack.dtype == np.uint16 and not message.stack.flags.writeable
     assert not any(np.shares_memory(block.c.a, message.stack) for block in message.blocks)
     assert decrypt_block(result.bob_key, cipher) == plain
+
+
+def test_cached_tables_and_built_tokens_refuse_writes():
+    # every cached table is shared by all callers, and a token's stack by every member read from it
+    token = alice_token(alice_keygen(SplitMix64(36), gen_setup(SplitMix64(35), P251)))
+    result = run_session(SplitMix64(37), P251)
+    check = validate_session(result.setup, result.alice, result.bob).required["[a2,y1]"]
+    codec = _layout(P251.p, P251.d)
+    tables = [field_matrix._identity(8), field_matrix._inverse_table(251), poly_tools._strict_upper(8),
+              field_matrix.SplitMix64._BLOCK, codec.divisors, codec.to_limbs, codec.to_words,
+              *protocol._party_index(protocol._PARTIES), *protocol._party_index((Role.ALICE,)),
+              protocol._CHECK_INDEX, token.stack, token.t1.a, token.t3.a, check.stack]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 0
 
 
 def _arrays(*ms):

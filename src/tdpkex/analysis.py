@@ -40,6 +40,7 @@ from .field_matrix import (
     NonsingularDraws,
     _check_same_params,
     _inverse_table,
+    _readonly,
     mat_inverse,
     mat_mul,
 )
@@ -255,7 +256,7 @@ def uniformity_stats(matrices: Sequence[Matrix]) -> StatsReport:
     dof = p - 1
     return StatsReport(
         samples=n,
-        frequencies=freq,
+        frequencies=_readonly(freq),
         chi_square=stat,
         dof=dof,
         p_value=_chi2_sf(stat, dof),

@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlockTooLongError, ParamsMismatchError, ValueOutOfRangeError
-from .field_matrix import FieldParams, Matrix, _entries, _exact_int, _readonly, _trusted
+from .field_matrix import FieldParams, Matrix, _entries, _exact_int, _readonly, _Value
 from .protocol import SessionKey
 
 
@@ -104,8 +104,7 @@ class CipherBlock:
     c: Matrix
 
 
-@dataclass(frozen=True, eq=False)
-class CipherMessage:
+class CipherMessage(_Value):
     """A framed byte message: its cipher blocks as one stack, plus the true length.
 
     stack is an (n, d, d) or (n, d*d) array or a sequence of d x d arrays, kept
@@ -113,46 +112,33 @@ class CipherMessage:
     stack has any other shape, the blocks do not frame plaintext_length bytes,
     plaintext_length or an entry is not an integer (``Matrix``'s rule: 2.0
     is, 2.7, NaN and '1' are not) or an entry lies outside [0, p).  That
-    constructor is the route for outside input; ``_held`` keeps the stack
-    encrypt_message has just built.
+    constructor is the route for outside input; ``_held`` keeps the framed
+    (n, d, d) uint16 stack in [0, p) that encrypt_message has just built.
     """
 
-    params: FieldParams
-    plaintext_length: int
-    stack: np.ndarray
+    __slots__ = ("params", "plaintext_length", "stack")
 
-    def __post_init__(self):
-        d, p = self.params.d, self.params.p
-        object.__setattr__(self, "plaintext_length", _exact_int(self.plaintext_length, "plaintext length"))
-        stack = shaped = _entries(self.stack)
+    def __init__(self, params: FieldParams, plaintext_length: int, stack):
+        d, p = params.d, params.p
+        plaintext_length = _exact_int(plaintext_length, "plaintext length")
+        stack = shaped = _entries(stack)
         if stack.dtype == object:  # exact ints, each outside [0, p) standing in as p for the range check
             entries = (_exact_int(v, "entry") for v in stack.flat)
             stack = np.array([v if 0 <= v < p else p for v in entries], np.uint64).reshape(stack.shape)
         elif stack.dtype.kind != "u":  # widened: a negative entry viewed as uint64 is >= 2^63
             stack = stack.astype(np.int64).view(np.uint64)
         stack = stack.reshape(-1, d, d)
-        check_framing(self.params, self.plaintext_length, len(stack))
+        check_framing(params, plaintext_length, len(stack))
         if len(stack) and shaped.shape[1:] not in ((d, d), (d * d,)):
             raise ValueError(f"a stack of shape {shaped.shape} does not hold {d} x {d} blocks")
         if stack.max(initial=0) >= p:
             raise ValueError(f"cipher block entries must lie in [0, {p})")
-        object.__setattr__(self, "stack", _readonly(stack.astype(np.uint16)))  # p <= 65521 always fits
-
-    @classmethod
-    def _held(cls, params: FieldParams, plaintext_length: int, stack: np.ndarray) -> "CipherMessage":
-        """The trusted wrap of a framed (n, d, d) uint16 stack in [0, p): read-only, no check, no copy."""
-        return _trusted(cls, params, plaintext_length, _readonly(stack))
+        self._hold(params, plaintext_length, stack.astype(np.uint16))  # p <= 65521 always fits
 
     @property
     def blocks(self) -> tuple[CipherBlock, ...]:
         """The stack's rows as CipherBlocks, each of an int64 copy, so a kept block does not pin the stack."""
         return tuple([CipherBlock(Matrix._held(self.params, c.astype(np.int64))) for c in self.stack])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CipherMessage):
-            return NotImplemented
-        same = (self.params, self.plaintext_length) == (other.params, other.plaintext_length)
-        return same and bool(np.array_equal(self.stack, other.stack))
 
 
 def check_framing(params: FieldParams, plaintext_length: int, count: int) -> None:

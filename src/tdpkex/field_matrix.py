@@ -39,8 +39,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import FrozenInstanceError, dataclass
+from typing import ClassVar, NamedTuple, Sequence
 
 import numpy as np
 
@@ -245,23 +245,73 @@ def _reduce_entries(arr: np.ndarray, p: int) -> np.ndarray:
     return np.array([_exact_int(v, "entry") % p for v in arr.flat], dtype=np.int64).reshape(arr.shape)
 
 
-def _trusted(cls, *values):
-    """The trusted wrap: an instance of the dataclass cls with its fields set to values, with no check."""
-    obj = cls.__new__(cls)
-    # one by one in declaration order, as __init__ sets them, so the instance dict shares its keys
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 @functools.cache
 def _identity(d: int) -> np.ndarray:
     """The read-only d x d int64 identity; built once per d."""
     return _readonly(np.eye(d, dtype=np.int64))
 
 
-@dataclass(frozen=True, eq=False)
-class Matrix:
+class _Value:
+    """An immutable value over arrays: the base of ``Matrix``, ``CipherMessage`` and the protocol objects.
+
+    A public constructor, or ``_from_stacks`` through the class's ``_init``,
+    runs the checks and keeps the result with ``_hold``: the slots set in
+    declaration order, each array marked read-only in place, uncopied.
+    ``_held`` is ``_hold`` with no check, the trusted wrap of what the package
+    has just computed itself.  Copies and unpickled values go through
+    ``_hold`` too, and setting or deleting a slot raises FrozenInstanceError.
+    Values of one class are equal when their ``_compared`` attributes (by
+    default every slot) are: arrays entry by entry, the rest by ``==``.
+    """
+
+    __slots__ = ()
+    _fields: ClassVar[tuple[str, ...]]
+    _compared: ClassVar[tuple[str, ...]] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # read from every class of the MRO: a subclass that declares no slots inherits its base's
+        cls._fields = tuple(name for c in reversed(cls.__mro__) for name in vars(c).get("__slots__", ())
+                            if name != "__dict__")
+
+    @classmethod
+    def _held(cls, *values):
+        obj = cls.__new__(cls)
+        obj._hold(*values)
+        return obj
+
+    @classmethod
+    def _from_stacks(cls, *args):
+        obj = cls.__new__(cls)
+        obj._init(*args)
+        return obj
+
+    def _hold(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, _readonly(value) if isinstance(value, np.ndarray) else value)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        # copy and pickle restore the slots through here, so a copied array is read-only too
+        self._hold(*map(state[1].get, self._fields))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for name in self._compared or self._fields:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            same = np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            if not same:
+                return False
+        return True
+
+
+class Matrix(_Value):
     """Immutable d x d matrix with entries reduced mod p.
 
     An array that casts to int64 without loss is reduced as it is.  Any
@@ -269,23 +319,18 @@ class Matrix:
     by entry as exact ints, so an entry past int64 is reduced mod p like a
     negative one, and an entry that is not an integer (2.7, NaN, inf)
     raises ValueError.  That constructor is the route for outside input;
-    ``_held`` wraps an array the package has just reduced itself.
+    ``_held`` wraps an int64 (d, d) array in [0, p) the package has just
+    reduced itself.
     """
 
-    params: FieldParams
-    a: np.ndarray
+    __slots__ = ("params", "a")
 
-    def __post_init__(self):
-        d = self.params.d
-        arr = _entries(self.a)
+    def __init__(self, params: FieldParams, a):
+        d = params.d
+        arr = _entries(a)
         if arr.shape != (d, d):
             raise ValueError(f"expected shape ({d}, {d}), got {arr.shape}")
-        object.__setattr__(self, "a", _readonly(_reduce_entries(arr, self.params.p)))
-
-    @classmethod
-    def _held(cls, params: FieldParams, a: np.ndarray) -> "Matrix":
-        """The trusted wrap of a, int64 (d, d) in [0, p): read-only, no check, no copy."""
-        return _trusted(cls, params, _readonly(a))
+        self._hold(params, _reduce_entries(arr, params.p))
 
     @classmethod
     def from_rows(cls, params: FieldParams, rows: Sequence[Sequence[int]]) -> "Matrix":
@@ -301,11 +346,6 @@ class Matrix:
 
     def is_identity(self) -> bool:
         return bool(np.array_equal(self.a, _identity(self.params.d)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self.params == other.params and bool(np.array_equal(self.a, other.a))
 
     def __repr__(self) -> str:
         return f"Matrix(p={self.params.p}, d={self.params.d},\n{self.a})"

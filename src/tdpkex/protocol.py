@@ -18,16 +18,15 @@ a1 b1 a2 b2 a3 b3, which is the session key.  Keygen, token and key
 derivation are one algorithm for both parties; ROLE_LAYOUT says which of a
 party's factors plays which part.
 
-Every protocol object holds read-only int64 stacks, as CipherMessage does:
-the setup its bases and their inverses, a private key its eigenvalue lists,
-its five factors and their inverses, a token its triple, and a session key
-k and k^-1.  A named member (``setup.P``, ``alice.a2``, ``alice.d_a2``,
-``token.t1``, ``key.k``) is built when it is read: a DiagonalSpec, or a
-Matrix wrapped with no check (``Matrix._held``), since every stack already
-holds entries in [0, p).  The constructors take Matrix and DiagonalSpec arguments
-and compute every inverse; the CLI readers build the same objects from
-stacks and the inverses they hold (``_from_stacks``), and both routes run
-the same checks once on the stack.  ``_fill`` is the one builder of a
+Every protocol object is a value over int64 stacks (``field_matrix._Value``,
+the base of Matrix and CipherMessage): the setup holds its bases and their
+inverses, a private key its eigenvalue lists, five factors and their
+inverses, a token its triple, and a session key k and k^-1.  A named member
+(``setup.P``, ``alice.d_a2``, ``token.t1``, ``key.k``) is built when read:
+a DiagonalSpec, or a Matrix by the trusted wrap ``Matrix._held``.  The
+constructors take Matrix and DiagonalSpec arguments and compute every
+inverse; the CLI readers hand stacks and the inverses they hold to
+``_from_stacks``, and both routes run the same checks once on the stack.  ``_fill`` is the one builder of a
 private key's factors and inverses: keygen keeps its build, and a key from
 outside the package is refused unless its factors equal the build.
 
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -65,6 +64,7 @@ from .field_matrix import (
     _inverse_table,
     _product,
     _readonly,
+    _Value,
     commutator,
     draw_segments,
 )
@@ -104,63 +104,6 @@ def _check_params(params: FieldParams, named: dict) -> None:
             raise ParamsMismatchError(f"{name} has foreign parameters")
 
 
-class _Stacked:
-    """Attributes set once by the constructor; assigning one later raises, as on a frozen dataclass.
-
-    The public constructor checks its Matrix arguments' parameters, stacks
-    them and hands the stacks to ``_init``, which runs every other check
-    and keeps them.  ``_from_stacks`` is the route of the CLI readers and of
-    material a step computed: it hands int64 stacks with entries in [0, p),
-    and the inverses it holds, to the same ``_init``, which keeps them
-    uncopied (a session key stacks k with its inverse) and read-only.
-    ``_init`` runs the checks and keeps the result with ``_hold``; ``_held``
-    keeps material built from a certified setup (keygen, a token,
-    ``run_session``) with no check.  Two objects of one class are equal when
-    the attributes named in ``_compared`` are: arrays entry by entry,
-    anything else by ``==``.
-    """
-
-    __slots__ = ()
-    _compared: ClassVar[tuple[str, ...]]
-
-    @classmethod
-    def _from_stacks(cls, *args):
-        obj = cls.__new__(cls)
-        obj._init(*args)
-        return obj
-
-    @classmethod
-    def _held(cls, *args):
-        """An object of material checked over k objects at once: ``_hold`` with no check."""
-        obj = cls.__new__(cls)
-        obj._hold(*args)
-        return obj
-
-    def _set(self, **attributes) -> None:
-        for name, value in attributes.items():
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __setstate__(self, state):
-        # copy and pickle restore slots through here, not through __setattr__
-        self._set(**state[1])
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        for name in self._compared:
-            mine, theirs = getattr(self, name), getattr(other, name)
-            same = np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
-            if not same:
-                return False
-        return True
-
-
 class _Member:
     """Row ``index`` of the object's ``stack`` attribute, wrapped when read (a Matrix by ``Matrix._held``)."""
 
@@ -177,7 +120,7 @@ _BASES = ("P", "Q", "R", "S")
 _BASIS_NAMES = tuple(f"basis {name}" for name in _BASES)
 
 
-class PublicSetup(_Stacked):
+class PublicSetup(_Value):
     """The four public eigenvector bases; all invertible, all same params.
 
     bases is the (4, d, d) stack of P, Q, R, S and inverses theirs, so every
@@ -202,15 +145,12 @@ class PublicSetup(_Stacked):
         _require_protocol_params(params)
         self._hold(params, bases, _certify(bases, inverses, _BASIS_NAMES, params.p))
 
-    def _hold(self, params: FieldParams, bases: np.ndarray, inverses: np.ndarray) -> None:
-        self._set(params=params, bases=_readonly(bases), inverses=_readonly(inverses))
-
     @property
     def basis_inv(self) -> dict[str, Matrix]:
         return {name: Matrix._held(self.params, x) for name, x in zip(_BASES, self.inverses)}
 
 
-class _Private(_Stacked):
+class _Private(_Value):
     """A party's secret material over one setup; the layout comes from ROLE_LAYOUT.
 
     eigenvalues is the (4, d) stack of the eigenvalue lists in ``families``
@@ -222,9 +162,10 @@ class _Private(_Stacked):
     inverses and ``free_inv`` the same as a Matrix.
     """
 
-    __slots__ = ("setup", "params", "eigenvalues", "factors", "inverses")
+    __slots__ = ("setup", "eigenvalues", "factors", "inverses")
     _compared = ("setup", "eigenvalues", "factors")
     role: ClassVar[Role]
+    params = property(lambda self: self.setup.params)
 
     def _from_material(self, setup: PublicSetup, specs: tuple, factors: tuple) -> None:
         """The Matrix route: each argument's parameters checked, then the stack checks."""
@@ -249,11 +190,6 @@ class _Private(_Stacked):
         supplied = None if free_inverse is None else free_inverse[None]
         (inverses[layout.free_index],) = _certify(free, supplied, [layout.free], setup.params.p)
         self._hold(setup, eigenvalues, factors, inverses)
-
-    def _hold(self, setup: PublicSetup, eigenvalues: np.ndarray, factors: np.ndarray,
-              inverses: np.ndarray) -> None:
-        self._set(setup=setup, params=setup.params, eigenvalues=_readonly(eigenvalues),
-                  factors=_readonly(factors), inverses=_readonly(inverses))
 
     @property
     def free_inverse(self) -> np.ndarray:
@@ -376,7 +312,7 @@ def _fill(p: int, bases: np.ndarray, basis_inverses: np.ndarray, roles: tuple[Ro
     return out[0], out[1]
 
 
-class PublicToken(_Stacked):
+class PublicToken(_Value):
     """The published triple: (u, v, w) from Alice or (p, q, r) from Bob.
 
     stack is the (3, d, d) stack of t1, t2, t3.  inverses is None, or, when
@@ -392,16 +328,14 @@ class PublicToken(_Stacked):
 
     def __init__(self, role: Role, t1: Matrix, t2: Matrix, t3: Matrix):
         _check_params(t1.params, {"t2": t2, "t3": t3})
-        self._init(role, t1.params, np.array([t1.a, t2.a, t3.a]))
+        self._hold(role, t1.params, np.array([t1.a, t2.a, t3.a]), None)
 
-    def _hold(self, role: Role, params: FieldParams, stack: np.ndarray,
-              inverses: np.ndarray | None = None) -> None:
-        self._set(role=role, params=params, stack=_readonly(stack), inverses=inverses)
-
-    _init = _hold  # the stack route adds no check: SessionKey certifies the key derived from a token
+    def _init(self, role: Role, params: FieldParams, stack: np.ndarray, inverses: np.ndarray | None = None):
+        # the stack route adds no check: SessionKey certifies the key derived from a token
+        self._hold(role, params, stack, inverses)
 
 
-class SessionKey(_Stacked):
+class SessionKey(_Value):
     """The agreed key matrix; invertible because all six factors are.
 
     stack is the (2, d, d) stack of k and k^-1, so the cipher conjugates
@@ -423,9 +357,6 @@ class SessionKey(_Stacked):
         supplied = None if k_inv is None else k_inv[None]
         (k_inv,) = _certify(k[None], supplied, [_KEY_NAME], params.p)
         self._hold(params, np.array([k, k_inv]))
-
-    def _hold(self, params: FieldParams, stack: np.ndarray) -> None:
-        self._set(params=params, stack=_readonly(stack))
 
 
 _KEY_NAME = "session key"
@@ -480,12 +411,12 @@ def _tokens(p: int, factors: np.ndarray, inverses: np.ndarray) -> np.ndarray:
     stack, bound = _product(left, p - 1, factors[:, [3, 1, 2]], p - 1, p)
     stack[:, 1] = _product(stack[:, 1], bound, factors[:, 4], p - 1, p)[0]
     stack %= p
-    return _readonly(stack)
+    return stack
 
 
 def _token(priv: _Private) -> PublicToken:
     (stack,) = _tokens(priv.params.p, priv.factors[None], priv.inverses[None])
-    return PublicToken._held(priv.role, priv.params, stack)
+    return PublicToken._held(priv.role, priv.params, stack, None)
 
 
 def _chain(left: np.ndarray, right: np.ndarray, p: int) -> np.ndarray:
@@ -553,8 +484,7 @@ def bob_shared(priv: BobPrivate, token: PublicToken) -> SessionKey:
     return _shared(priv, token)
 
 
-@dataclass(frozen=True, eq=False)
-class CheckResult:
+class CheckResult(_Value):
     """One checked pair (a, b) of private factors, held as one (2, d, d) stack.
 
     ``passed`` says a b == b a for a required pair, a b != b a for a pitfall.
@@ -562,9 +492,10 @@ class CheckResult:
     are computed on access, never by the check.
     """
 
-    passed: bool
-    params: FieldParams
-    stack: np.ndarray
+    __slots__ = ("passed", "params", "stack")
+
+    def __init__(self, passed: bool, params: FieldParams, stack: np.ndarray):
+        self._hold(passed, params, stack)
 
     @property
     def pair(self) -> tuple[Matrix, Matrix]:
@@ -624,17 +555,17 @@ def validate_session(setup: PublicSetup, alice: AlicePrivate, bob: BobPrivate) -
     if alice.setup != setup or bob.setup != setup:
         raise ParamsMismatchError("private keys built on a different setup")
     params, names = setup.params, _REQUIRED + _PITFALLS
-    pairs = _readonly(np.concatenate([alice.factors, bob.factors])[_CHECK_INDEX])
+    pairs = np.concatenate([alice.factors, bob.factors])[_CHECK_INDEX]
     a, b = pairs[:, 0], pairs[:, 1]
     commute = dict(zip(names, (a @ b % params.p == b @ a % params.p).all(axis=(1, 2)).tolist()))
     pair = dict(zip(names, pairs))
     return ValidationReport(
-        required={name: CheckResult(commute[name], params, pair[name]) for name in _REQUIRED},
-        pitfalls={name: CheckResult(not commute[name], params, pair[name]) for name in _PITFALLS},
+        required={name: CheckResult._held(commute[name], params, pair[name]) for name in _REQUIRED},
+        pitfalls={name: CheckResult._held(not commute[name], params, pair[name]) for name in _PITFALLS},
     )
 
 
-class SessionResult(_Stacked):
+class SessionResult(_Value):
     """One full seeded exchange, with the redraw counters the statistics use.
 
     It keeps the stacks ``run_session`` computed and certified.  ``setup``,
@@ -645,20 +576,23 @@ class SessionResult(_Stacked):
     ``run_session`` is the one way to build one.
     """
 
-    __slots__ = ("_params", "_setup", "_parties", "_tokens", "_keys", "singular_redraws", "__dict__")
+    # __dict__, for the cached members, stays last: _hold sets the slots before it
+    __slots__ = ("_params", "_bases", "_basis_inverses", "_eigenvalues", "_factors", "_inverses", "_tokens",
+                 "_keys", "singular_redraws", "__dict__")
     _compared = ("setup", "alice", "bob", "alice_pub", "bob_pub", "alice_key", "bob_key", "singular_redraws")
 
-    def _hold(self, *material) -> None:
-        self._set(**dict(zip(self.__slots__, material)))
-
     def _private(self, party: int) -> _Private:
-        return ROLE_LAYOUT[_PARTIES[party]].private._held(self.setup, *(m[party] for m in self._parties))
+        material = self._eigenvalues, self._factors, self._inverses
+        return ROLE_LAYOUT[_PARTIES[party]].private._held(self.setup, *(m[party] for m in material))
 
-    setup = functools.cached_property(lambda self: PublicSetup._held(self._params, *self._setup))
+    def _public(self, party: int) -> PublicToken:
+        return PublicToken._held(_PARTIES[party], self._params, self._tokens[party], None)
+
+    setup = functools.cached_property(lambda self: PublicSetup._held(self._params, self._bases, self._basis_inverses))
     alice = functools.cached_property(lambda self: self._private(0))
     bob = functools.cached_property(lambda self: self._private(1))
-    alice_pub = functools.cached_property(lambda self: PublicToken._held(Role.ALICE, self._params, self._tokens[0]))
-    bob_pub = functools.cached_property(lambda self: PublicToken._held(Role.BOB, self._params, self._tokens[1]))
+    alice_pub = functools.cached_property(lambda self: self._public(0))
+    bob_pub = functools.cached_property(lambda self: self._public(1))
     alice_key = functools.cached_property(lambda self: SessionKey._held(self._params, self._keys[::2]))
     bob_key = functools.cached_property(lambda self: SessionKey._held(self._params, self._keys[1:]))
 
@@ -696,5 +630,5 @@ def run_session(rs, params: FieldParams) -> SessionResult:
     )
     _certify(np.concatenate([bases, free, keys[:2]]),
              np.concatenate([basis_inverses, free_inverse, keys[[2, 2]]]), _SESSION_CERTIFIED, p)
-    return SessionResult._held(params, (bases, basis_inverses), (eigenvalues, factors, inverses), tokens,
-                               keys, redraws)
+    return SessionResult._held(params, bases, basis_inverses, eigenvalues, factors, inverses, tokens, keys,
+                               redraws)

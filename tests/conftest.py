@@ -76,16 +76,17 @@ def family_members(spy):
 def built_matrices(monkeypatch):
     """One entry per validating construction, ``Matrix(...)`` or ``CipherMessage(...)``: the object built.
 
-    ``len`` counts the checked wrappers a call builds.  The trusted wrap
-    ``_held`` runs no check and is not counted here (see ``trusted_wraps``).
+    ``len`` counts the checked wrappers a call builds, by wrapping each
+    class's ``__init__``.  The trusted wrap ``_held`` builds with no
+    ``__init__`` and no check, and is not counted here (see ``trusted_wraps``).
     """
     built = []
     for cls in (Matrix, CipherMessage):
-        def counted(self, post_init=cls.__post_init__):
+        def counted(self, *args, init=cls.__init__, **kwargs):
             built.append(self)
-            post_init(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     return built
 
 
@@ -93,8 +94,10 @@ def built_matrices(monkeypatch):
 def trusted_wraps(monkeypatch):
     """One entry per ``Matrix._held`` or ``CipherMessage._held`` call through the class: the object built.
 
-    A protocol member binds ``Matrix._held`` when its class is defined, so
-    member reads are not seen here.
+    ``_held`` is the value base's trusted wrap, ``_hold`` with no check.  A
+    protocol member binds ``Matrix._held`` when its class is defined, so
+    member reads are not seen here, and neither are the protocol objects'
+    own ``_held`` calls.
     """
     wrapped = []
     for cls in (Matrix, CipherMessage):

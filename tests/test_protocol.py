@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -37,12 +38,13 @@ from tdpkex import (
     random_nonsingular,
     run_session,
     similarity_leak_check,
+    uniformity_stats,
     validate_session,
 )
 
 from tdpkex import field_matrix, poly_tools, protocol
 from tdpkex.cipher import _layout
-from tdpkex.cli import main
+from tdpkex.cli import main, read_token_file, write_token_file
 from tdpkex.commuting import family_member
 from tdpkex.protocol import ROLE_LAYOUT
 
@@ -639,14 +641,14 @@ def test_session_builds_matrices_only_when_asked(built_matrices, trusted_wraps):
 
 def test_session_builds_each_object_when_first_read(monkeypatch):
     built = []
-    hold = protocol._Stacked._set
+    hold = field_matrix._Value._hold
 
-    def counted(self, **attributes):
+    def counted(self, *values):
         if not isinstance(self, protocol.SessionResult):
             built.append(type(self).__name__)
-        hold(self, **attributes)
+        hold(self, *values)
 
-    monkeypatch.setattr(protocol._Stacked, "_set", counted)
+    monkeypatch.setattr(field_matrix._Value, "_hold", counted)
     run_rs = SplitMix64(33)
     result = run_session(run_rs, P251)
     assert built == []
@@ -681,16 +683,21 @@ def test_trusted_wraps_hold_read_only_field_entries():
     assert decrypt_block(result.bob_key, cipher) == plain
 
 
-def test_cached_tables_and_built_tokens_refuse_writes():
+def test_cached_tables_and_built_tokens_refuse_writes(tmp_path):
     # every cached table is shared by all callers, and a token's stack by every member read from it
     token = alice_token(alice_keygen(SplitMix64(36), gen_setup(SplitMix64(35), P251)))
     result = run_session(SplitMix64(37), P251)
     check = validate_session(result.setup, result.alice, result.bob).required["[a2,y1]"]
     codec = _layout(P251.p, P251.d)
+    write_token_file(str(tmp_path / "a.tok"), token)
+    read_back = read_token_file(str(tmp_path / "a.tok"))
+    # a report's counts are its verdict's evidence: a write would detach them from p_value
+    stats = uniformity_stats([result.setup.P, *(encode_block(bytes([i]) * 63, P251).m for i in range(40))])
     tables = [field_matrix._identity(8), field_matrix._inverse_table(251), poly_tools._strict_upper(8),
               field_matrix.SplitMix64._BLOCK, codec.divisors, codec.to_limbs, codec.to_words,
               *protocol._party_index(protocol._PARTIES), *protocol._party_index((Role.ALICE,)),
-              protocol._CHECK_INDEX, token.stack, token.t1.a, token.t3.a, check.stack]
+              protocol._CHECK_INDEX, token.stack, token.t1.a, token.t3.a, check.stack,
+              read_back.stack, read_back.inverses, stats.frequencies]
     for table in tables:
         with pytest.raises(ValueError, match="read-only"):
             table[(0,) * table.ndim] = 0
@@ -834,13 +841,55 @@ def test_routes_build_equal_objects():
 
 
 def test_objects_are_immutable_and_copy_equal():
+    # a copy or an unpickled object is kept as the original is: equal, and every array it holds read-only
     result = run_session(SplitMix64(45), P251)
-    for obj in (result.setup, result.alice, result.bob, result.alice_pub, result.alice_key):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            obj.params = P5
-        assert copy.deepcopy(obj) == obj
-    for stack in (result.setup.bases, result.alice.factors, result.alice_pub.stack, result.alice_key.stack):
-        assert not stack.flags.writeable
+    message = encrypt_message(result.alice_key, SplitMix64(46).read(100))
+    check = validate_session(result.setup, result.alice, result.bob).required["[a2,y1]"]
+    objects = [result.setup.P, message, check, result, result.setup, result.alice, result.bob,
+               result.alice_pub, result.alice_key]
+    for obj in objects:
+        fields = type(obj)._fields
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj
+            arrays = [getattr(twin, name) for name in fields if isinstance(getattr(twin, name), np.ndarray)]
+            assert arrays
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[(0,) * a.ndim] = 0
+
+
+def test_two_reports_of_one_session_compare_equal():
+    result = run_session(SplitMix64(47), P251)
+    first, second = (validate_session(result.setup, result.alice, result.bob) for _ in range(2))
+    assert first == second
+    assert first.required["[a2,y1]"] == second.required["[a2,y1]"] != first.required["[a3,y2]"]
+
+
+@pytest.mark.parametrize("p, d", KERNEL_GRID)
+def test_session_over_the_kernel_grid(p, d):
+    params = FieldParams(p, d)
+    result = run_session(SplitMix64(p * 100 + d), params)
+    setup, alice, bob = result.setup, result.alice, result.bob
+    reference = _product(p, *(m.a for m in (alice.a1, bob.b1, alice.a2, bob.b2, alice.a3, bob.b3)))
+    assert result.agreed
+    for key in (result.alice_key, result.bob_key):
+        assert np.array_equal(key.k.a, reference)
+        assert np.array_equal(key.k.a @ key.k_inv.a % p, np.eye(d))
+    assert validate_session(setup, alice, bob).all_required_pass
+    # each object equals its rebuild through the Matrix-route constructor
+    assert PublicSetup(params, setup.P, setup.Q, setup.R, setup.S) == setup
+    for priv in (alice, bob):
+        layout = ROLE_LAYOUT[priv.role]
+        names = ["d_" + name for name, _ in layout.families] + list(layout.record)
+        assert type(priv)(setup, *(getattr(priv, name) for name in names)) == priv
+    for token in (result.alice_pub, result.bob_pub):
+        assert PublicToken(token.role, token.t1, token.t2, token.t3) == token
+    assert SessionKey(result.alice_key.k) == result.alice_key == result.bob_key
 
 
 def _product(p, *factors):

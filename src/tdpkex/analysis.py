@@ -4,13 +4,15 @@ Four tools: exact keyspace arithmetic, an exhaustive pseudo-key recovery at
 toy parameters (demonstrating that any tuple satisfying the public-token
 equations works as a private key), pooled chi-square uniformity statistics
 for ciphertext entries, and the conjugation-invariant leak demonstrator.
+A pseudo-key is an ``AlicePrivate``, found by one stacked pass over the x2
+candidates per x1 and checked by the protocol's own token and key
+derivation; written by ``cli.write_private_file``, ``tdpkex shared`` accepts it.
 The chi-square tail is computed here with ``math`` alone: the test has p - 1
 degrees of freedom, which is 1 or even, and both cases have closed forms.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import time
@@ -40,12 +42,20 @@ from .field_matrix import (
     NonsingularDraws,
     _check_same_params,
     _inverse_table,
-    _readonly,
-    mat_inverse,
-    mat_mul,
+    _Value,
 )
 from .poly_tools import char_poly_many
-from .protocol import PublicSetup, PublicToken, Role, SessionKey, _session_draws, run_session
+from .protocol import (
+    AlicePrivate,
+    PublicSetup,
+    PublicToken,
+    Role,
+    SessionKey,
+    _session_draws,
+    _shared,
+    _token,
+    run_session,
+)
 
 # brute_force_pseudo_key's toy-scale bound on its (p-1)^(2d) candidate pairs
 SEARCH_SPACE_LIMIT = 10**7
@@ -96,115 +106,89 @@ def keyspace_size(params: FieldParams) -> KeyspaceReport:
     )
 
 
-@dataclass(frozen=True)
-class PseudoKey:
-    """A recovered tuple satisfying the public-token equations.
+class PseudoKey(AlicePrivate):
+    """A recovered Alice key, and the number of candidates tested to find it.
 
     Solves a1*x1 = u, x1^-1*a2*x2 = v, x2^-1*a3 = w with a2, a3, x1, x2 in
     the right commuting families; any such tuple reproduces the session key.
+    It passed the protocol's own family check, so it goes wherever an
+    ``AlicePrivate`` does (``alice_shared``, ``cli.write_private_file``).
     """
 
-    a1: Matrix
-    a2: Matrix
-    a3: Matrix
-    x1: Matrix
-    x2: Matrix
-    candidates_tested: int
+    __slots__ = ("candidates_tested",)
+
+    def __init__(self, key: AlicePrivate, candidates_tested: int):
+        self._hold(key.setup, key.eigenvalues, key.factors, key.inverses, candidates_tested)
 
 
-def _family_tables(basis: np.ndarray, basis_inv: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every member of the family on one basis, and their inverses, as two stacks."""
-    diags = np.array(list(itertools.product(range(1, p), repeat=len(basis))))
-    inverted = _inverse_table(p)[diags]
-    return family_member(basis, basis_inv, diags, p), family_member(basis, basis_inv, inverted, p)
+def _family_tables(basis: np.ndarray, basis_inv: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every eigenvalue list in [1, p-1], its member of the family on one basis, and the member's inverse."""
+    lists = np.array(list(itertools.product(range(1, p), repeat=len(basis))))
+    inverted = _inverse_table(p)[lists]
+    return lists, family_member(basis, basis_inv, lists, p), family_member(basis, basis_inv, inverted, p)
 
 
-def brute_force_pseudo_key(
-    setup: PublicSetup,
-    alice_token: PublicToken,
-    bob_token: PublicToken,
-    true_key: SessionKey,
-) -> PseudoKey:
+def brute_force_pseudo_key(setup: PublicSetup, alice_token: PublicToken, bob_token: PublicToken,
+                           true_key: SessionKey) -> PseudoKey:
     """Exhaustively search the commuting families for a working pseudo-key.
 
     Enumerates every x1 candidate in the R-family and x2 candidate in the
     S-family ((p-1)^d choices each), completes a1, a2, a3 from the token
     equations, and accepts when a2 lands in the P-family and a3 in the
-    Q-family (checked by conjugating back to diagonal form).  The accepted
-    tuple is re-substituted into the key derivation and must reproduce the
-    true session key exactly.
+    Q-family (checked by conjugating back to diagonal form), testing the
+    x2 candidates of one x1 as one stack in enumeration order.  The first
+    accepted tuple is built by ``AlicePrivate._from_stacks``, the protocol's
+    own family check, and must reproduce Alice's token and the true key.
 
     Raises:
+        ValueError: the tokens are not Alice's and Bob's, in that order.
         SearchSpaceTooLargeError: (p-1)^(2d) exceeds ``SEARCH_SPACE_LIMIT``.
         PseudoKeyNotFoundError: search exhausted (cannot happen for tokens
             produced by a genuine session, whose private key is in the space).
     """
     if alice_token.role is not Role.ALICE or bob_token.role is not Role.BOB:
         raise ValueError("tokens passed in the wrong order")
-    params = setup.params
-    p, d = params.p, params.d
+    p, d = setup.params.p, setup.params.d
     space = (p - 1) ** (2 * d)
     if space > SEARCH_SPACE_LIMIT:
         raise SearchSpaceTooLargeError(f"search space {space} exceeds limit {SEARCH_SPACE_LIMIT}")
 
     u, v, w = alice_token.stack
     (p_mat, q_mat, r_mat, s_mat), (p_inv, q_inv, r_inv, s_inv) = setup.bases, setup.inverses
-    r_family = _family_tables(r_mat, r_inv, p)
-    s_family = _family_tables(s_mat, s_inv, p)
-    off_diag = ~np.eye(d, dtype=bool)
-
-    tested = 0
-    for x1, x1_inv in zip(*r_family):
-        a1c = u @ x1_inv % p
-        left = x1 @ v % p
-        for x2, x2_inv in zip(*s_family):
-            tested += 1
-            a2c = left @ x2_inv % p
-            if ((p_mat @ a2c % p) @ p_inv % p)[off_diag].any():
-                continue
-            a3c = x2 @ w % p
-            if ((q_mat @ a3c % p) @ q_inv % p)[off_diag].any():
-                continue
-            candidate = PseudoKey(
-                a1=Matrix(params, a1c),
-                a2=Matrix(params, a2c),
-                a3=Matrix(params, a3c),
-                x1=Matrix(params, x1),
-                x2=Matrix(params, x2),
-                candidates_tested=tested,
-            )
-            if not pseudo_key_reproduces(candidate, alice_token, bob_token, true_key):
-                raise AssertionError("accepted candidate failed re-substitution")
-            return candidate
-    raise PseudoKeyNotFoundError(f"no candidate among {tested} satisfied the family conditions")
+    x1_lists, x1s, x1_invs = _family_tables(r_mat, r_inv, p)
+    x2_lists, x2s, x2_invs = _family_tables(s_mat, s_inv, p)
+    # a2 is in the P-family when P a2 P^-1 is diagonal, whose diagonal is a2's list; a3 likewise with Q,
+    # and a3 = x2 w is the same for every x1, so its test runs once
+    off_diagonal = ~np.eye(d, dtype=bool)
+    a3s = x2s @ w % p
+    a3_conj = (q_mat @ a3s % p) @ q_inv % p
+    in_q = ~a3_conj[:, off_diagonal].any(axis=1)
+    for i, (x1, x1_inv) in enumerate(zip(x1s, x1_invs)):
+        a2s = (x1 @ v % p) @ x2_invs % p
+        a2_conj = (p_mat @ a2s % p) @ p_inv % p
+        hits = np.flatnonzero(in_q & ~a2_conj[:, off_diagonal].any(axis=1))
+        if not len(hits):
+            continue
+        j = hits[0]
+        eigenvalues = np.array([a2_conj[j].diagonal(), a3_conj[j].diagonal(), x1_lists[i], x2_lists[j]])
+        factors = np.array([u @ x1_inv % p, a2s[j], a3s[j], x1, x2s[j]])
+        candidate = PseudoKey(AlicePrivate._from_stacks(setup, eigenvalues, factors), int(i * len(x2s) + j + 1))
+        if not pseudo_key_reproduces(candidate, alice_token, bob_token, true_key):
+            raise AssertionError("accepted candidate failed re-substitution")
+        return candidate
+    raise PseudoKeyNotFoundError(f"no candidate among {len(x1s) * len(x2s)} satisfied the family conditions")
 
 
-def pseudo_key_reproduces(
-    candidate: PseudoKey,
-    alice_token: PublicToken,
-    bob_token: PublicToken,
-    true_key: SessionKey,
-) -> bool:
-    """Re-substitution check: token equations hold and the derived key matches."""
-    x1i = mat_inverse(candidate.x1)
-    x2i = mat_inverse(candidate.x2)
-    eq_u = mat_mul(candidate.a1, candidate.x1) == alice_token.t1
-    eq_v = mat_mul(mat_mul(x1i, candidate.a2), candidate.x2) == alice_token.t2
-    eq_w = mat_mul(x2i, candidate.a3) == alice_token.t3
-    factors = (candidate.a1, bob_token.t1, candidate.a2, bob_token.t2, candidate.a3, bob_token.t3)
-    k = functools.reduce(mat_mul, factors)
-    return eq_u and eq_v and eq_w and k == true_key.k
+def pseudo_key_reproduces(candidate: AlicePrivate, alice_token: PublicToken, bob_token: PublicToken,
+                          true_key: SessionKey) -> bool:
+    """Re-substitution by the protocol's own derivations: the candidate's token is Alice's, its key the true one."""
+    return _token(candidate) == alice_token and _shared(candidate, bob_token) == true_key
 
 
-@dataclass(frozen=True, eq=False)
-class StatsReport:
+class StatsReport(_Value):
     """Pooled entry-frequency chi-square against the uniform distribution."""
 
-    samples: int
-    frequencies: np.ndarray
-    chi_square: float
-    dof: int
-    p_value: float
+    __slots__ = ("samples", "frequencies", "chi_square", "dof", "p_value")
 
     @property
     def passed(self) -> bool:
@@ -254,13 +238,7 @@ def uniformity_stats(matrices: Sequence[Matrix]) -> StatsReport:
     expected = n / p
     stat = float(((freq - expected) ** 2 / expected).sum())
     dof = p - 1
-    return StatsReport(
-        samples=n,
-        frequencies=_readonly(freq),
-        chi_square=stat,
-        dof=dof,
-        p_value=_chi2_sf(stat, dof),
-    )
+    return StatsReport._held(n, freq, stat, dof, _chi2_sf(stat, dof))
 
 
 @dataclass(frozen=True)

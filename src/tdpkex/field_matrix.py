@@ -169,8 +169,14 @@ def trial_division_factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and trial_division_factorization(n) == [(n, 1)]
+def _check_prime(p) -> int:
+    """p as an int if it is a prime with 2 <= p <= 65521, FieldParams' rule; else ValueError."""
+    p = _exact_int(p, "prime")
+    if not (2 <= p <= 65521):
+        raise ValueError(f"prime must satisfy 2 <= p <= 65521, got {p}")
+    if trial_division_factorization(p) != [(p, 1)]:
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
 @dataclass(frozen=True)
@@ -188,12 +194,8 @@ class FieldParams:
     d: int = 8
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _exact_int(self.p, "prime"))
+        object.__setattr__(self, "p", _check_prime(self.p))
         object.__setattr__(self, "d", _exact_int(self.d, "dimension"))
-        if not (2 <= self.p <= 65521):
-            raise ValueError(f"prime must satisfy 2 <= p <= 65521, got {self.p}")
-        if not _is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
         if self.d < 2:
             raise ValueError(f"dimension must be >= 2, got {self.d}")
 
@@ -252,7 +254,7 @@ def _identity(d: int) -> np.ndarray:
 
 
 class _Value:
-    """An immutable value over arrays: the base of ``Matrix``, ``CipherMessage`` and the protocol objects.
+    """An immutable value over arrays: the base of ``Matrix``, ``CipherMessage``, the protocol objects and reports.
 
     A public constructor, or ``_from_stacks`` through the class's ``_init``,
     runs the checks and keeps the result with ``_hold``: the slots set in
@@ -260,8 +262,9 @@ class _Value:
     ``_held`` is ``_hold`` with no check, the trusted wrap of what the package
     has just computed itself.  Copies and unpickled values go through
     ``_hold`` too, and setting or deleting a slot raises FrozenInstanceError.
-    Values of one class are equal when their ``_compared`` attributes (by
-    default every slot) are: arrays entry by entry, the rest by ``==``.
+    Values of one class are equal when every slot is (arrays entry by entry,
+    the rest by ``==``), or every slot a class names in ``_compared``:
+    ``PublicToken``'s, whose inverses may be None.
     """
 
     __slots__ = ()

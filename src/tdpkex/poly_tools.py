@@ -19,6 +19,7 @@ from .errors import NotUnitOrderError
 from .field_matrix import (
     FieldParams,
     Matrix,
+    _check_prime,
     _entries,
     _exact_int,
     _product,
@@ -108,6 +109,7 @@ def count_irreducible(d: int, p: int) -> int:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
+    p = _check_prime(p)
     total = sum(moebius(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0)
     assert total % d == 0
     return total // d
@@ -117,7 +119,7 @@ def ntot_count(d: int, p: int) -> int:
     """Count of monic degree-d polynomials excluding two trivial ones: p^d - 2."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return p ** d - 2
+    return _check_prime(p) ** d - 2
 
 
 def is_irreducible(f: MonicPoly) -> bool:
@@ -160,6 +162,7 @@ def random_irreducible(rs, d: int, p: int) -> tuple[MonicPoly, int]:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
+    p = _check_prime(p)
     trials = 0
     while True:
         trials += 1

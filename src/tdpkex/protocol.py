@@ -132,7 +132,6 @@ class PublicSetup(_Value):
     """
 
     __slots__ = ("params", "bases", "inverses")
-    _compared = ("params", "bases")
     P, Q, R, S = (_Member("bases", i) for i in range(4))
 
     def __init__(self, params: FieldParams, P: Matrix, Q: Matrix, R: Matrix, S: Matrix):
@@ -163,7 +162,6 @@ class _Private(_Value):
     """
 
     __slots__ = ("setup", "eigenvalues", "factors", "inverses")
-    _compared = ("setup", "eigenvalues", "factors")
     role: ClassVar[Role]
     params = property(lambda self: self.setup.params)
 
@@ -347,7 +345,6 @@ class SessionKey(_Value):
     """
 
     __slots__ = ("params", "stack")
-    _compared = ("params", "stack")
     k, k_inv = _Member("stack", 0), _Member("stack", 1)
 
     def __init__(self, k: Matrix):
@@ -494,20 +491,16 @@ class CheckResult(_Value):
 
     __slots__ = ("passed", "params", "stack")
 
-    def __init__(self, passed: bool, params: FieldParams, stack: np.ndarray):
-        self._hold(passed, params, stack)
-
     @property
     def pair(self) -> tuple[Matrix, Matrix]:
-        return Matrix(self.params, self.stack[0]), Matrix(self.params, self.stack[1])
+        return Matrix._held(self.params, self.stack[0]), Matrix._held(self.params, self.stack[1])
 
     @property
     def commutator(self) -> Matrix:
         return commutator(*self.pair)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Value):
     """Result of the session health checks.
 
     ``required`` lists the cross-party commutation conditions the key
@@ -517,19 +510,27 @@ class ValidationReport:
     ``weak`` flags degenerate material, not security: an ``ok`` session
     still leaks its key to a linear-algebra attack on the public tokens
     (README, "Known limitations").  Advisory only: callers decide whether
-    to abort.
+    to abort.  It holds the twelve verdicts, required checks first, and
+    their (12, 2, d, d) pair stack; ``required`` and ``pitfalls`` build a
+    new dict of ``CheckResult``s from them on each read.
     """
 
-    required: dict[str, CheckResult]
-    pitfalls: dict[str, CheckResult]
+    __slots__ = ("params", "passed", "pairs")
+
+    def _checks(self, names: tuple[str, ...], start: int) -> dict[str, CheckResult]:
+        rows = zip(names, self.passed[start:].tolist(), self.pairs[start:])
+        return {name: CheckResult._held(passed, self.params, pair) for name, passed, pair in rows}
+
+    required = property(lambda self: self._checks(_REQUIRED, 0))
+    pitfalls = property(lambda self: self._checks(_PITFALLS, len(_REQUIRED)))
 
     @property
     def all_required_pass(self) -> bool:
-        return all(r.passed for r in self.required.values())
+        return bool(self.passed[:len(_REQUIRED)].all())
 
     @property
     def weak(self) -> bool:
-        return any(not r.passed for r in self.pitfalls.values())
+        return not self.passed[len(_REQUIRED):].all()
 
     @property
     def ok(self) -> bool:
@@ -554,15 +555,12 @@ def validate_session(setup: PublicSetup, alice: AlicePrivate, bob: BobPrivate) -
     """
     if alice.setup != setup or bob.setup != setup:
         raise ParamsMismatchError("private keys built on a different setup")
-    params, names = setup.params, _REQUIRED + _PITFALLS
+    p = setup.params.p
     pairs = np.concatenate([alice.factors, bob.factors])[_CHECK_INDEX]
     a, b = pairs[:, 0], pairs[:, 1]
-    commute = dict(zip(names, (a @ b % params.p == b @ a % params.p).all(axis=(1, 2)).tolist()))
-    pair = dict(zip(names, pairs))
-    return ValidationReport(
-        required={name: CheckResult._held(commute[name], params, pair[name]) for name in _REQUIRED},
-        pitfalls={name: CheckResult._held(not commute[name], params, pair[name]) for name in _PITFALLS},
-    )
+    commute = (a @ b % p == b @ a % p).all(axis=(1, 2))
+    # a required pair passes when it commutes, a pitfall when it does not
+    return ValidationReport._held(setup.params, commute == (np.arange(len(pairs)) < len(_REQUIRED)), pairs)
 
 
 class SessionResult(_Value):
@@ -579,7 +577,6 @@ class SessionResult(_Value):
     # __dict__, for the cached members, stays last: _hold sets the slots before it
     __slots__ = ("_params", "_bases", "_basis_inverses", "_eigenvalues", "_factors", "_inverses", "_tokens",
                  "_keys", "singular_redraws", "__dict__")
-    _compared = ("setup", "alice", "bob", "alice_pub", "bob_pub", "alice_key", "bob_key", "singular_redraws")
 
     def _private(self, party: int) -> _Private:
         material = self._eigenvalues, self._factors, self._inverses

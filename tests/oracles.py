@@ -272,3 +272,39 @@ def codec_tables(p, d):
     words = range(-(-(p ** size - 1).bit_length() // w))
     to_words = [[p ** s >> w * i & (1 << w) - 1 for i in words] for s in range(size - 1, -1, -1)]
     return np.array(to_limbs, np.float64).reshape(bpb, len(limbs)), np.array(to_words, np.float64)
+
+
+def first_pseudo_key(setup, alice_token):
+    """The first (x1, x2) of the toy attack's enumeration whose completed tuple lies in the right families.
+
+    One pair at a time: x1 runs over R^-1 diag(e) R and x2 over S^-1 diag(f) S
+    for e, f in [1, p-1]^d in lexicographic order, x1 outer.  The pair
+    completes to a1 = u x1^-1, a2 = x1 v x2^-1 and a3 = x2 w, and is accepted
+    when P a2 P^-1 and Q a3 Q^-1 are diagonal.  Basis and member inverses
+    come from the adjugate and inverted eigenvalues, not the library's
+    elimination.  Returns the number of pairs tested and the arrays
+    (a1, a2, a3, x1, x2), or None when no pair is accepted.
+    """
+    p, d = setup.params.p, setup.params.d
+    basis = {name: getattr(setup, name).a for name in "PQRS"}
+    inverse = {name: np.array(inverse_adjugate(b.tolist(), p)) for name, b in basis.items()}
+    u, v, w = alice_token.t1.a, alice_token.t2.a, alice_token.t3.a
+
+    def member(name, eigenvalues):
+        return inverse[name] @ np.diag(eigenvalues) @ basis[name] % p
+
+    def in_family(name, m):
+        conj = basis[name] @ m @ inverse[name] % p
+        return np.array_equal(conj, np.diag(np.diag(conj)))
+
+    lists = list(itertools.product(range(1, p), repeat=d))
+    tested = 0
+    for e in lists:
+        x1, x1_inv = member("R", e), member("R", [pow(x, -1, p) for x in e])
+        for f in lists:
+            tested += 1
+            x2, x2_inv = member("S", f), member("S", [pow(x, -1, p) for x in f])
+            a2, a3 = x1 @ v @ x2_inv % p, x2 @ w % p
+            if in_family("P", a2) and in_family("Q", a3):
+                return tested, (u @ x1_inv % p, a2, a3, x1, x2)
+    return None

@@ -12,14 +12,18 @@ import pytest
 import tdpkex
 
 from tdpkex import (
+    AlicePrivate,
     CipherBlock,
     FieldParams,
     Matrix,
     ParamsMismatchError,
     PlainBlock,
+    PseudoKey,
+    PseudoKeyNotFoundError,
     SearchSpaceTooLargeError,
     SplitMix64,
     TooFewSamplesError,
+    alice_keygen,
     alice_shared,
     alice_token,
     bob_token,
@@ -40,10 +44,12 @@ from tdpkex import (
     uniformity_stats,
 )
 
+from tdpkex import cli
 from tdpkex.analysis import _POOL_CHUNK, _chi2_sf, _similarity_preserved
+from tdpkex.cli import read_session_key_file, write_private_file, write_token_file
 
 from conftest import identity_privates
-from oracles import chi2_sf_even_decimal
+from oracles import chi2_sf_even_decimal, first_pseudo_key
 
 P251 = FieldParams()
 P5 = FieldParams(p=5, d=2)
@@ -134,6 +140,59 @@ def test_true_private_material_is_in_search_space():
     assert pk.candidates_tested >= 1
 
 
+@pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_pseudo_key_is_the_scalar_reference_first_hit(p, d):
+    # the stacked search accepts the pair the one-pair-at-a-time scan accepts first, after as many tests
+    params = FieldParams(p, d)
+    for seed in range(10):
+        result = run_session(SplitMix64(seed), params)
+        pk = brute_force_pseudo_key(result.setup, result.alice_pub, result.bob_pub, result.alice_key)
+        tested, factors = first_pseudo_key(result.setup, result.alice_pub)
+        assert pk.candidates_tested == tested, seed
+        for name, expected in zip(("a1", "a2", "a3", "x1", "x2"), factors):
+            assert np.array_equal(getattr(pk, name).a, expected), (seed, name)
+
+
+def test_pseudo_key_is_an_alice_private_built_by_the_family_check(monkeypatch):
+    assert issubclass(PseudoKey, AlicePrivate)
+    built = []
+    init = AlicePrivate._init
+    monkeypatch.setattr(AlicePrivate, "_init", lambda self, *args: built.append(args) or init(self, *args))
+    result = run_session(SplitMix64(6), P5)
+    pk = brute_force_pseudo_key(result.setup, result.alice_pub, result.bob_pub, result.alice_key)
+    # the accepted candidate, and only it, went through the protocol's own check
+    assert len(built) == 1 and built[0][0] is result.setup
+    assert np.array_equal(built[0][2], pk.factors) and np.array_equal(built[0][1], pk.eigenvalues)
+    assert alice_token(pk) == result.alice_pub
+    assert alice_shared(pk, result.bob_pub) == result.alice_key
+    # the re-substitution accepts the true key and refuses another key on the same setup
+    assert pseudo_key_reproduces(result.alice, result.alice_pub, result.bob_pub, result.alice_key)
+    other = alice_keygen(SplitMix64(7), result.setup)
+    assert not pseudo_key_reproduces(other, result.alice_pub, result.bob_pub, result.alice_key)
+
+
+def test_recovered_key_derives_the_session_key_through_the_shared_command(tmp_path):
+    for seed in range(20):
+        result = run_session(SplitMix64(seed), P5)
+        pk = brute_force_pseudo_key(result.setup, result.alice_pub, result.bob_pub, result.alice_key)
+        key, peer, out = (tmp_path / f"{name}{seed}.tdp" for name in ("pseudo", "bob", "shared"))
+        write_private_file(key, pk)
+        write_token_file(peer, result.bob_pub)
+        assert cli.main(["shared", "--key", str(key), "--peer", str(peer), "--out", str(out)]) == 0
+        assert read_session_key_file(out) == result.alice_key, seed
+
+
+def test_pseudo_key_search_refusals():
+    result = run_session(SplitMix64(0), P3)
+    with pytest.raises(ValueError, match=r"^tokens passed in the wrong order$"):
+        brute_force_pseudo_key(result.setup, result.bob_pub, result.alice_pub, result.alice_key)
+    # Alice's token from a session on another setup: no pair of this setup's families solves it
+    forged = run_session(SplitMix64(1000), P3).alice_pub
+    assert first_pseudo_key(result.setup, forged) is None
+    with pytest.raises(PseudoKeyNotFoundError, match=r"^no candidate among 16 satisfied the family conditions$"):
+        brute_force_pseudo_key(result.setup, forged, result.bob_pub, result.alice_key)
+
+
 # ---------------------------------------------------------------------------
 # uniformity statistics
 # ---------------------------------------------------------------------------
@@ -166,6 +225,14 @@ def test_pooled_counts_span_chunks():
     report = uniformity_stats(matrices)
     assert report.samples == draws.size
     assert report.frequencies.tolist() == np.bincount(draws, minlength=251).tolist()
+
+
+def test_two_reports_of_one_input_compare_equal():
+    rs = SplitMix64(9)
+    matrices = [random_matrix(rs, P5) for _ in range(20)]
+    report = uniformity_stats(matrices)
+    assert report == uniformity_stats(matrices)
+    assert report != uniformity_stats(matrices[:-1])
 
 
 def test_too_few_samples_rejected():
@@ -268,6 +335,10 @@ def test_leak_check_true_for_genuine_pairs():
         report = similarity_leak_check(plain, cipher)
         assert report.trace_equal and report.det_equal and report.charpoly_equal
         assert report.all_equal
+
+
+def test_stacked_leak_check_of_no_pairs_is_true():
+    assert _similarity_preserved([], []) is True
 
 
 def test_leak_check_true_for_genuine_pairs_at_d7():

@@ -110,6 +110,11 @@ def test_decode_rejects_out_of_range_matrix():
         decode_block(block, 63)
 
 
+def test_decode_rejects_a_length_above_the_capacity():
+    with pytest.raises(ValueOutOfRangeError, match="^length 64 exceeds block capacity 63$"):
+        decode_block(PlainBlock(Matrix.zero(P251)), 64)
+
+
 @given(data=st.binary(max_size=63))
 def test_codec_roundtrip_property(data):
     assert decode_block(encode_block(data, P251), len(data)) == data

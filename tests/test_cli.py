@@ -541,6 +541,26 @@ def test_exit_3_bad_magic(tmp_path):
     assert main(["token", "--key", str(bad), "--out", str(tmp_path / "t.tok")]) == 3
 
 
+def test_exit_3_file_shorter_than_the_header(tmp_path, capsys):
+    short = tmp_path / "short.tdp"
+    short.write_bytes(b"TDP1" + bytes(8))
+    assert main(["token", "--key", str(short), "--out", str(tmp_path / "t.tok")]) == 3
+    assert capsys.readouterr().err == f"error: {short}: truncated header\n"
+
+
+def test_exit_3_private_record_without_four_eigenvalue_lists(tmp_path, capsys):
+    rs = SplitMix64(14)
+    setup = gen_setup(rs, P251)
+    path = tmp_path / "a.key"
+    write_private_file(path, alice_keygen(rs, setup))
+    raw = bytearray(path.read_bytes())
+    for count in (0, 3, 5):
+        raw[13] = count  # the list-count byte follows the 13-byte header
+        path.write_bytes(bytes(raw))
+        assert main(["token", "--key", str(path), "--out", str(tmp_path / "t.tok")]) == 3
+        assert capsys.readouterr().err == f"error: {path}: private key record needs 4 eigenvalue lists\n"
+
+
 def test_exit_3_wrong_record_type(tmp_path):
     files = _pipeline(tmp_path, "run1")
     code = main(["token", "--key", str(files["setup"]), "--out", str(tmp_path / "t.tok")])
@@ -874,6 +894,11 @@ def test_stats_leak_line_says_no_for_one_mismatched_pair(capsys, monkeypatch):
     assert runs["swapped"] == runs["genuine"]
 
 
+def test_exit_2_stats_without_sessions(capsys):
+    assert main(["stats", "--sessions", "0", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: --sessions must be >= 1\n"
+
+
 def test_stats_single_session(capsys):
     assert main(["stats", "--sessions", "1", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -922,6 +947,25 @@ def test_irreducible_degree_one(capsys):
     out = capsys.readouterr().out
     assert "polynomial x + " in out
     assert "companion" not in out  # no matrix for degree 1
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["--degree", "0"], "error: --degree must be >= 1\n"),
+    (["--prime", "4"], "error: invalid parameters: 4 is not prime\n"),
+])
+def test_exit_2_irreducible_refusals(capsys, argv, err):
+    assert main(["irreducible", "--seed", "1", *argv]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_irreducible_order_unknown_past_the_trial_division_budget(capsys, monkeypatch):
+    # 251^8 - 1 has the prime factor 1984563001, past 100 trial divisors; 251 and 8 are not
+    monkeypatch.setattr(tdpkex.field_matrix, "TRIAL_DIVISION_LIMIT", 100)
+    assert main(["irreducible", "--prime", "251", "--degree", "8", "--seed", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["prime 251", "degree 8"] and out[4] == "companion matrix ="
+    assert out[-1] == "order unknown (trial-division budget exceeded)"
+    assert not any(line.startswith(("order ", "primitive")) for line in out[:-1])
 
 
 def test_console_entry_point():

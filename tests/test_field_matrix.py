@@ -148,6 +148,12 @@ def test_matrix_equality_requires_same_params():
     a = Matrix.identity(P5)
     b = Matrix.identity(FieldParams(p=7, d=2))
     assert a != b
+    # a value of another type is not equal, and the comparison raises nothing
+    assert (a == 3) is False and a != 3
+
+
+def test_matrix_repr_shows_params_and_entries():
+    assert repr(Matrix.from_rows(P5, [[1, 2], [3, 4]])) == "Matrix(p=5, d=2,\n[[1 2]\n [3 4]])"
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +360,14 @@ def test_mat_pow():
     assert mat_pow(m, 0) == Matrix.identity(P5)
     assert mat_pow(m, 4) == Matrix.from_rows(P5, [[1, 0], [0, 1]])
     assert mat_pow(m, 3) == Matrix.from_rows(P5, [[3, 0], [0, 2]])
+    with pytest.raises(ValueError, match="^negative exponent; invert first$"):
+        mat_pow(m, -1)
+
+
+@pytest.mark.parametrize("n", [0, -12])
+def test_trial_division_refuses_a_number_below_one(n):
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        field_matrix.trial_division_factorization(n)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +601,12 @@ def test_draw_segments_refuses_a_negative_count_before_reading(segments, count):
     with pytest.raises(ValueError, match="cannot read -64 bytes"):
         rs.read(-64)
     assert rs.read(16) == twin.read(16)
+
+
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_uniform_array_refuses_an_empty_range_before_reading(count):
+    with pytest.raises(ValueError, match=r"^empty range \[3, 2\]$"):
+        field_matrix.uniform_array(StubSource(b""), 3, 2, count)
 
 
 def test_draw_segments_without_candidates_makes_no_kernel_call(row_reductions):

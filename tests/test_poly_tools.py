@@ -12,6 +12,7 @@ from tdpkex import (
     MonicPoly,
     NotUnitOrderError,
     SplitMix64,
+    StubSource,
     char_poly,
     char_poly_many,
     companion_matrix,
@@ -165,6 +166,35 @@ def test_random_irreducible_uniform_over_the_three_quadratics():
         assert abs(count - n / 3) <= 5 * sigma
 
 
+@pytest.mark.parametrize("prime, message", [
+    pytest.param(4, "4 is not prime", id="composite"),
+    pytest.param(1, "prime must satisfy 2 <= p <= 65521, got 1", id="one"),
+    pytest.param(65537, "prime must satisfy 2 <= p <= 65521, got 65537", id="past-16-bits"),
+])
+def test_polynomial_functions_refuse_a_prime_field_params_refuses(prime, message):
+    # the prime is checked on entry: a draw reads no byte of its source first
+    for degree in (1, 2):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            random_irreducible(StubSource(b""), degree, prime)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            count_irreducible(degree, prime)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ntot_count(degree, prime)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FieldParams(p=prime, d=2)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: count_irreducible(0, 5), id="count_irreducible"),
+    pytest.param(lambda: ntot_count(0, 5), id="ntot_count"),
+    pytest.param(lambda: random_irreducible(StubSource(b""), 0, 5), id="random_irreducible"),
+    pytest.param(lambda: MonicPoly(5, ()), id="MonicPoly"),
+])
+def test_degree_below_one_refused(call):
+    with pytest.raises(ValueError, match="^degree must be >= 1$"):
+        call()
+
+
 def test_random_irreducible_trial_count_near_degree():
     rs = SplitMix64(3)
     trials = [random_irreducible(rs, 8, 251)[1] for _ in range(100)]
@@ -186,6 +216,11 @@ def test_companion_matrix_charpoly_roundtrip():
         for _ in range(30):
             f, _ = random_irreducible(rs, d, 13)
             assert char_poly(companion_matrix(f)) == f
+
+
+def test_companion_matrix_refuses_degree_one():
+    with pytest.raises(ValueError, match="^companion matrix needs degree >= 2$"):
+        companion_matrix(MonicPoly(5, (1,)))
 
 
 def test_companion_nonsingular_iff_nonzero_constant():
@@ -469,3 +504,4 @@ def test_monic_poly_str():
     assert str(MonicPoly(3, (2, 1))) == "x^2 + x + 2"
     assert str(MonicPoly(5, (0, 0, 0))) == "x^3"
     assert str(MonicPoly(7, (3,))) == "x + 3"
+    assert str(MonicPoly(5, (1, 0, 2))) == "x^3 + 2x^2 + 1"

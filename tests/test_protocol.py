@@ -24,6 +24,7 @@ from tdpkex import (
     bob_keygen,
     bob_shared,
     bob_token,
+    brute_force_pseudo_key,
     commutator,
     commuting_from_basis,
     decrypt_block,
@@ -375,6 +376,35 @@ def test_validation_identity_parties_flags_everything():
     report = validate_session(setup, alice, bob)
     assert report.all_required_pass
     assert all(not r.passed for r in report.pitfalls.values())
+
+
+def test_a_changed_check_dict_leaves_the_report_as_it_was():
+    # each read of required or pitfalls is a new dict, built from the verdicts the report holds
+    result = run_session(SplitMix64(26), P251)
+    setup = result.setup
+    for alice, bob, weak in ((result.alice, result.bob, False), (*identity_privates(setup), True)):
+        report = validate_session(setup, alice, bob)
+        required, pitfalls = report.required, report.pitfalls
+        assert required is not report.required and required == report.required
+        required["[a2,y1]"] = None
+        pitfalls.clear()
+        assert report.all_required_pass and report.weak is weak and report.ok is not weak
+        assert report.required == validate_session(setup, alice, bob).required
+        assert len(report.pitfalls) == 8
+
+
+def test_only_the_token_names_the_slots_its_equality_compares():
+    # every other value compares all its slots; a check result is built only by the report
+    values, classes = [], field_matrix._Value.__subclasses__()
+    while classes:
+        cls = classes.pop()
+        values.append(cls)
+        classes += cls.__subclasses__()
+    assert [cls for cls in values if "_compared" in vars(cls)] == [PublicToken]
+    assert "__init__" not in vars(protocol.CheckResult)
+    # a member read on the class is its descriptor
+    assert isinstance(AlicePrivate.a1, protocol._Member)
+    assert AlicePrivate.a1.stack == "factors" and AlicePrivate.a1.index == 0
 
 
 def _validated_pair(name, alice, bob):
@@ -844,9 +874,11 @@ def test_objects_are_immutable_and_copy_equal():
     # a copy or an unpickled object is kept as the original is: equal, and every array it holds read-only
     result = run_session(SplitMix64(45), P251)
     message = encrypt_message(result.alice_key, SplitMix64(46).read(100))
-    check = validate_session(result.setup, result.alice, result.bob).required["[a2,y1]"]
-    objects = [result.setup.P, message, check, result, result.setup, result.alice, result.bob,
-               result.alice_pub, result.alice_key]
+    report = validate_session(result.setup, result.alice, result.bob)
+    toy = run_session(SplitMix64(47), P5)
+    pseudo = brute_force_pseudo_key(toy.setup, toy.alice_pub, toy.bob_pub, toy.alice_key)
+    objects = [result.setup.P, message, report.required["[a2,y1]"], result, result.setup, result.alice, result.bob,
+               result.alice_pub, result.alice_key, report, uniformity_stats([result.setup.P] * 40), pseudo]
     for obj in objects:
         fields = type(obj)._fields
         for name in fields:

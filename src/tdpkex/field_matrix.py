@@ -551,17 +551,17 @@ def _row_reduce(m: np.ndarray, p: int) -> list[int]:
     below it for the first nonzero entry, and swap that row up negated, which
     leaves the determinant unchanged, so it is the product of the pivots.  A
     matrix with no pivot in some column has determinant 0 and ends with
-    garbage rows; the call returns at once when a column has no pivot in any
-    matrix of the stack.  Otherwise m[i, :, :d] ends as the identity, so on
-    [a | I] the right half becomes a^-1.
+    garbage rows (its zero pivot scales its row by 0).  Otherwise
+    m[i, :, :d] ends as the identity, so on [a | I] the right half becomes
+    a^-1.
 
     Entries must start in [0, p).  The scaled pivot row and the update are
     not reduced: the stack is reduced mod p only before the columns that
     ``_reduced_columns`` marks, where the int64 update could otherwise reach
     2^63.  Between them the pivots, and the entries the pivot search
     compares with 0, are taken mod p on their own, and a swapped row is
-    negated as it is.  Every return reduces the stack first, so each entry,
-    a singular matrix's garbage included, ends in [0, p).
+    negated as it is.  The stack is reduced before the return, so each
+    entry, a singular matrix's garbage included, ends in [0, p).
     """
     n, d = m.shape[:2]
     inv = _inverse_table(p)
@@ -579,9 +579,6 @@ def _row_reduce(m: np.ndarray, p: int) -> list[int]:
                 swap, to = zero[found], c + 1 + below[found].argmax(axis=1)
                 m[swap, c], m[swap, to] = -m[swap, to], m[swap, c]
                 pivots[c] = m[:, c, c] % p
-            elif len(zero) == n:
-                m %= p
-                return [0] * n
         row = m[:, c] * inv[pivots[c]][:, None]
         m -= m[:, :, c, None] * row[:, None]
         m[:, c] = row

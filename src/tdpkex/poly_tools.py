@@ -22,13 +22,14 @@ from .field_matrix import (
     _check_prime,
     _entries,
     _exact_int,
+    _parse,
     _product,
     _readonly,
     _reduce_entries,
+    _row_reduce,
     mat_det,
     mat_pow,
     trial_division_factorization,
-    uniform_array,
 )
 
 
@@ -37,14 +38,17 @@ class MonicPoly:
     """Monic polynomial x^d + c_{d-1} x^{d-1} + ... + c_0 over F_p.
 
     ``coeffs`` stores (c_0, ..., c_{d-1}) reduced mod p; the leading 1 is implicit.
-    A coefficient that is not an integer (``Matrix``'s rule: 2.7, NaN, '3') raises ValueError.
+    A prime ``FieldParams`` refuses, or a coefficient that is not an integer
+    (``Matrix``'s rule: 2.7, NaN, '3'), raises ValueError.
     """
 
     p: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_exact_int(c, "coefficient") % self.p for c in self.coeffs))
+        p = _check_prime(self.p)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "coeffs", tuple(_exact_int(c, "coefficient") % p for c in self.coeffs))
         if len(self.coeffs) < 1:
             raise ValueError("degree must be >= 1")
 
@@ -130,25 +134,21 @@ def is_irreducible(f: MonicPoly) -> bool:
     the companion matrix C of f instead of on polynomials mod f: f is C's
     minimal polynomial, so g(C) = 0 iff f divides g, and g(C) is invertible
     iff gcd(g, f) = 1.  The test is therefore C^(p^n) == C and
-    det(C^(p^(n/t)) - C) != 0 for every prime t | n.  p must be a prime
-    accepted by FieldParams.
+    det(C^(p^(n/t)) - C) != 0 for every prime t | n, one stacked reduction
+    for all t.
     """
     p, n = f.p, f.degree
     if n == 1:
         return True
     comp = companion_matrix(f)
     # frob[k] = C^(p^k), advanced one Frobenius power at a time
-    frob = {}
-    h = comp
-    for k in range(1, n + 1):
-        h = mat_pow(h, p)
-        frob[k] = h
+    frob = [comp]
+    for _ in range(n):
+        frob.append(mat_pow(frob[-1], p))
     if frob[n] != comp:
         return False
-    for t, _ in trial_division_factorization(n):
-        if mat_det(Matrix(comp.params, frob[n // t].a - comp.a)) == 0:
-            return False
-    return True
+    stack = np.array([frob[n // t].a - comp.a for t, _ in trial_division_factorization(n)]) % p
+    return 0 not in _row_reduce(stack, p)
 
 
 def random_irreducible(rs, d: int, p: int) -> tuple[MonicPoly, int]:
@@ -166,9 +166,10 @@ def random_irreducible(rs, d: int, p: int) -> tuple[MonicPoly, int]:
     trials = 0
     while True:
         trials += 1
-        c0 = int(uniform_array(rs, 1, p - 1, 1)[0])
-        rest = [int(v) for v in uniform_array(rs, 0, p - 1, d - 1)] if d > 1 else []
-        f = MonicPoly(p, tuple([c0] + rest))
+        # c0, then the other coefficients: the bytes two uniform_array calls would read
+        values, ends, buf = _parse(rs, [(1, p - 1, 1), (0, p - 1, d - 1)])
+        rs.unread(buf[ends[-1]:])
+        f = MonicPoly(p, tuple(np.concatenate(values).tolist()))
         if is_irreducible(f):
             return f, trials
 
@@ -178,13 +179,9 @@ def companion_matrix(f: MonicPoly) -> Matrix:
     d = f.degree
     if d < 2:
         raise ValueError("companion matrix needs degree >= 2")
-    params = FieldParams(p=f.p, d=d)
-    m = np.zeros((d, d), dtype=np.int64)
-    for i in range(1, d):
-        m[i, i - 1] = 1
-    for i in range(d):
-        m[i, d - 1] = (-f.coeffs[i]) % f.p
-    return Matrix(params, m)
+    m = np.eye(d, k=-1, dtype=np.int64)
+    m[:, -1] = -np.array(f.coeffs) % f.p
+    return Matrix._held(FieldParams(p=f.p, d=d), m)
 
 
 def char_poly_many(stack, p: int) -> np.ndarray:

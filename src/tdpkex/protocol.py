@@ -15,8 +15,9 @@ a1 and b3 are free draws from the whole group.  Alice publishes
 (p, q, r) = (b1 y1, y1^-1 b2 y2, y2^-1 b3).  Both sides then collapse the
 other's token with their own commuting factors to the same product
 a1 b1 a2 b2 a3 b3, which is the session key.  Keygen, token and key
-derivation are one algorithm for both parties; ROLE_LAYOUT says which of a
-party's factors plays which part.
+derivation are one algorithm for both parties; each party's class
+(``AlicePrivate``, ``BobPrivate``) declares which of its factors plays which
+part.
 
 Every protocol object is a value over int64 stacks (``field_matrix._Value``,
 the base of Matrix and CipherMessage): the setup holds its bases and their
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -150,25 +150,46 @@ class PublicSetup(_Value):
 
 
 class _Private(_Value):
-    """A party's secret material over one setup; the layout comes from ROLE_LAYOUT.
+    """A party's secret material over one setup, laid out by its class.
+
+    Each party's class declares its layout.  ``families`` pairs each
+    basis-derived factor with the basis that conjugates its eigenvalue list
+    ``d_<factor>``, in record order.  ``record`` orders the factors: its
+    first three (f1, f2, f3) enter the session key, its last two (h1, h2)
+    hide them in the token (f1 h1, h1^-1 f2 h2, h2^-1 f3).  ``free`` names
+    the factor drawn from the whole group.  From these ``__init_subclass__``
+    derives, in ``families`` order, each family factor's place in the record
+    (``family_index``) and its basis's place in the setup (``basis_index``),
+    and the free factor's place in the record (``free_index``).
 
     eigenvalues is the (4, d) stack of the eigenvalue lists in ``families``
-    order, factors the (5, d, d) stack of the factors in record order (``key``
-    then ``hide``), and inverses theirs, all set by ``_fill``.  A family
-    factor's inverse is its family member on the inverted eigenvalues; the
-    free factor's is computed by the constructor, or supplied on the stack
-    route and checked with one matmul.  ``free_inverse`` is that row of
-    inverses and ``free_inv`` the same as a Matrix.
+    order, factors the (5, d, d) stack of the factors in ``record`` order,
+    and inverses theirs, all set by ``_fill``.  A family factor's inverse is
+    its family member on the inverted eigenvalues; the free factor's is
+    computed by the constructor, or supplied on the stack route and checked
+    with one matmul.  ``free_inverse`` is that row of inverses and
+    ``free_inv`` the same as a Matrix.
     """
 
     __slots__ = ("setup", "eigenvalues", "factors", "inverses")
     role: ClassVar[Role]
+    families: ClassVar[tuple[tuple[str, str], ...]]
+    record: ClassVar[tuple[str, ...]]
+    free: ClassVar[str]
+    family_index: ClassVar[list[int]]
+    basis_index: ClassVar[list[int]]
+    free_index: ClassVar[int]
     params = property(lambda self: self.setup.params)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.family_index = [cls.record.index(name) for name, _ in cls.families]
+        cls.basis_index = [_BASES.index(basis) for _, basis in cls.families]
+        cls.free_index = cls.record.index(cls.free)
 
     def _from_material(self, setup: PublicSetup, specs: tuple, factors: tuple) -> None:
         """The Matrix route: each argument's parameters checked, then the stack checks."""
-        layout = ROLE_LAYOUT[self.role]
-        names = ["d_" + name for name, _ in layout.families] + list(layout.record)
+        names = ["d_" + name for name, _ in self.families] + list(self.record)
         _check_params(setup.params, dict(zip(names, specs + factors)))
         eigenvalues = np.array([spec.eigenvalues for spec in specs], dtype=np.int64)
         self._init(setup, eigenvalues, np.array([m.a for m in factors]))
@@ -177,21 +198,20 @@ class _Private(_Value):
               free_inverse: np.ndarray | None = None):
         # the setup's inverses are certified, so a family factor equals its
         # build B^-1 diag B exactly when B F == diag B
-        layout = ROLE_LAYOUT[self.role]
-        free = factors[[layout.free_index]]
+        free = factors[[self.free_index]]
         _check_eigenvalues(setup.params, eigenvalues)
         # the free factor stands in for its inverse until _certify sets that
-        (built,), (inverses,) = _fill(setup.params.p, setup.bases, setup.inverses, (self.role,),
+        (built,), (inverses,) = _fill(setup.params.p, setup.bases, setup.inverses, (type(self),),
                                       eigenvalues[None], free, free)
         if not np.array_equal(built, factors):
             raise ValueError("derived matrix does not match its basis and eigenvalues")
         supplied = None if free_inverse is None else free_inverse[None]
-        (inverses[layout.free_index],) = _certify(free, supplied, [layout.free], setup.params.p)
+        (inverses[self.free_index],) = _certify(free, supplied, [self.free], setup.params.p)
         self._hold(setup, eigenvalues, factors, inverses)
 
     @property
     def free_inverse(self) -> np.ndarray:
-        return self.inverses[ROLE_LAYOUT[self.role].free_index]
+        return self.inverses[self.free_index]
 
     @property
     def free_inv(self) -> Matrix:
@@ -203,6 +223,9 @@ class AlicePrivate(_Private):
 
     __slots__ = ()
     role = Role.ALICE
+    families = (("a2", "P"), ("a3", "Q"), ("x1", "R"), ("x2", "S"))
+    record = ("a1", "a2", "a3", "x1", "x2")
+    free = "a1"
     d_a2, d_a3, d_x1, d_x2 = (_Member("eigenvalues", i, DiagonalSpec) for i in range(4))
     a1, a2, a3, x1, x2 = (_Member("factors", i) for i in range(5))
 
@@ -217,6 +240,9 @@ class BobPrivate(_Private):
 
     __slots__ = ()
     role = Role.BOB
+    families = (("b1", "R"), ("b2", "S"), ("y1", "P"), ("y2", "Q"))
+    record = ("b1", "b2", "b3", "y1", "y2")
+    free = "b3"
     d_b1, d_b2, d_y1, d_y2 = (_Member("eigenvalues", i, DiagonalSpec) for i in range(4))
     b1, b2, b3, y1, y2 = (_Member("factors", i) for i in range(5))
 
@@ -226,73 +252,23 @@ class BobPrivate(_Private):
         self._from_material(setup, (d_b1, d_b2, d_y1, d_y2), (b1, b2, b3, y1, y2))
 
 
-@dataclass(frozen=True)
-class RoleLayout:
-    """Where one party's factors come from and how its private record is ordered.
-
-    ``families`` pairs each basis-derived factor with the basis that conjugates
-    its eigenvalue list ``d_<factor>``, in record order.  ``key`` holds the
-    three factors (f1, f2, f3) that enter the session key, ``hide`` the two
-    (h1, h2) that mask them in the token (f1 h1, h1^-1 f2 h2, h2^-1 f3), and
-    ``free`` names the factor drawn from the whole group.  The record stores
-    the eigenvalue lists in ``families`` order, then ``key`` and ``hide``,
-    which is the order of a private key's factor stack: ``record``.  In
-    ``families`` order, ``family_index`` gives each family factor's place in
-    that stack and ``basis_index`` its basis's place in the setup's.
-    """
-
-    private: type
-    families: tuple[tuple[str, str], ...]
-    key: tuple[str, str, str]
-    hide: tuple[str, str]
-    free: str
-    record: tuple[str, ...] = field(init=False, repr=False)
-    family_index: list[int] = field(init=False, repr=False)
-    basis_index: list[int] = field(init=False, repr=False)
-    free_index: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        record = self.key + self.hide
-        object.__setattr__(self, "record", record)
-        object.__setattr__(self, "family_index", [record.index(name) for name, _ in self.families])
-        object.__setattr__(self, "basis_index", [_BASES.index(basis) for _, basis in self.families])
-        object.__setattr__(self, "free_index", record.index(self.free))
-
-
-ROLE_LAYOUT = {
-    Role.ALICE: RoleLayout(
-        AlicePrivate,
-        families=(("a2", "P"), ("a3", "Q"), ("x1", "R"), ("x2", "S")),
-        key=("a1", "a2", "a3"),
-        hide=("x1", "x2"),
-        free="a1",
-    ),
-    Role.BOB: RoleLayout(
-        BobPrivate,
-        families=(("b1", "R"), ("b2", "S"), ("y1", "P"), ("y2", "Q")),
-        key=("b1", "b2", "b3"),
-        hide=("y1", "y2"),
-        free="b3",
-    ),
-}
-_PARTIES = (Role.ALICE, Role.BOB)
+ROLE_LAYOUT = {Role.ALICE: AlicePrivate, Role.BOB: BobPrivate}
+_PARTIES = (AlicePrivate, BobPrivate)
 _RECORD_LENGTH = 5
 
 
 @functools.cache
-def _party_index(roles: tuple[Role, ...]) -> tuple:
+def _party_index(parties: tuple[type[_Private], ...]) -> tuple:
     """The k parties' (k, 4) basis rows, and where their family and free factors sit in (k, 5) stacks."""
-    layouts = [ROLE_LAYOUT[role] for role in roles]
-    parties, basis, family, free = (_readonly(np.array(index)) for index in (
-        range(len(roles)),
-        [layout.basis_index for layout in layouts],
-        [layout.family_index for layout in layouts],
-        [layout.free_index for layout in layouts],
+    return tuple(_readonly(np.array(index)) for index in (
+        range(len(parties)),
+        [cls.basis_index for cls in parties],
+        [cls.family_index for cls in parties],
+        [cls.free_index for cls in parties],
     ))
-    return parties, basis, family, free
 
 
-def _fill(p: int, bases: np.ndarray, basis_inverses: np.ndarray, roles: tuple[Role, ...],
+def _fill(p: int, bases: np.ndarray, basis_inverses: np.ndarray, parties: tuple[type[_Private], ...],
           eigenvalues: np.ndarray, free: np.ndarray, free_inverse: np.ndarray) -> tuple:
     """The k parties' (k, 5, d, d) factor stacks and their inverses, one ``family_member`` call.
 
@@ -301,12 +277,12 @@ def _fill(p: int, bases: np.ndarray, basis_inverses: np.ndarray, roles: tuple[Ro
     family factor's inverse is its member on the inverted list, so the call
     builds the lists' and the inverted lists' members at once.
     """
-    parties, basis, family, free_at = _party_index(roles)
+    rows, basis, family, free_at = _party_index(parties)
     d = bases.shape[-1]
     lists = np.array([eigenvalues, _inverse_table(p)[eigenvalues]])
-    out = np.empty((2, len(roles), _RECORD_LENGTH, d, d), dtype=np.int64)
-    out[:, parties[:, None], family] = family_member(bases[basis], basis_inverses[basis], lists, p)
-    out[:, parties, free_at] = np.array([free, free_inverse])
+    out = np.empty((2, len(rows), _RECORD_LENGTH, d, d), dtype=np.int64)
+    out[:, rows[:, None], family] = family_member(bases[basis], basis_inverses[basis], lists, p)
+    out[:, rows, free_at] = np.array([free, free_inverse])
     return out[0], out[1]
 
 
@@ -358,7 +334,7 @@ class SessionKey(_Value):
 
 _KEY_NAME = "session key"
 # run_session's one certificate, in this order: the four bases, both free factors, both keys
-_SESSION_CERTIFIED = _BASIS_NAMES + tuple(ROLE_LAYOUT[role].free for role in _PARTIES) + (_KEY_NAME,) * 2
+_SESSION_CERTIFIED = _BASIS_NAMES + tuple(cls.free for cls in _PARTIES) + (_KEY_NAME,) * 2
 
 
 _SETUP_DRAWS = (NonsingularDraws(len(_BASES)),)
@@ -388,14 +364,13 @@ def _session_draws(params: FieldParams) -> tuple:
     return _SETUP_DRAWS + keygen + keygen
 
 
-def _keygen(rs, setup: PublicSetup, role: Role) -> _Private:
-    layout = ROLE_LAYOUT[role]
+def _keygen(rs, setup: PublicSetup, cls: type[_Private]) -> _Private:
     drawn, _ = draw_segments(rs, setup.params, _keygen_draws(setup.params))
     eigenvalues, free, free_inverse = _material(drawn, setup.params.d)
-    _certify(free, free_inverse, [layout.free], setup.params.p)
-    (factors,), (inverses,) = _fill(setup.params.p, setup.bases, setup.inverses, (role,), eigenvalues, free,
+    _certify(free, free_inverse, [cls.free], setup.params.p)
+    (factors,), (inverses,) = _fill(setup.params.p, setup.bases, setup.inverses, (cls,), eigenvalues, free,
                                     free_inverse)
-    return layout.private._held(setup, eigenvalues[0], factors, inverses)
+    return cls._held(setup, eigenvalues[0], factors, inverses)
 
 
 def _tokens(p: int, factors: np.ndarray, inverses: np.ndarray) -> np.ndarray:
@@ -453,12 +428,12 @@ def _shared(priv: _Private, token: PublicToken) -> SessionKey:
 
 def alice_keygen(rs, setup: PublicSetup) -> AlicePrivate:
     """Draw Alice's eigenvalue lists and free factor, derive a2, a3, x1, x2."""
-    return _keygen(rs, setup, Role.ALICE)
+    return _keygen(rs, setup, AlicePrivate)
 
 
 def bob_keygen(rs, setup: PublicSetup) -> BobPrivate:
     """Draw Bob's eigenvalue lists and free factor, derive b1, b2, y1, y2."""
-    return _keygen(rs, setup, Role.BOB)
+    return _keygen(rs, setup, BobPrivate)
 
 
 def alice_token(priv: AlicePrivate) -> PublicToken:
@@ -542,7 +517,7 @@ class ValidationReport(_Value):
 _REQUIRED = ("[a2,y1]", "[a3,y2]", "[b1,x1]", "[b2,x2]")
 _PITFALLS = ("[x1,y1]", "[x2,y1]", "[x2,y2]", "[a2,b1]", "[a3,b2]", "[a3,b1]", "[x2,b1]", "[a3,y1]")
 # each check's two places in Alice's factor stack followed by Bob's
-_SESSION_FACTORS = ROLE_LAYOUT[Role.ALICE].record + ROLE_LAYOUT[Role.BOB].record
+_SESSION_FACTORS = AlicePrivate.record + BobPrivate.record
 _CHECK_INDEX = _readonly(np.array([[_SESSION_FACTORS.index(f) for f in name[1:-1].split(",")]
                                    for name in _REQUIRED + _PITFALLS]))
 
@@ -580,10 +555,10 @@ class SessionResult(_Value):
 
     def _private(self, party: int) -> _Private:
         material = self._eigenvalues, self._factors, self._inverses
-        return ROLE_LAYOUT[_PARTIES[party]].private._held(self.setup, *(m[party] for m in material))
+        return _PARTIES[party]._held(self.setup, *(m[party] for m in material))
 
     def _public(self, party: int) -> PublicToken:
-        return PublicToken._held(_PARTIES[party], self._params, self._tokens[party], None)
+        return PublicToken._held(_PARTIES[party].role, self._params, self._tokens[party], None)
 
     setup = functools.cached_property(lambda self: PublicSetup._held(self._params, self._bases, self._basis_inverses))
     alice = functools.cached_property(lambda self: self._private(0))

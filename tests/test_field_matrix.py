@@ -33,7 +33,7 @@ from tdpkex import (
 )
 from tdpkex import field_matrix
 
-from oracles import det_cofactor, inverse_adjugate
+from oracles import KERNEL_GRID, det_by_elimination, det_cofactor, inverse_adjugate
 
 P5 = FieldParams(p=5, d=2)
 P251 = FieldParams()
@@ -321,12 +321,33 @@ def test_row_reduce_across_its_reduction_gate(p, d):
     assert field_matrix._row_reduce(reduced, p) == dets
     assert ((reduced >= 0) & (reduced < p)).all()
     # with column 1 a multiple of column 0 in every matrix, no matrix has a
-    # pivot after column 0, and the kernel returns early from column 1,
-    # which it leaves unreduced at p < 65521
+    # pivot in column 1, so each scales its row there by a zero pivot, in a
+    # column the kernel leaves unreduced at p < 65521
     stack[:, :, 1] = stack[:, :, 0] * np.arange(len(stack))[:, None] % p
     inverses, got = field_matrix._invert(stack, p)
     assert got == [0] * len(stack) == [det_cofactor(m, p) for m in stack.tolist()]
     assert ((inverses >= 0) & (inverses < p)).all()
+
+
+@pytest.mark.parametrize("p, d", KERNEL_GRID)
+def test_invert_over_the_kernel_grid(p, d):
+    # random stacks of one, two and five matrices, the last of each larger
+    # stack singular, and a stack whose members all lack a pivot in column d // 2
+    rng = np.random.default_rng(p * 100 + d)
+    stacks = [rng.integers(0, p, (n, d, d)) for n in (1, 2, 5)]
+    for stack in stacks[1:]:
+        stack[-1, -1] = rng.integers(0, p, d - 1) @ stack[-1, :-1] % p
+    no_pivot = rng.integers(0, p, (3, d, d))
+    no_pivot[:, :, d // 2] = no_pivot[:, :, :d // 2] @ rng.integers(0, p, d // 2) % p
+    for stack in (*stacks, no_pivot):
+        inverses, dets = field_matrix._invert(stack, p)
+        assert dets == [det_by_elimination(m, p) for m in stack.tolist()]
+        assert len(stack) == 1 or dets[-1] == 0
+        assert ((inverses >= 0) & (inverses < p)).all()
+        for m, inv, det in zip(stack, inverses, dets):
+            if det:
+                assert (m @ inv % p == np.eye(d, dtype=np.int64)).all()
+    assert dets == [0, 0, 0]  # no_pivot's, the last stack
 
 
 @pytest.mark.parametrize("p", [2, 3, 251, 65521])

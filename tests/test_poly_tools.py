@@ -135,6 +135,23 @@ def test_monic_poly_refuses_coefficients_that_are_not_integers(coeffs):
         MonicPoly(5, coeffs)
 
 
+@pytest.mark.parametrize("prime, coeffs, message", [
+    pytest.param(0, (1,), "prime must satisfy 2 <= p <= 65521, got 0", id="zero"),  # was ZeroDivisionError
+    pytest.param(4, (3,), "4 is not prime", id="composite"),  # was accepted, and called irreducible
+    pytest.param(4, (3, 1), "4 is not prime", id="composite-quadratic"),
+])
+def test_monic_poly_refuses_a_prime_field_params_refuses(prime, coeffs, message):
+    with pytest.raises(ValueError, match=f"^{message}$") as caught:
+        MonicPoly(prime, coeffs)
+    assert type(caught.value) is ValueError
+
+
+def test_monic_poly_keeps_an_exact_integer_prime():
+    for prime in (5.0, np.int64(5)):
+        f = MonicPoly(prime, (7,))
+        assert type(f.p) is int and f == MonicPoly(5, (2,))
+
+
 @pytest.mark.parametrize("p,d", [(2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 6), (5, 2)])
 def test_is_irreducible_matches_division_oracle(p, d):
     import itertools
@@ -193,6 +210,15 @@ def test_polynomial_functions_refuse_a_prime_field_params_refuses(prime, message
 def test_degree_below_one_refused(call):
     with pytest.raises(ValueError, match="^degree must be >= 1$"):
         call()
+
+
+def test_random_irreducible_outputs_match_the_recorded_pin():
+    # a draw that reads one byte more or less shifts the polynomial, the trial count or the bytes after it
+    for (p, d), draws in vectors.IRREDUCIBLE_DRAWS.items():
+        for seed, (coeffs, trials, after) in enumerate(draws):
+            rs = SplitMix64(seed)
+            assert random_irreducible(rs, d, p) == (MonicPoly(p, coeffs), trials)
+            assert rs.read(16).hex() == after
 
 
 def test_random_irreducible_trial_count_near_degree():

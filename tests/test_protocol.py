@@ -8,6 +8,7 @@ import pytest
 
 from tdpkex import (
     AlicePrivate,
+    BobPrivate,
     DiagonalSpec,
     FieldParams,
     Matrix,
@@ -713,6 +714,16 @@ def test_trusted_wraps_hold_read_only_field_entries():
     assert decrypt_block(result.bob_key, cipher) == plain
 
 
+def test_each_party_class_carries_its_layout():
+    # the classes themselves are the layout records: no separate record, no key/hide split to misread
+    assert ROLE_LAYOUT == {Role.ALICE: AlicePrivate, Role.BOB: BobPrivate}
+    assert protocol._PARTIES == (AlicePrivate, BobPrivate)
+    for cls, family, basis, free in ((AlicePrivate, [1, 2, 3, 4], [0, 1, 2, 3], 0),
+                                     (BobPrivate, [0, 1, 3, 4], [2, 3, 0, 1], 2)):
+        assert (cls.family_index, cls.basis_index, cls.free_index) == (family, basis, free)
+        assert not hasattr(cls, "key") and not hasattr(cls, "hide")
+
+
 def test_cached_tables_and_built_tokens_refuse_writes(tmp_path):
     # every cached table is shared by all callers, and a token's stack by every member read from it
     token = alice_token(alice_keygen(SplitMix64(36), gen_setup(SplitMix64(35), P251)))
@@ -725,7 +736,7 @@ def test_cached_tables_and_built_tokens_refuse_writes(tmp_path):
     stats = uniformity_stats([result.setup.P, *(encode_block(bytes([i]) * 63, P251).m for i in range(40))])
     tables = [field_matrix._identity(8), field_matrix._inverse_table(251), poly_tools._strict_upper(8),
               field_matrix.SplitMix64._BLOCK, codec.divisors, codec.to_limbs, codec.to_words,
-              *protocol._party_index(protocol._PARTIES), *protocol._party_index((Role.ALICE,)),
+              *protocol._party_index(protocol._PARTIES), *protocol._party_index((AlicePrivate,)),
               protocol._CHECK_INDEX, token.stack, token.t1.a, token.t3.a, check.stack,
               read_back.stack, read_back.inverses, stats.frequencies]
     for table in tables:

@@ -125,3 +125,29 @@ STATS_SEED7_KV = [
     "uniformity=PASS",
     "leak=trace/det/charpoly preserved: yes",
 ]
+
+# random_irreducible(SplitMix64(seed), d, p) for seeds 0-4 at each (p, d):
+# (coefficients c_0 .. c_{d-1}, trials, the next 16 stream bytes in hex)
+IRREDUCIBLE_DRAWS = {
+    (3, 2): [
+        ((1, 0), 3, "3efb18bbb837b255e20ed56a6caf677b"),
+        ((2, 2), 1, "1590ff0b4dc3a53c36d76cec99e07585"),
+        ((2, 2), 3, "eab198db605d2d07f1ed411a2924963e"),
+        ((2, 1), 1, "dd50d0a6e8eb9ccfc9ab66fb64a71296"),
+        ((2, 2), 3, "c280eed7088903684377c0cb3301f218"),
+    ],
+    (251, 8): [
+        ((80, 69, 9, 128, 24, 93, 196, 6), 3, "ec814c72a8b88bf89b74a8516a89391b"),
+        ((194, 92, 2, 137, 236, 45, 10, 145), 1, "67ec8e65a18debbe5e5532fbeea293f8"),
+        ((207, 86, 151, 28, 222, 53, 88, 151), 1, "421efc0b1046c8bf2f537eddbfbc7b98"),
+        ((208, 201, 171, 102, 100, 167, 18, 150), 4, "99b7caad8d6837074f1f093777dfa2b8"),
+        ((203, 138, 51, 226, 114, 227, 115, 110), 1, "30b0984b6ac674e45f847b8efc19efdb"),
+    ],
+    (65521, 3): [
+        ((52656, 31517, 43065), 1, "20e2f465b9a16a9e786e4f450980185d"),
+        ((36258, 48875, 21854), 3, "32fbeea293f80bc942ee9086c171b9b5"),
+        ((56703, 48319, 39035), 4, "64f6e7ff7a82f2c329fb173fb546c44f"),
+        ((7436, 43401, 31617), 2, "8a6f46b301dd50d0a6e8eb9ccfc9ab66"),
+        ((35531, 57907, 58226), 1, "736e30b0984b6ac674e45f847b8efc19"),
+    ],
+}
